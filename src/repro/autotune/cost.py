@@ -17,9 +17,14 @@ The model mirrors how this backend actually spends time:
   trees (the paper's Section III-C argument), which is estimated from the
   populated node probabilities when present.
 * **per-step overhead** — every step issues a fixed number of vector ops
-  (gather thresholds/features, compare, movemask, LUT lookup). Interleaving
-  ``j`` walks amortizes the interpreter's per-op dispatch over ``j``-times
-  wider operands, the dominant effect in this NumPy backend.
+  (gather thresholds/features, compare, movemask, LUT lookup). A chunk of
+  ``K`` jammed walks amortizes the interpreter's per-op dispatch over
+  ``K``-times wider operands, the dominant effect in this NumPy backend;
+  ``K`` is the kernel's own batch-adaptive chunk width
+  (:func:`repro.mir.ir.chunk_width`), so at small batches every
+  ``interleave >= 2`` amortizes alike, and a dispatch is shared by every
+  row of the batch, so small batches stay dispatch-bound however wide the
+  chunk.
 * **gather cost** — ``tile_size`` lanes per gathered node, scaled by the
   machine's ``gather_cost_per_lane`` (the paper's Intel/AMD split).
 * **memory pressure** — model buffers larger than L2 pay a latency factor;
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.config import QUANTIZED_PRECISIONS, Schedule
 from repro.forest.ensemble import Forest
+from repro.mir.ir import LANE_BUDGET, chunk_width
 from repro.perf.machine import INTEL_ROCKET_LAKE_LIKE, MachineProfile
 
 
@@ -101,6 +107,10 @@ class ForestProfile:
 #: the narrow operands tree walks produce, which is why interleaving wins
 #: far more here than in native code.
 _DISPATCH_WEIGHT = 40.0
+#: batch the dispatch weight above was calibrated at (the 256-row tuning
+#: grid): a dispatch serves every row of the batch, so its per-row share
+#: scales by this over the live batch
+_DISPATCH_REF_ROWS = 256
 #: vector ops issued per walk step (two gathers, compare, pack, LUT, select)
 _OPS_PER_STEP = 6.0
 #: per-batch fixed cost (kernel entry, arena binding), in dispatch units
@@ -177,12 +187,16 @@ def predict_cost(
     step_dispatch = _OPS_PER_STEP * _DISPATCH_WEIGHT + guard
 
     # --- interleaving amortization -------------------------------------
-    # j walks advance together: one dispatch covers j tree-lanes, but the
-    # working set grows with j and ragged tails waste lanes.
+    # One dispatch covers a chunk of tree-lanes: the jam width j at large
+    # batches, up to the whole forest at small ones (the kernel's rule).
+    # The working set grows with j and ragged tails waste lanes.
     j = max(1, schedule.interleave)
-    j_eff = min(j, max(1, profile.num_trees))
+    trees = max(1, profile.num_trees)
+    j_eff = min(j, trees)
+    chunk = min(trees, chunk_width(batch, j_eff, trees, LANE_BUDGET if j > 1 else 0))
+    share = _DISPATCH_REF_ROWS / (batch * chunk)
     tail_waste = 1.0 + 0.5 * (j_eff - 1) / (2.0 * j_eff)
-    per_step = (step_dispatch / j_eff + lane_work) * tail_waste
+    per_step = (step_dispatch * share + lane_work) * tail_waste
 
     # --- memory footprint / layout -------------------------------------
     bytes_per_node = _BYTES_PER_NODE.get(schedule.precision, 24)
@@ -209,10 +223,9 @@ def predict_cost(
         per_row_scale = 1.0
 
     # --- profile-guided hot/cold split ----------------------------------
-    # The first `pgo` levels run check-free over compact prefix buffers
-    # with a much wider jam (HOT_CHUNK_CAP in the codegen), so those
-    # steps amortize dispatch further and skip the guard entirely; the
-    # remaining (cold) steps keep the full per_step cost.
+    # The first `pgo` levels run check-free over compact prefix buffers,
+    # so those steps skip the guard entirely; the remaining (cold) steps
+    # keep the full per_step cost.
     hot_steps = 0.0
     if schedule.pgo is not None and schedule.traversal == "tiled":
         cutoff = (
@@ -225,9 +238,8 @@ def predict_cost(
             max(0.0, steps_per_tree - 1.0), hot_levels / levels_per_step
         )
     if hot_steps > 0.0:
-        j_hot = min(64, 8 * j_eff, max(1, profile.num_trees))
         hot_per_step = (
-            _OPS_PER_STEP * _DISPATCH_WEIGHT / j_hot + lane_work
+            _OPS_PER_STEP * _DISPATCH_WEIGHT * share + lane_work
         ) * tail_waste
         if schedule.layout != "array":
             hot_per_step += 0.15 * t

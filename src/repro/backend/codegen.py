@@ -59,8 +59,13 @@ steps followed by the guarded loop; ``loop`` emits the guarded loop only.
 The guarded loop uses *active-lane compaction* — finished (row, tree) walks
 leave the working set, the vectorized analog of the scalar walk's early
 exit, which is what probability-based tiling's shorter expected walks pay
-into. The tree-chunk loop realizes walk interleaving: all ``width`` jammed
-walks advance inside the same vector statements. Compaction inherently
+into. The tree-chunk loop realizes walk interleaving: all jammed walks of
+a chunk advance inside the same vector statements. A jammed loop sizes its
+chunks from the live batch (:func:`repro.mir.ir.chunk_width`, emitted as a
+literal by ``_chunk_step``), so a 1-row call walks a whole group per NumPy
+dispatch while a 2048-row call keeps the schedule's ``width``; leaf values
+still accumulate per ``width``-tree sub-chunk, which keeps every row's
+summation order independent of the batch it arrived in. Compaction inherently
 allocates (``nonzero``, boolean indexing); the arena covers its lane-sized
 gathers, which dominate.
 
@@ -79,6 +84,7 @@ from repro.config import PRECISION_TABLE
 from repro.errors import CodegenError
 from repro.lir.ir import LIRGroup, LIRModule
 from repro.lir.memory import ScratchArena, arena_spec, quant_mm_dtype
+from repro.mir.ir import chunk_width
 from repro.observe.profile import ProfileRecorder
 
 
@@ -141,6 +147,23 @@ def _pack_bits_expr(width: int) -> str:
         )
     # Wide tiles (>8): generic matmul fallback.
     return "(cmp.astype(_np.uint32) @ p2).astype(_np.int64)"
+
+
+def _chunk_step(e: _Emitter, vec: bool, width: int, num_trees: int, budget: int) -> str:
+    """The step of a chunk loop over ``num_trees`` trees jammed ``width`` wide.
+
+    Vectorized jammed loops bind ``K`` to the literal form of
+    :func:`~repro.mir.ir.chunk_width` at the live batch ``B``; one-row
+    walks see one row at a time and unjammed loops (``budget == 0``) never
+    widen, so both fold to a compile-time constant.
+    """
+    if not (vec and budget):
+        return str(chunk_width(1, width, num_trees, budget))
+    e.emit(
+        f"K = {width} * max(1, min({budget} // (max(1, B) * {width}), "
+        f"{-(-num_trees // width)}))"
+    )
+    return "K"
 
 
 class _GroupEmitter:
@@ -403,25 +426,21 @@ class _GroupEmitter:
             e.emit(f"state = _np.zeros({shape}, dtype=_np.int64)")
 
     # -- hot prefix (Schedule(pgo=...)) --------------------------------
-    def emit_hot(self) -> None:
+    def emit_hot(self, step: str) -> None:
         """Emit the check-free hot phase over the compact prefix buffers.
 
         Runs before the cold chunk loop: every walk of the group advances
         ``hot.depth`` levels with no leaf/termination checks (legality
-        guarantees only internal tiles above the cutoff), at a much wider
-        jam width than the guarded cold tail, reading the ``g_h*`` prefix
-        copies whose small footprint stays cache-resident. The resulting
-        tile indices land in ``hstate``; cold chunks seed from its slices.
+        guarantees only internal tiles above the cutoff), chunked by the
+        cold loop's ``step``, reading the ``g_h*`` prefix copies whose small
+        footprint stays cache-resident. The resulting tile indices land in
+        ``hstate``; cold chunks seed from its slices.
         """
         e, g, hot = self.e, self.g, self.hot
         nt = self.layout.num_trees
-        hw = min(hot.width, nt)
         sparse = self.layout.kind == "sparse"
         arity = self.layout.tile_size + 1
-        e.emit(
-            f"# hot prefix: {hot.depth} levels over {hot.tiles} tiles/lane "
-            f"(jam x{hw})"
-        )
+        e.emit(f"# hot prefix: {hot.depth} levels over {hot.tiles} tiles/lane")
         if self.arena:
             if self.vec:
                 e.emit(f"hstate = _A.hs[:B * {nt}].reshape(B, {nt})")
@@ -431,8 +450,8 @@ class _GroupEmitter:
             shape = f"(B, {nt})" if self.vec else f"({nt},)"
             e.emit(f"hstate = _np.empty({shape}, dtype=_np.int64)")
         self.p = "h"
-        with e.block(f"for c0 in range(0, {nt}, {hw}):"):
-            e.emit(f"k = min({hw}, {nt} - c0)")
+        with e.block(f"for c0 in range(0, {nt}, {step}):"):
+            e.emit(f"k = min({step}, {nt} - c0)")
             e.emit(f"bofs0 = {g}_hlaneT[c0:c0 + k]")
             e.emit("bofs = bofs0[None, :]" if self.vec else "bofs = bofs0")
             if self.arena:
@@ -721,13 +740,15 @@ def _emit_group(e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target:
         raise CodegenError("single-leaf tree in a non-trivial group")
     width = max(1, group.walk.width)
     num_trees = layout.num_trees
+    budget = lir.lane_budget(group.group_id)
     ge = _GroupEmitter(e, lir, group, vec)
     e.emit(f"# group {group.group_id}: {num_trees} trees, {layout.kind} layout, "
            f"{group.walk.describe()}")
+    step = _chunk_step(e, vec, width, num_trees, budget)
     if group.hot is not None:
-        ge.emit_hot()
-    with e.block(f"for c0 in range(0, {num_trees}, {width}):"):
-        e.emit(f"k = min({width}, {num_trees} - c0)")
+        ge.emit_hot(step)
+    with e.block(f"for c0 in range(0, {num_trees}, {step}):"):
+        e.emit(f"k = min({step}, {num_trees} - c0)")
         # Flat base offsets of this chunk's lanes: tiles and leaf values.
         e.emit(f"bofs0 = {g}_laneT[c0:c0 + k]")
         e.emit("bofs = bofs0" if not vec else "bofs = bofs0[None, :]")
@@ -741,10 +762,27 @@ def _emit_group(e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target:
             size = f"B * {classes}" if vec else str(classes)
             shape = f"(B, {classes})" if vec else f"({classes},)"
             e.emit(f"mm = _A.fm[:{size}].reshape{shape}")
-            e.emit(f"_np.matmul(vals, {g}_oh[c0:c0 + k], out=mm)")
-            e.emit(f"_np.add({target}, mm, out={target})")
+
+        def accumulate(vals: str, onehot: str) -> None:
+            if arena:
+                e.emit(f"_np.matmul({vals}, {onehot}, out=mm)")
+                e.emit(f"_np.add({target}, mm, out={target})")
+            else:
+                e.emit(f"{target} += {vals} @ {onehot}")
+
+        if budget:
+            # A wide chunk still sums leaves `width` trees at a time, at the
+            # tree offsets the fixed-step loop uses (K is a multiple of
+            # `width`): each row's floating-point summation order does not
+            # depend on the batch that carried it.
+            with e.block(f"for s0 in range(0, k, {width}):"):
+                lanes = f"s0:s0 + {width}"
+                accumulate(
+                    f"vals[:, {lanes}]" if vec else f"vals[{lanes}]",
+                    f"{g}_oh[c0 + s0:c0 + s0 + {width}]",
+                )
         else:
-            e.emit(f"{target} += vals @ {g}_oh[c0:c0 + k]")
+            accumulate("vals", f"{g}_oh[c0:c0 + k]")
     e.emit()
 
 

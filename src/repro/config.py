@@ -97,7 +97,14 @@ class Schedule:
         peeled prologue skips leaf checks (Section IV-B).
     interleave:
         Unroll-and-jam factor: how many tree walks are advanced together
-        (Section IV-A). 1 disables interleaving.
+        (Section IV-A). 1 disables interleaving. A factor ``>= 2`` is the
+        *floor* of the jam and the width leaf values are accumulated at:
+        the kernel widens each walk chunk to a whole multiple of it that
+        fits a fixed ``(row, tree)`` lane budget at the live batch size
+        (:func:`repro.mir.ir.chunk_width`) — a 1-row call walks a whole
+        tree group per vector statement, a 2048-row call exactly
+        ``interleave`` trees — while every row's leaf sums keep the order
+        the fixed-width loop gives them.
     layout:
         In-memory representation of tiled trees: ``"array"`` or ``"sparse"``
         (Section V-B).

@@ -41,8 +41,6 @@ class HotSplit:
 
     #: tile levels walked check-free over the compact prefix buffers
     depth: int
-    #: jam width of the hot chunk loop
-    width: int
     #: per-lane prefix length (group maximum) the hot buffers are cut at
     tiles: int
 
@@ -89,6 +87,14 @@ class LIRModule:
     @property
     def tile_size(self) -> int:
         return self.schedule.tile_size
+
+    def lane_budget(self, group_id: int) -> int:
+        """Lane budget of ``group_id``'s MIR tree loop (0 = fixed chunk step)."""
+        return next(
+            loop.lane_budget
+            for loop in self.mir.tree_loops
+            if loop.group_id == group_id
+        )
 
     def total_nbytes(self) -> int:
         """Model-buffer footprint across all groups (excludes the LUT)."""

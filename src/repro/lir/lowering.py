@@ -54,7 +54,7 @@ def _hot_split_plan(walk, layout, tiled_trees, tree_indices) -> HotSplit | None:
             tiles = max(tiles, lane)
     if tiles <= 0:
         return None
-    return HotSplit(depth=h, width=walk.hot_width, tiles=tiles)
+    return HotSplit(depth=h, tiles=tiles)
 
 
 def lower_mir_to_lir(

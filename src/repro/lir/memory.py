@@ -12,7 +12,8 @@ Two concerns live here:
   fixed buffers across steps; the NumPy substitute is a per-thread arena of
   preallocated vectors the kernel writes into via ``out=``.
   :func:`arena_spec` sizes the arena at compile time from the lowered
-  module's ``(row_block, interleave chunk, lane width)`` extents.
+  module's ``(row_block, interleave chunk, lane width)`` extents and the
+  lane budget its batch-adaptive chunks widen under.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ def model_memory_report(
 class ArenaSpec:
     """Compile-time scratch requirements of one emitted kernel.
 
-    All extents are *per row*; the arena multiplies by the runtime batch
-    size (capped by the schedule's ``row_block``) when it materializes.
+    Extents are *per row*; the arena multiplies by the runtime batch size
+    (capped by the schedule's ``row_block``) when it materializes, and
+    small batches get room for the wider chunks the lane budget allows
+    (:meth:`chunk_lanes`).
 
     Attributes
     ----------
@@ -190,6 +193,12 @@ class ArenaSpec:
         profile-guided hot/cold split is compiled in (``Schedule(pgo=..)``)
         — sizes the per-row hot walk-state buffer ``hs``. 0 (the default)
         for ordinary modules, keeping pre-PGO artifact manifests loadable.
+    max_group, lane_budget:
+        Tree count of the largest batch-adaptive group and the ``(row,
+        tree)`` lane budget its chunks widen under
+        (:func:`~repro.mir.ir.chunk_width`). Both default to 0 — fixed-step
+        chunks only — which is what manifests written before the rule
+        existed (and their stored sources) mean.
     """
 
     max_lane: int
@@ -205,6 +214,21 @@ class ArenaSpec:
     mm_dtype: str = "float64"
     quantized: bool = False
     hot_trees: int = 0
+    max_group: int = 0
+    lane_budget: int = 0
+
+    @property
+    def lane_width(self) -> int:
+        """Padded tile lanes per ``(row, tree)`` element (one per module)."""
+        return self.max_lane // max(1, self.max_scalar)
+
+    def chunk_lanes(self, rows: int) -> int:
+        """Most ``(row, tree)`` lanes one chunk binds on any batch of up to
+        ``rows`` rows: a fixed-step chunk covers ``rows * max_scalar``, a
+        widened one stays within the budget and the group."""
+        return max(
+            rows * self.max_scalar, min(self.lane_budget, rows * self.max_group)
+        )
 
     def nbytes_for(self, rows: int) -> int:
         """Predicted arena footprint for a ``rows``-row invocation."""
@@ -213,7 +237,8 @@ class ArenaSpec:
         isize = np.dtype(self.findex_dtype).itemsize
         asize = np.dtype(self.acc_dtype).itemsize
         msize = np.dtype(self.mm_dtype).itemsize
-        lane, scalar = n * self.max_lane, n * self.max_scalar
+        scalar = self.chunk_lanes(n)
+        lane = scalar * self.lane_width
         total = lane * (2 * fsize + isize + 1)  # thr, feat, fidx, cmp
         if not self.per_row:
             total += lane * 8          # flat feature-gather indices
@@ -262,8 +287,8 @@ class ScratchArena:
     def _allocate(self, rows: int) -> None:
         spec = self.spec
         fdt = np.dtype(spec.float_dtype)
-        lane = rows * spec.max_lane
-        scalar = rows * spec.max_scalar
+        scalar = spec.chunk_lanes(rows)
+        lane = scalar * spec.lane_width
         self.f0 = np.empty(lane, dtype=fdt)                 # thr
         self.f1 = np.empty(lane, dtype=fdt)                 # feat / vals
         self.c0 = np.empty(lane, dtype=np.bool_)            # cmp
@@ -319,7 +344,7 @@ def arena_spec(lir) -> ArenaSpec:
     padded lane width of every non-trivial group — the NumPy analog of the
     paper sizing its SIMD working set from the schedule.
     """
-    max_lane = max_scalar = hot_trees = 0
+    max_lane = max_scalar = hot_trees = max_group = lane_budget = 0
     pack_widths: set[int] = set()
     for group in lir.groups:
         if group.trivial:
@@ -328,13 +353,13 @@ def arena_spec(lir) -> ArenaSpec:
         k = min(max(1, group.walk.width), group.layout.num_trees)
         max_lane = max(max_lane, k * width)
         max_scalar = max(max_scalar, k)
+        budget = lir.lane_budget(group.group_id)
+        if budget:
+            max_group = max(max_group, group.layout.num_trees)
+            lane_budget = max(lane_budget, budget)
         if group.hot is not None:
-            # The hot chunk loop runs wider than the cold interleave, and
-            # its state buffer spans every tree of the group (cold chunks
-            # seed from slices of it).
-            k_hot = min(max(1, group.hot.width), group.layout.num_trees)
-            max_lane = max(max_lane, k_hot * width)
-            max_scalar = max(max_scalar, k_hot)
+            # The hot phase's state buffer spans every tree of the group
+            # (cold chunks seed from slices of it).
             hot_trees = max(hot_trees, group.layout.num_trees)
         if width in (2, 4, 8):
             pack_widths.add(width * 8)
@@ -354,6 +379,8 @@ def arena_spec(lir) -> ArenaSpec:
         quantized=info.quantized,
         pack_widths=tuple(sorted(pack_widths)),
         hot_trees=hot_trees,
+        max_group=max_group,
+        lane_budget=lane_budget,
     )
 
 

@@ -6,7 +6,8 @@ The MIR for ``predictForest`` is a loop nest:
   possibly parallel (Section IV-C tiles it by the core count).
 * :class:`TreeChunkLoop` — the loop over the trees of one code-sharing
   group, stepped by the interleave factor after unroll-and-jam
-  (Section IV-A).
+  (Section IV-A) and widened at run time to the live batch
+  (:func:`chunk_width`).
 * :class:`WalkOp` — the abstract tree-walk operation. ``style`` records how
   the walk loop will be realized: a guarded loop, a peeled
   prologue + loop, or a fully unrolled sequence of ``traverseTile`` steps
@@ -25,6 +26,29 @@ from dataclasses import dataclass, field
 from repro.config import Schedule
 
 WALK_STYLES = ("loop", "peeled", "unrolled")
+
+#: ``(row, tree)`` lanes one walk chunk may cover. Per-call NumPy dispatch
+#: dominates below it and the step temporaries leave L2 above it: any
+#: budget >= 1024 walks a whole group at batch <= 8, 1024 gives the gain
+#: back at batch 32-128, and past 4096 nothing improves while batch 256
+#: slows (sweep in DESIGN.md, "Batch-adaptive tree jamming").
+LANE_BUDGET = 4096
+
+
+def chunk_width(batch: int, width: int, num_trees: int, budget: int) -> int:
+    """Trees one walk chunk covers on a ``batch``-row invocation.
+
+    ``K(B) = w * clamp(budget // (B * w), 1, ceil(T / w))``: a whole
+    multiple of the jam width ``w`` (so leaf accumulation keeps running per
+    ``w``-tree sub-chunk at unchanged tree offsets), as many as fit the
+    lane budget, at least one and at most the group. ``budget == 0`` is the
+    fixed step ``w``. The emitted kernels evaluate the same expression as a
+    literal at the top of each group's loop.
+    """
+    if not budget:
+        return width
+    fit = budget // (max(1, batch) * width)
+    return width * max(1, min(fit, -(-num_trees // width)))
 
 
 @dataclass
@@ -51,10 +75,9 @@ class WalkOp:
     hot_depth:
         Profile-guided hot/cold cutoff: the first ``hot_depth`` steps of
         every walk run as a separate check-free phase over compact prefix
-        buffers before the style above takes over (0 = no split).
-    hot_width:
-        Jam width of the hot phase — check-free code admits far wider
-        chunks than the guarded cold tail (0 when ``hot_depth`` is 0).
+        buffers before the style above takes over (0 = no split). The hot
+        phase is chunked like the walk itself (``width`` and the loop's
+        lane budget).
     """
 
     group_id: int
@@ -63,7 +86,6 @@ class WalkOp:
     depth: int = 0
     peel: int = 0
     hot_depth: int = 0
-    hot_width: int = 0
 
     def describe(self) -> str:
         detail = {
@@ -72,27 +94,35 @@ class WalkOp:
             "unrolled": f"{self.depth} traverseTile steps, no checks",
         }[self.style]
         if self.hot_depth > 0:
-            detail = (
-                f"hot prefix {self.hot_depth} steps x{self.hot_width}, then "
-                + detail
-            )
+            detail = f"hot prefix {self.hot_depth} steps, then " + detail
         return f"WalkDecisionTree[group={self.group_id} x{self.width}]: {detail}"
 
 
 @dataclass
 class TreeChunkLoop:
-    """Loop over the trees of one group with step = interleave width."""
+    """Loop over the trees of one group.
+
+    ``step`` is the interleave width, the floor of the chunk step. With a
+    ``lane_budget`` (set by the interleaving pass) the emitted loop steps by
+    :func:`chunk_width` of the live batch; 0 keeps the fixed step.
+    """
 
     group_id: int
     num_trees: int
     step: int
     walk: WalkOp
+    lane_budget: int = 0
+
+    @property
+    def max_step(self) -> int:
+        """The widest chunk step: the one a 1-row batch gets."""
+        return chunk_width(1, self.step, self.num_trees, self.lane_budget)
 
     def describe(self) -> str:
-        return (
-            f"for t in group {self.group_id} step {self.step} "
-            f"({self.num_trees} trees)"
-        )
+        step = str(self.step)
+        if self.lane_budget:
+            step += f"..{self.max_step} within {self.lane_budget} lanes"
+        return f"for t in group {self.group_id} step {step} ({self.num_trees} trees)"
 
 
 @dataclass

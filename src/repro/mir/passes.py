@@ -9,9 +9,15 @@ from __future__ import annotations
 
 from repro.errors import LoweringError
 from repro.hir.ir import HIRModule
-from repro.mir.ir import MIRModule
+from repro.mir.ir import LANE_BUDGET, MIRModule
 from repro.observe.stats import mir_stats
 from repro.observe.trace import CompilationTrace
+
+
+def _lane_budget(factor: int, loop) -> int:
+    """The budget a tree loop carries: none unless it is jammed and has
+    more than one ``step``-wide chunk to merge."""
+    return LANE_BUDGET if factor > 1 and loop.num_trees > loop.step else 0
 
 
 def interleave_pass(mir: MIRModule, hir: HIRModule) -> MIRModule:
@@ -21,13 +27,18 @@ def interleave_pass(mir: MIRModule, hir: HIRModule) -> MIRModule:
     walks jammed into one interleaved walk, so independent walks can overlap
     (in the paper: hide dependency stalls; here: amortize per-step overhead
     across wider vector operations). The jam width is clipped to the group
-    size — jamming more walks than there are trees is meaningless.
+    size — jamming more walks than there are trees is meaningless. It is
+    the *floor* of the chunk step: a jammed loop of more than one chunk also
+    gets the lane budget, under which the kernel widens each chunk to the
+    live batch (:func:`~repro.mir.ir.chunk_width`). ``interleave=1`` stays
+    unjammed, and a group no wider than its jam is one chunk at any batch.
     """
     factor = mir.schedule.interleave
     for loop in mir.tree_loops:
         width = max(1, min(factor, loop.num_trees))
         loop.step = width
         loop.walk.width = width
+        loop.lane_budget = _lane_budget(factor, loop)
     mir.pass_log.append(f"interleave(factor={factor})")
     return mir
 
@@ -64,22 +75,21 @@ def hot_split_pass(mir: MIRModule, hir: HIRModule) -> MIRModule:
 
     Groups annotated with a hot depth by the HIR stage get their walks
     split: the first ``hot_depth`` steps run as a check-free phase over
-    compact prefix buffers at a much wider jam width, then the ordinary
+    compact prefix buffers, then the ordinary
     walk style (loop / peeled / unrolled) finishes from the carried state.
     The split is orthogonal to the style — ``peel``/``depth`` keep their
     meaning, codegen simply starts the cold phase ``hot_depth`` levels in.
     """
-    from repro.pgo import hot_chunk_width, legal_hot_depth
+    from repro.pgo import legal_hot_depth
 
     groups = {g.group_id: g for g in hir.groups}
     for loop in mir.tree_loops:
         group = groups[loop.group_id]
-        walk = loop.walk
         # Re-clip: HIR annotations are already legal, but clipping here
         # keeps the pass safe for hand-built modules in tests.
-        hot = legal_hot_depth(group.depth, group.min_leaf_depth, group.hot_depth)
-        walk.hot_depth = hot
-        walk.hot_width = hot_chunk_width(walk.width, loop.num_trees) if hot else 0
+        loop.walk.hot_depth = legal_hot_depth(
+            group.depth, group.min_leaf_depth, group.hot_depth
+        )
     mir.pass_log.append("hot_split")
     return mir
 
@@ -117,13 +127,15 @@ def verify_mir(mir: MIRModule, hir: HIRModule) -> None:
             raise LoweringError("unrolled walk on a non-uniform-depth group")
         if walk.style == "peeled" and walk.peel >= group.min_leaf_depth:
             raise LoweringError("peel count reaches the shallowest leaf")
-        if walk.hot_depth:
-            if walk.hot_depth >= group.min_leaf_depth:
-                raise LoweringError("hot depth reaches the shallowest leaf")
-            if not (1 <= walk.hot_width <= loop.num_trees):
-                raise LoweringError("hot jam width outside [1, num_trees]")
-        elif walk.hot_width:
-            raise LoweringError("hot jam width set without a hot depth")
+        if walk.hot_depth and walk.hot_depth >= group.min_leaf_depth:
+            raise LoweringError("hot depth reaches the shallowest leaf")
+        want_budget = _lane_budget(mir.schedule.interleave, loop)
+        if loop.lane_budget != want_budget:
+            raise LoweringError(
+                f"lane budget {loop.lane_budget}, interleave "
+                f"{mir.schedule.interleave} over {loop.num_trees} trees "
+                f"requires {want_budget}"
+            )
     if seen != set(groups):
         raise LoweringError("some groups have no tree loop")
 
@@ -150,7 +162,7 @@ def run_mir_pipeline(
         with trace.span("hot-split") as span:
             hot_split_pass(mir, hir)
             span.stats["hot"] = {
-                loop.group_id: (loop.walk.hot_depth, loop.walk.hot_width)
+                loop.group_id: loop.walk.hot_depth
                 for loop in mir.tree_loops
                 if loop.walk.hot_depth
             }

@@ -84,9 +84,13 @@ def explain(forest, schedule=None, predictor=None) -> str:
         lines.append(f"code-sharing groups: {reorder['num_groups']}")
         loops = (mir or {}).get("tree_loops", [])
         for loop in loops:
+            jam = f"x{loop['walk_width']}"
+            if loop["lane_budget"]:
+                # batch-adaptive chunks (repro.mir.ir.chunk_width)
+                jam += f"..{loop['max_step']} within {loop['lane_budget']} lanes"
             lines.append(
                 f"  group {loop['group_id']}: {loop['num_trees']} trees, "
-                f"{loop['walk_style']} walk x{loop['walk_width']} "
+                f"{loop['walk_style']} walk {jam} "
                 f"(depth {loop['walk_depth']}, peel {loop['walk_peel']})"
             )
         if mir:

@@ -137,6 +137,8 @@ def mir_stats(mir) -> dict[str, Any]:
             "group_id": loop.group_id,
             "num_trees": loop.num_trees,
             "step": loop.step,
+            "max_step": loop.max_step,
+            "lane_budget": loop.lane_budget,
             "walk_style": loop.walk.style,
             "walk_width": loop.walk.width,
             "walk_depth": loop.walk.depth,

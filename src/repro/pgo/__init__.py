@@ -41,24 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-#: widest hot interleave chunk: the hot prefix is uniform check-free code,
-#: so far more walks can be jammed than in the guarded cold tail — capped
-#: so the hot working set stays cache-resident.
-HOT_CHUNK_CAP = 64
-
-
-def hot_chunk_width(cold_width: int, num_trees: int) -> int:
-    """Lane count of the hot prefix chunk loop.
-
-    The hot phase has no termination checks and no compaction, so one
-    dispatch can cover many more lanes than the cold tail's interleave
-    width; 8x the cold width (capped at :data:`HOT_CHUNK_CAP` and the
-    group size) amortizes the per-step dispatch overhead that dominates
-    this backend.
-    """
-    return max(1, min(num_trees, 8 * max(1, cold_width), HOT_CHUNK_CAP))
-
-
 @dataclass(frozen=True)
 class HotDepthDecision:
     """How the per-group hot depths of one compilation were chosen."""

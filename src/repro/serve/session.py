@@ -289,10 +289,32 @@ class InferenceSession:
         return raw
 
     def submit(self, rows: np.ndarray):
-        """Async raw-margin request; requires a batching policy."""
+        """Async raw-margin request; requires a batching policy.
+
+        The request is accounted when its future completes (one
+        done-callback, run by the batcher worker), so open-loop traffic
+        reaches the same counters and latency histograms — and through
+        them the adaptive window and SLO percentiles — as ``raw_predict``.
+        """
         if self._batcher is None:
             raise ServingError("session was created without a batching policy")
-        return self._batcher.submit(rows)
+        start = time.perf_counter()
+        rows = np.asarray(rows)
+        num_rows = rows.shape[0] if rows.ndim == 2 else 0
+        future = self._batcher.submit(rows)
+
+        def record(done) -> None:
+            if done.cancelled():
+                return
+            exc = done.exception()
+            if exc is None:
+                self.metrics.record_request(num_rows, time.perf_counter() - start)
+            else:
+                self.metrics.record_error()
+                flight.record("error", model=self.name, rows=num_rows, error=str(exc))
+
+        future.add_done_callback(record)
+        return future
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -23,7 +23,9 @@ MIR→LIR lowering are supposed to guarantee about the flattened buffers):
 * **scratch adequacy**: under ``scratch="arena"`` the compile-time
   :func:`~repro.lir.memory.arena_spec` extents cover every temporary the
   kernel will bind (lane width ``k·width`` and chunk width ``k`` per
-  non-trivial group, plus each needed movemask width).
+  non-trivial group, plus each needed movemask width), at every batch size
+  the batch-adaptive chunk step (:func:`~repro.mir.ir.chunk_width`) can
+  widen a chunk for.
 
 All violations raise :class:`~repro.errors.VerificationError` naming the
 group/lane/tile concerned. Returns a stats dict for the trace span.
@@ -242,18 +244,22 @@ def _verify_arena(lir: LIRModule) -> None:
                 f"arena spec pack widths {spec.pack_widths} missing the "
                 f"{width * 8}-bit movemask scratch of group {group.group_id}"
             )
-        if group.hot is not None:
-            k_hot = min(max(1, group.hot.width), group.layout.num_trees)
-            if spec.max_lane < k_hot * width or spec.max_scalar < k_hot:
-                _fail(
-                    f"arena spec does not cover group {group.group_id}'s hot "
-                    f"chunk (width {k_hot}, lane {k_hot * width})"
-                )
-            if spec.hot_trees < group.layout.num_trees:
-                _fail(
-                    f"arena spec hot_trees {spec.hot_trees} < group "
-                    f"{group.group_id}'s {group.layout.num_trees} trees"
-                )
+        # A chunk widened by chunk_width binds B * min(K(B), trees) lanes,
+        # at most min(budget, B * trees) whenever it exceeds B * k — which
+        # ArenaSpec.chunk_lanes provides iff it knows both bounds.
+        budget = lir.lane_budget(group.group_id)
+        trees = group.layout.num_trees
+        if budget and (spec.lane_budget < budget or spec.max_group < trees):
+            _fail(
+                f"arena spec (lane budget {spec.lane_budget}, widest group "
+                f"{spec.max_group}) does not cover group {group.group_id}'s "
+                f"widened chunks ({trees} trees under {budget} lanes)"
+            )
+        if group.hot is not None and spec.hot_trees < trees:
+            _fail(
+                f"arena spec hot_trees {spec.hot_trees} < group "
+                f"{group.group_id}'s {trees} trees"
+            )
     if spec.num_classes != lir.num_classes:
         _fail(
             f"arena spec sized for {spec.num_classes} classes, module has "
@@ -454,11 +460,6 @@ def verify_lir_module(lir: LIRModule) -> dict:
                 _fail(
                     f"group {gid}: hot plan depth {group.hot.depth} != walk "
                     f"hot depth {group.walk.hot_depth}"
-                )
-            if group.hot.width != group.walk.hot_width:
-                _fail(
-                    f"group {gid}: hot plan width {group.hot.width} != walk "
-                    f"hot width {group.walk.hot_width}"
                 )
             if not (1 <= group.hot.tiles <= layout.thresholds.shape[1]):
                 _fail(

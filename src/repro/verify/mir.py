@@ -4,7 +4,8 @@ The MIR invariants re-checked here (what the lowering and the Section IV
 passes are supposed to guarantee about the loop nest):
 
 * the existing between-pass checks of :func:`repro.mir.passes.verify_mir`
-  (group uniqueness, trip counts, jam width, unrolled/peeled legality),
+  (group uniqueness, trip counts, jam width, unrolled/peeled legality, the
+  lane budget of jammed loops),
   re-raised as :class:`~repro.errors.VerificationError`;
 * **coverage**: the tree loops walk every tree of the forest exactly once —
   each group has exactly one loop, the groups partition the tree indices,
@@ -12,9 +13,9 @@ passes are supposed to guarantee about the loop nest):
   exactly once (``ceil(num_trees / step)`` chunks, no lane skipped or
   revisited by the jam);
 * **chunking**: ``step == walk.width`` (the unroll-and-jam factor *is* the
-  loop step) and ``width == max(1, min(schedule.interleave, num_trees))``
-  — the interleave pass clips to the group size, nothing else may change
-  the width;
+  floor of the loop step) and ``width == max(1, min(schedule.interleave,
+  num_trees))`` — the interleave pass clips to the group size, nothing
+  else may change the width;
 * **walk shape**: every walk's style is a known :data:`WALK_STYLES` member,
   its depth equals the group's cached depth, ``unrolled`` only appears on
   uniform-depth groups under a padding schedule, and a peeled prologue

@@ -203,6 +203,12 @@ def test_predictor_cache_key_is_backend_qualified(forest):
 #: (source sha256 prefix, fingerprint prefix) recorded on the pre-refactor
 #: tree for the seed-42 fuzz forest — the registry refactor must not move
 #: a single byte of generated code nor a bit of any fingerprint.
+#: PR14 (batch-adaptive tree jamming) moved none of the first three: the
+#: forest's groups (1, 2 and 5 trees) are no wider than the default jam of
+#: 8, and such groups keep the fixed-step source. The fourth row pins the
+#: widened loop itself (the 5-tree group under interleave=2 steps by
+#: ``K = 2 * max(1, min(4096 // (max(1, B) * 2), 3))`` and accumulates per
+#: 2-tree sub-chunk); it was recorded when that emission landed.
 _BASELINES = [
     (Schedule(), "bb98257b20781f20", "d6fd06abd5da8a9e"),
     (Schedule.scalar_baseline(), "d8ac582f5fb68f37", "50703484e3935453"),
@@ -211,13 +217,14 @@ _BASELINES = [
         "b285c189ae1b4ff7",
         "cdd0b2a18efb8df4",
     ),
+    (Schedule(interleave=2), "8b8dd53178002736", "5d7c0dfb7959a154"),
 ]
 
 
 @pytest.mark.parametrize(
     "schedule,source_hash,fingerprint",
     _BASELINES,
-    ids=["default", "scalar", "tile4-array-f32"],
+    ids=["default", "scalar", "tile4-array-f32", "interleave2-widened"],
 )
 def test_default_backend_output_byte_identical(forest, schedule, source_hash, fingerprint):
     predictor = compile_model(forest, schedule)

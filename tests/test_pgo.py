@@ -18,8 +18,6 @@ from repro import Schedule, compile_model
 from repro.backend.jit import predictor_cache_key
 from repro.errors import ScheduleError, ServingError, VerificationError
 from repro.pgo import (
-    HOT_CHUNK_CAP,
-    hot_chunk_width,
     legal_hot_depth,
     measured_hot_depth,
     prefix_bytes,
@@ -78,12 +76,6 @@ class TestDecisionHelpers:
         assert legal_hot_depth(8, 1, 3) == 0  # a leaf at depth 1: no prefix
         assert legal_hot_depth(0, 5, 3) == 0
         assert legal_hot_depth(8, 5, 0) == 0
-
-    def test_hot_chunk_width_bounds(self):
-        assert hot_chunk_width(1, 1000) == 8
-        assert hot_chunk_width(4, 1000) == 32
-        assert hot_chunk_width(64, 1000) == HOT_CHUNK_CAP
-        assert hot_chunk_width(8, 5) == 5  # never wider than the group
 
     def test_measured_hot_depth(self):
         counters = {"rows": 100, "walk_steps": 100 * 5 * 24}

@@ -388,6 +388,26 @@ class TestInferenceSession:
             session.raw_predict(np.zeros((3, 99)))
         assert session.metrics.snapshot()["errors"] == 1
 
+    def test_submit_metrics_recorded(self, small_forest, small_rows):
+        # Regression: submit() used to bypass record_request/record_error,
+        # so open-loop traffic never reached the request counters, the
+        # latency histogram or the adaptive-window/SLO percentiles.
+        policy = BatchingPolicy(max_batch_rows=64, max_delay_s=0.001)
+        with InferenceSession(small_forest, batching=policy) as session:
+            futures = [session.submit(small_rows[i:i + 1]) for i in range(10)]
+            for future in futures:
+                future.result(timeout=5)
+            bad = session.submit(np.zeros((1, 99)))
+            with pytest.raises(ExecutionError):
+                bad.result(timeout=5)
+        # close() joined the batcher worker, which runs the done-callbacks
+        snap = session.metrics.snapshot()
+        assert snap["requests"] == 10
+        assert snap["rows"] == 10
+        assert snap["errors"] == 1
+        assert snap["latency"]["count"] == 10
+        assert snap["latency"]["p50"] > 0
+
     def test_submit_requires_batching(self, small_forest):
         session = InferenceSession(small_forest)
         with pytest.raises(ServingError, match="batching"):
