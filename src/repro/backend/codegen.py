@@ -6,20 +6,25 @@ statements follow the walk-step op sequence of Section V-A one to one,
 using the fastest NumPy realization of each op:
 
 ========================  ================================================
-LIR op                    emitted statement
+LIR op                    emitted statement (arena emitter)
 ========================  ================================================
-loadThresholds            ``thr = _np.take(g_th, idx, axis=0)``
-loadFeatureIndices        ``fidx = _np.take(g_fi, idx, axis=0)``
-gatherFeatures            ``feat = _np.take(rowsf, rof + fidx)``
-vectorCompare             ``cmp = feat < thr``
-packBits                  integer reinterpretation of the bool vector
-                          (the movemask analog; see ``_pack_bits_expr``)
-loadTileShape             ``sid = _np.take(g_sid, idx)``
-lookupChildIndex          ``ci = _np.take(lut, sid * LUTC + bits)``
+loadThresholds            ``g_th.take(idx, 0, thr, 'clip')``
+loadFeatureIndices        ``g_fi.take(idx, 0, fidx, 'clip')``
+gatherFeatures            ``_np.add(rof, fidx, gidx)``;
+                          ``rowsf.take(gidx, None, feat, 'clip')``
+vectorCompare             ``_np.less(feat, thr, cmp)``
+packBits                  ``_np.multiply(cv, _pm, pv)``;
+                          ``_np.right_shift(pv, _ps, pv)`` — integer
+                          reinterpretation of the bool vector (the movemask
+                          analog; see ``_pack_bits_expr``)
+loadTileShape             ``g_sid.take(idx, None, sid, 'clip')``
+lookupChildIndex          ``_np.multiply(sid, LUTC, sid)``;
+                          ``_np.add(sid, bits, sid)``;
+                          ``lut.take(sid, None, ci, 'clip')``
 advanceToChild            layout-specific child arithmetic
 ========================  ================================================
 
-Buffers are stored flattened with 64-bit index math (``np.take`` on int64
+Buffers are stored flattened with 64-bit index math (``take`` on int64
 indices is several times faster than multi-axis advanced indexing), and
 tile storage is padded to a power-of-two lane width so the comparison
 vector can be reinterpreted as a single integer per tile.
@@ -27,15 +32,22 @@ vector can be reinterpreted as a single integer per tile.
 Two temporary-buffer policies exist, selected by ``Schedule.scratch``:
 
 * ``"arena"`` (default): every step temporary is written into a
-  preallocated per-thread :class:`~repro.lir.memory.ScratchArena` buffer
-  via ``out=`` (``np.take(..., mode='clip', out=...)``,
-  ``np.less(..., out=...)``, …) — the NumPy substitute for the paper's
-  generated SIMD loop keeping its working set in registers and fixed
-  buffers across walk steps. ``mode='clip'`` skips NumPy's bounds-check
-  buffering; indices are in range by construction. The steady-state hot
-  path allocates nothing.
-* ``"alloc"``: the legacy emitter — a fresh temporary per op — kept as the
-  benchmark/ablation reference.
+  preallocated per-thread :class:`~repro.lir.memory.ScratchArena` buffer —
+  the NumPy substitute for the paper's generated SIMD loop keeping its
+  working set in registers and fixed buffers across walk steps. The
+  steady-state hot path allocates nothing, and emission is *dispatch-lean*
+  (DESIGN.md): at batch 1 a statement costs what Python spends reaching its
+  C body, so every statement is one direct C call. (R1) A gather is the
+  ``ndarray.take`` method with positional ``(indices, axis, out, 'clip')``,
+  never the ``np.take`` wrapper; ``'clip'`` skips NumPy's bounds-check
+  buffering, indices being in range by construction. (R2) Nothing
+  loop-invariant is built inside a step: scalar constants are lines of the
+  source's prelude, reinterpreted views (``cv``, ``bits``) are bound with
+  the other scratch views, ufunc ``out`` is positional. (R3) A full chunk
+  takes all its scratch views from one memoised lookup on the arena.
+* ``"alloc"``: the legacy emitter — a fresh temporary per op, written
+  ``thr = _np.take(g_th, idx, axis=0)`` … ``cmp = feat < thr`` — kept as
+  the benchmark/ablation reference and the oracle of ``arena == alloc``.
 
 ``Schedule.precision`` specializes element widths: under ``"float32"`` the
 threshold/feature/leaf/one-hot buffers (and the input rows) are float32 and
@@ -149,6 +161,16 @@ def _pack_bits_expr(width: int) -> str:
     return "(cmp.astype(_np.uint32) @ p2).astype(_np.int64)"
 
 
+#: tile width -> the movemask's (multiplier, shift, mask); the arena emitter
+#: builds them once, as NumPy scalars of the width's unsigned dtype, in the
+#: generated source's prelude (``_pack_bits_expr`` spells them inline)
+_PACK = {
+    2: (None, "7", "3"),
+    4: ("0x01020408", "24", "15"),
+    8: ("0x0102040810204080", "56", None),
+}
+
+
 def _chunk_step(e: _Emitter, vec: bool, width: int, num_trees: int, budget: int) -> str:
     """The step of a chunk loop over ``num_trees`` trees jammed ``width`` wide.
 
@@ -169,7 +191,9 @@ def _chunk_step(e: _Emitter, vec: bool, width: int, num_trees: int, budget: int)
 class _GroupEmitter:
     """Emits the chunked walk for one tree group."""
 
-    def __init__(self, e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool) -> None:
+    def __init__(
+        self, e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, views: list[str]
+    ) -> None:
         self.e = e
         self.lir = lir
         self.group = group
@@ -180,6 +204,10 @@ class _GroupEmitter:
         self.lut_cols = lir.lut.shape[1]
         self.has_dummy = lir.dummy_shape_id is not None
         self.arena = lir.schedule.scratch == "arena"
+        #: the arena's scratch-view locals in bind order, and how many of
+        #: them a compaction step re-binds (the rest are full-chunk only)
+        self.views = views
+        self.step_views = views.index("idx") if views else 0
         self.profile = lir.schedule.profile
         # Number of LUT rows describing *real* tile shapes (the reserved
         # dummy row routes data-independently and is handled by masking).
@@ -194,16 +222,6 @@ class _GroupEmitter:
         """Group buffer reference, routed to the hot prefix copies while
         the hot phase is being emitted (``g0_th`` vs ``g0_hth``)."""
         return f"{self.g}_{self.p}{name}"
-
-    # -- arena view management ----------------------------------------
-    @property
-    def _full_n(self) -> str:
-        """Scalar element count of the full (uncompacted) working set."""
-        return "B * k" if self.vec else "k"
-
-    @property
-    def _full_shape(self) -> str:
-        return "B, k" if self.vec else "k"
 
     def _needs_pack(self) -> bool:
         single_shape = self.real_shapes == 1
@@ -237,46 +255,28 @@ class _GroupEmitter:
             per += 8                                    # idx
         return per
 
-    def bind_scratch(self, n_expr: str, shape: str, full: bool) -> None:
-        """Bind shaped arena views for the step temporaries.
+    # -- arena view management ----------------------------------------
+    def bind_scratch(self, full: bool) -> None:
+        """Bind the arena views of the step temporaries.
 
-        ``shape`` is a dims string like ``"B, k"`` or ``"m"``; lane views
-        append the tile width. ``full`` additionally binds ``idx``/``state``
-        (compaction steps compute their own index vectors and mutate the
-        chunk-level ``state`` view in place).
+        A full chunk takes every view of its ``(B, k)`` working set — and the
+        chunk matmul target ``mm`` — from the arena's memo in one lookup
+        (``ScratchArena.bind`` builds them on a miss). A compaction step,
+        whose lane count ``_n`` changes every iteration, slices the capacity
+        views that ``_scan_active`` put in upper-case locals before the loop.
         """
-        e, W = self.e, self.width
-        lane = f"_n * {W}" if W > 1 else "_n"
-        e.emit(f"_n = {n_expr}")
-        e.emit(f"thr = _A.f0[:{lane}].reshape({shape}, {W})")
-        e.emit(f"feat = _A.f1[:{lane}].reshape({shape}, {W})")
-        e.emit(f"fidx = _A.i0[:{lane}].reshape({shape}, {W})")
-        if self.vec:
-            e.emit(f"gidx = _A.i1[:{lane}].reshape({shape}, {W})")
-        e.emit(f"cmp = _A.c0[:{lane}].reshape({shape}, {W})")
-        e.emit(f"ci = _A.i3[:_n].reshape({shape})")
-        e.emit(f"sid = _A.i4[:_n].reshape({shape})")
-        e.emit(f"base = _A.i6[:_n].reshape({shape})")
-        if self._needs_pack():
-            e.emit(f"pv = _A.p{self.width * 8}[:_n].reshape({shape})")
+        e, n = self.e, "_n"
         if full:
-            e.emit(f"idx = _A.i2[:_n].reshape({shape})")
-        self.prof(f"_C.scratch_bytes += _n * {self._scratch_bytes_per_elem(full)}")
+            key, n = ("(B, k)", "B * k") if self.vec else ("(k,)", "k")
+            e.emit(f"{', '.join(self.views)}, mm = _A.memo.get({key}) or _A.bind({key})")
+        else:
+            for name in self.views[: self.step_views]:
+                e.emit(f"{name} = {name.upper()}[:_n]")
+        self.prof(f"_C.scratch_bytes += {n} * {self._scratch_bytes_per_elem(full)}")
 
-    def bind_vals(self) -> None:
-        """Bind the leaf-value view at full working-set shape (the final
-        loads run after compaction loops may have shadowed the views).
-
-        Quantized modules bind the dedicated ``qv`` buffer: leaf codes are
-        float-carried (exact integers) so the chunk matmul hits BLAS, and
-        the element-dtype ``f1`` view cannot hold them."""
-        buf = "qv" if self.lir.quant is not None else "f1"
-        self.e.emit(
-            f"vals = _A.{buf}[:{self._full_n}].reshape({self._full_shape})"
-        )
-
-    def _rebind_idx(self) -> None:
-        self.e.emit(f"idx = _A.i2[:{self._full_n}].reshape({self._full_shape})")
+    def take(self, buf: str, idx: str, out: str, axis: int | None = None) -> None:
+        """An arena gather (rule R1 of the module docstring)."""
+        self.e.emit(f"{buf}.take({idx}, {axis}, {out}, 'clip')")
 
     # -- shared op fragments ------------------------------------------
     def eval_tile(self, idx: str, feat_index: str) -> None:
@@ -317,70 +317,56 @@ class _GroupEmitter:
 
     def _eval_tile_arena(self, idx: str, feat_index: str) -> None:
         """Arena realization of the same op sequence: every temporary lands
-        in a preallocated buffer via ``out=`` and in-range gathers use
-        ``mode='clip'`` to skip NumPy's bounds-check buffering."""
+        in a preallocated buffer (``out`` passed positionally), and nothing
+        a step does not change — views, scalar constants — is built here."""
         e, W = self.e, self.width
         single_shape = self.real_shapes == 1
-        e.emit(f"_np.take({self.buf('th')}, {idx}, axis=0, mode='clip', out=thr)")
-        e.emit(f"_np.take({self.buf('fi')}, {idx}, axis=0, mode='clip', out=fidx)")
+        self.take(self.buf("th"), idx, "thr", axis=0)
+        self.take(self.buf("fi"), idx, "fidx", axis=0)
         if self.vec:
-            e.emit(f"_np.add({feat_index}, fidx, out=gidx)")
-            e.emit("_np.take(rowsf, gidx, mode='clip', out=feat)")
+            e.emit(f"_np.add({feat_index}, fidx, gidx)")
+            self.take("rowsf", "gidx", "feat")
         else:
-            e.emit("_np.take(row, fidx, mode='clip', out=feat)")
-        e.emit("_np.less(feat, thr, out=cmp)")
+            self.take("row", "fidx", "feat")
+        e.emit("_np.less(feat, thr, cmp)")
         if single_shape and W == 1:
-            e.emit("_np.subtract(1, cmp[..., 0], out=ci)")
+            e.emit("_np.subtract(1, bits, ci)")
             self._mask_dummies_arena(idx)
             return
         self._emit_pack_arena()
         if single_shape:
-            e.emit("_np.take(lut1, bits, mode='clip', out=ci)")
+            self.take("lut1", "bits", "ci")
             self.prof(f"_C.lut_lookups += ({idx}).size")
             self._mask_dummies_arena(idx)
             return
-        e.emit(f"_np.take({self.buf('sid')}, {idx}, mode='clip', out=sid)")
-        e.emit(f"_np.multiply(sid, {self.lut_cols}, out=sid)")
-        e.emit("_np.add(sid, bits, out=sid)")
-        e.emit("_np.take(lut, sid, mode='clip', out=ci)")
+        self.take(self.buf("sid"), idx, "sid")
+        e.emit(f"_np.multiply(sid, {self.lut_cols}, sid)")
+        e.emit("_np.add(sid, bits, sid)")
+        self.take("lut", "sid", "ci")
         self.prof(f"_C.lut_lookups += ({idx}).size")
 
     def _emit_pack_arena(self) -> None:
-        """packBits into the width-matched unsigned scratch (``pv``); wrap
-        semantics of the movemask multiply require computing in the exact
-        unsigned dtype, so ``pv``'s dtype is fixed at arena build time."""
+        """packBits: ``cv`` (the compare vector, one unsigned integer per
+        tile) into ``pv``, a scratch of the same exact unsigned dtype — the
+        movemask multiply relies on its wrap-around — with ``bits`` bound
+        over the result as the LUT index (for 8 lanes an int64
+        reinterpretation of ``pv``: post-shift values fit a byte, and
+        uint64 + int64 index math would promote to float64). The constants
+        are the ``_pm``/``_ps``/``_pk`` lines of the source prelude."""
         e, W = self.e, self.width
-        if W == 1:
-            e.emit("bits = cmp[..., 0]")
+        if W not in _PACK:
+            if W > 1:  # wide tiles: generic matmul fallback, allocating (rare)
+                e.emit(f"bits = {_pack_bits_expr(W)}")
             return
-        if W == 2:
-            e.emit("v2 = cmp.view(_np.uint16)[..., 0]")
-            e.emit("_np.right_shift(v2, _np.uint16(7), out=pv)")
-            e.emit("_np.bitwise_or(pv, v2, out=pv)")
-            e.emit("_np.bitwise_and(pv, _np.uint16(3), out=pv)")
-            e.emit("bits = pv")
-            return
-        if W == 4:
-            e.emit(
-                "_np.multiply(cmp.view(_np.uint32)[..., 0], "
-                "_np.uint32(0x01020408), out=pv)"
-            )
-            e.emit("_np.right_shift(pv, _np.uint32(24), out=pv)")
-            e.emit("_np.bitwise_and(pv, _np.uint32(15), out=pv)")
-            e.emit("bits = pv")
-            return
-        if W == 8:
-            e.emit(
-                "_np.multiply(cmp.view(_np.uint64)[..., 0], "
-                "_np.uint64(0x0102040810204080), out=pv)"
-            )
-            e.emit("_np.right_shift(pv, _np.uint64(56), out=pv)")
-            # Post-shift values fit a byte; reinterpret instead of casting
-            # (uint64 + int64 index math would promote to float64).
-            e.emit("bits = pv.view(_np.int64)")
-            return
-        # Wide tiles (>8): generic matmul fallback, allocating (rare).
-        e.emit(f"bits = {_pack_bits_expr(W)}")
+        mult, _shift, mask = _PACK[W]
+        if mult is not None:
+            e.emit("_np.multiply(cv, _pm, pv)")
+            e.emit("_np.right_shift(pv, _ps, pv)")
+        else:
+            e.emit("_np.right_shift(cv, _ps, pv)")
+            e.emit("_np.bitwise_or(pv, cv, pv)")
+        if mask is not None:
+            e.emit("_np.bitwise_and(pv, _pk, pv)")
 
     def _mask_dummies(self, idx: str) -> None:
         """Zero the child index at dummy tiles (single-real-shape paths)."""
@@ -390,8 +376,8 @@ class _GroupEmitter:
     def _mask_dummies_arena(self, idx: str) -> None:
         if self.has_dummy:
             # `sid` is free here: single-real-shape paths never load shapes.
-            self.e.emit(f"_np.take({self.buf('nd')}, {idx}, mode='clip', out=sid)")
-            self.e.emit("_np.multiply(ci, sid, out=ci)")
+            self.take(self.buf("nd"), idx, "sid")
+            self.e.emit("_np.multiply(ci, sid, ci)")
 
     def _rowsrc(self) -> str:
         return "rowsf" if self.vec else "row"
@@ -419,8 +405,7 @@ class _GroupEmitter:
             src = "hstate[:, c0:c0 + k]" if self.vec else "hstate[c0:c0 + k]"
             e.emit(f"state = {src}")
         elif self.arena:
-            e.emit(f"state = _A.i5[:_n].reshape({self._full_shape})")
-            e.emit("state[...] = 0")
+            e.emit("state.fill(0)")
         else:
             shape = "(B, k)" if self.vec else "(k,)"
             e.emit(f"state = _np.zeros({shape}, dtype=_np.int64)")
@@ -455,24 +440,21 @@ class _GroupEmitter:
             e.emit(f"bofs0 = {g}_hlaneT[c0:c0 + k]")
             e.emit("bofs = bofs0[None, :]" if self.vec else "bofs = bofs0")
             if self.arena:
-                self.bind_scratch(self._full_n, self._full_shape, full=True)
+                self.bind_scratch(full=True)
             src = "hstate[:, c0:c0 + k]" if self.vec else "hstate[c0:c0 + k]"
             e.emit(f"state = {src}")
-            e.emit("state[...] = 0")
+            e.emit("state.fill(0)" if self.arena else "state[...] = 0")
             for _ in range(hot.depth):
                 if self.arena:
-                    e.emit("_np.add(bofs, state, out=idx)")
+                    e.emit("_np.add(bofs, state, idx)")
                     self.eval_tile("idx", self._feat_full())
                     if sparse:
-                        e.emit(
-                            f"_np.take({self.buf('cb')}, idx, mode='clip', "
-                            "out=base)"
-                        )
-                        e.emit("_np.add(base, ci, out=state)")
+                        self.take(self.buf("cb"), "idx", "base")
+                        e.emit("_np.add(base, ci, state)")
                     else:
-                        e.emit(f"_np.multiply(state, {arity}, out=state)")
-                        e.emit("_np.add(state, ci, out=state)")
-                        e.emit("_np.add(state, 1, out=state)")
+                        e.emit(f"_np.multiply(state, {arity}, state)")
+                        e.emit("_np.add(state, ci, state)")
+                        e.emit("_np.add(state, 1, state)")
                 else:
                     e.emit("idx = bofs + state")
                     self.eval_tile("idx", self._feat_full())
@@ -487,6 +469,41 @@ class _GroupEmitter:
                 e.emit()
         self.p = ""
 
+    # -- compaction loops (shared by both layouts) ----------------------
+    def _gather(self, buf: str, idx: str) -> str:
+        """Expression gathering ``buf`` at a freshly computed ``idx``."""
+        return f"{buf}.take({idx})" if self.arena else f"_np.take({buf}, {idx})"
+
+    def _scan_active(self, alive: str) -> None:
+        """Open a compaction loop: the positions where ``alive`` holds."""
+        names, tail = ("act_r, act_l", "") if self.vec else ("act", "[0]")
+        if self.arena:
+            capacity = ", ".join(name.upper() for name in self.views)
+            self.e.emit(f"{capacity} = _A.cap")
+            self.e.emit(f"{names} = ({alive}).nonzero(){tail}")
+        else:
+            self.e.emit(f"{names} = _np.nonzero({alive}){tail}")
+
+    def _compact_step(self) -> None:
+        """Head of one compaction-loop iteration: gather the active walks'
+        state into ``t`` and their flat tile indices into ``idx``, then
+        evaluate the tiles."""
+        e = self.e
+        act = "act_r" if self.vec else "act"
+        self.prof(f"_C.walk_steps += {act}.size")
+        self.prof("_C.loop_iterations += 1")
+        if self.arena:
+            e.emit(f"_n = {act}.size")
+            self.bind_scratch(full=False)
+        if self.vec:
+            e.emit("t = state[act_r, act_l]")
+            e.emit("idx = bofs0[act_l] + t")
+            self.eval_tile("idx", self._feat_act())
+        else:
+            e.emit("t = state[act]")
+            e.emit("idx = bofs[act] + t")
+            self.eval_tile("idx", "fidx")
+
     # -- sparse layout -------------------------------------------------
     def sparse_walk(self) -> None:
         e, g = self.e, self.g
@@ -496,15 +513,21 @@ class _GroupEmitter:
         # emit that many fewer steps (guarded loops terminate by state).
         hot_done = self.hot.depth if self.hot is not None else 0
         if arena:
-            self.bind_scratch(self._full_n, self._full_shape, full=True)
+            self.bind_scratch(full=True)
         self._init_state()
+
+        def child_base() -> None:
+            if arena:
+                self.take(f"{g}_cb", "idx", "base")
+            else:
+                e.emit(f"base = _np.take({g}_cb, idx)")
 
         def advance() -> None:
             if arena:
-                e.emit("_np.add(bofs, state, out=idx)")
+                e.emit("_np.add(bofs, state, idx)")
                 self.eval_tile("idx", self._feat_full())
-                e.emit(f"_np.take({g}_cb, idx, mode='clip', out=base)")
-                e.emit("_np.add(base, ci, out=state)")
+                child_base()
+                e.emit("_np.add(base, ci, state)")
             else:
                 e.emit("idx = bofs + state")
                 self.eval_tile("idx", self._feat_full())
@@ -517,18 +540,17 @@ class _GroupEmitter:
                 advance()
             # Final step: uniform depth guarantees the leaves array.
             if arena:
-                e.emit("_np.add(bofs, state, out=idx)")
+                e.emit("_np.add(bofs, state, idx)")
                 self.eval_tile("idx", self._feat_full())
-                e.emit(f"_np.take({g}_cb, idx, mode='clip', out=base)")
-                e.emit("_np.subtract(lofs, base, out=base)")
-                e.emit("_np.subtract(base, 1, out=base)")
-                e.emit("_np.add(base, ci, out=base)")
-                self.bind_vals()
-                e.emit(f"_np.take({g}_lv, base, mode='clip', out=vals)")
+                child_base()
+                e.emit("_np.subtract(lofs, base, base)")
+                e.emit("_np.subtract(base, 1, base)")
+                e.emit("_np.add(base, ci, base)")
+                self.take(f"{g}_lv", "base", "vals")
             else:
                 e.emit("idx = bofs + state")
                 self.eval_tile("idx", self._feat_full())
-                e.emit(f"base = _np.take({g}_cb, idx)")
+                child_base()
                 e.emit(f"vals = _np.take({g}_lv, lofs - base - 1 + ci)")
             self.prof("_C.walk_steps += idx.size")
             self.prof(f"_C.unrolled_steps += {walk.depth - hot_done}")
@@ -545,71 +567,44 @@ class _GroupEmitter:
             # root harmlessly and keep their state under the mask; the loop
             # runs to the *slowest* lane's depth.
             e.emit("alive = state >= 0")
-            if arena:
-                e.emit(f"t = _A.i7[:_n].reshape({self._full_shape})")
             with e.block("while alive.any():"):
                 self.prof("_pa = int(alive.sum())")
                 self.prof("_C.walk_steps += _pa")
                 self.prof("_C.rows_masked += alive.size - _pa")
                 self.prof("_C.loop_iterations += 1")
                 if arena:
-                    e.emit("_np.multiply(state, alive, out=t)")
-                    e.emit("_np.add(bofs, t, out=idx)")
-                    self.eval_tile("idx", self._feat_full())
-                    e.emit(f"_np.take({g}_cb, idx, mode='clip', out=base)")
-                    e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
-                    e.emit("_np.copyto(state, nxt, where=alive)")
-                    e.emit("_np.greater_equal(state, 0, out=alive)")
+                    e.emit("_np.multiply(state, alive, t)")
+                    e.emit("_np.add(bofs, t, idx)")
                 else:
                     e.emit("t = _np.where(alive, state, 0)")
                     e.emit("idx = bofs + t")
-                    self.eval_tile("idx", self._feat_full())
-                    e.emit(f"base = _np.take({g}_cb, idx)")
-                    e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
+                self.eval_tile("idx", self._feat_full())
+                child_base()
+                e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
+                if arena:
+                    e.emit("_np.copyto(state, nxt, where=alive)")
+                    e.emit("_np.greater_equal(state, 0, alive)")
+                else:
                     e.emit("state = _np.where(alive, nxt, state)")
                     e.emit("alive = state >= 0")
-        elif self.vec:
-            e.emit("act_r, act_l = _np.nonzero(state >= 0)")
-            with e.block("while act_r.size:"):
-                self.prof("_C.walk_steps += act_r.size")
-                self.prof("_C.loop_iterations += 1")
-                if arena:
-                    self.bind_scratch("act_r.size", "_n", full=False)
-                e.emit("t = state[act_r, act_l]")
-                e.emit("idx = bofs0[act_l] + t")
-                self.eval_tile("idx", self._feat_act())
-                if arena:
-                    e.emit(f"_np.take({g}_cb, idx, mode='clip', out=base)")
-                else:
-                    e.emit(f"base = _np.take({g}_cb, idx)")
-                e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
-                e.emit("state[act_r, act_l] = nxt")
-                e.emit("keep = nxt >= 0")
-                e.emit("act_r = act_r[keep]")
-                e.emit("act_l = act_l[keep]")
         else:
-            e.emit("act = _np.nonzero(state >= 0)[0]")
-            with e.block("while act.size:"):
-                self.prof("_C.walk_steps += act.size")
-                self.prof("_C.loop_iterations += 1")
-                if arena:
-                    self.bind_scratch("act.size", "_n", full=False)
-                e.emit("t = state[act]")
-                e.emit("idx = bofs[act] + t")
-                self.eval_tile("idx", "fidx")
-                if arena:
-                    e.emit(f"_np.take({g}_cb, idx, mode='clip', out=base)")
-                else:
-                    e.emit(f"base = _np.take({g}_cb, idx)")
+            self._scan_active("state >= 0")
+            with e.block("while act_r.size:" if self.vec else "while act.size:"):
+                self._compact_step()
+                child_base()
                 e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
-                e.emit("state[act] = nxt")
-                e.emit("act = act[nxt >= 0]")
+                if self.vec:
+                    e.emit("state[act_r, act_l] = nxt")
+                    e.emit("keep = nxt >= 0")
+                    e.emit("act_r = act_r[keep]")
+                    e.emit("act_l = act_l[keep]")
+                else:
+                    e.emit("state[act] = nxt")
+                    e.emit("act = act[nxt >= 0]")
         if arena:
-            self._rebind_idx()
-            e.emit("_np.subtract(lofs, state, out=idx)")
-            e.emit("_np.subtract(idx, 1, out=idx)")
-            self.bind_vals()
-            e.emit(f"_np.take({g}_lv, idx, mode='clip', out=vals)")
+            e.emit("_np.subtract(lofs, state, lidx)")
+            e.emit("_np.subtract(lidx, 1, lidx)")
+            self.take(f"{g}_lv", "lidx", "vals")
         else:
             e.emit(f"vals = _np.take({g}_lv, lofs - state - 1)")
 
@@ -621,16 +616,16 @@ class _GroupEmitter:
         arity = self.layout.tile_size + 1
         hot_done = self.hot.depth if self.hot is not None else 0
         if arena:
-            self.bind_scratch(self._full_n, self._full_shape, full=True)
+            self.bind_scratch(full=True)
         self._init_state()
 
         def advance() -> None:
             if arena:
-                e.emit("_np.add(bofs, state, out=idx)")
+                e.emit("_np.add(bofs, state, idx)")
                 self.eval_tile("idx", self._feat_full())
-                e.emit(f"_np.multiply(state, {arity}, out=state)")
-                e.emit("_np.add(state, ci, out=state)")
-                e.emit("_np.add(state, 1, out=state)")
+                e.emit(f"_np.multiply(state, {arity}, state)")
+                e.emit("_np.add(state, ci, state)")
+                e.emit("_np.add(state, 1, state)")
             else:
                 e.emit("idx = bofs + state")
                 self.eval_tile("idx", self._feat_full())
@@ -640,10 +635,8 @@ class _GroupEmitter:
 
         def final_vals() -> None:
             if arena:
-                self._rebind_idx()
-                e.emit("_np.add(bofs, state, out=idx)")
-                self.bind_vals()
-                e.emit(f"_np.take({g}_lv, idx, mode='clip', out=vals)")
+                e.emit("_np.add(bofs, state, lidx)")
+                self.take(f"{g}_lv", "lidx", "vals")
             else:
                 e.emit(f"vals = _np.take({g}_lv, bofs + state)")
 
@@ -663,9 +656,8 @@ class _GroupEmitter:
         if not self.lir.schedule.compact_walks:
             # Ablation path: masked loop (see the sparse variant).
             if arena:
-                e.emit("_np.add(bofs, state, out=idx)")
-                e.emit(f"alive = _np.take({g}_sid, idx) >= 0")
-                e.emit(f"t = _A.i7[:_n].reshape({self._full_shape})")
+                e.emit("_np.add(bofs, state, idx)")
+                e.emit(f"alive = {g}_sid.take(idx) >= 0")
             else:
                 e.emit(f"alive = _np.take({g}_sid, bofs + state) >= 0")
             with e.block("while alive.any():"):
@@ -674,16 +666,16 @@ class _GroupEmitter:
                 self.prof("_C.rows_masked += alive.size - _pa")
                 self.prof("_C.loop_iterations += 1")
                 if arena:
-                    e.emit("_np.multiply(state, alive, out=t)")
-                    e.emit("_np.add(bofs, t, out=idx)")
+                    e.emit("_np.multiply(state, alive, t)")
+                    e.emit("_np.add(bofs, t, idx)")
                     self.eval_tile("idx", self._feat_full())
-                    e.emit(f"_np.multiply(t, {arity}, out=base)")
-                    e.emit("_np.add(base, ci, out=base)")
-                    e.emit("_np.add(base, 1, out=base)")
+                    e.emit(f"_np.multiply(t, {arity}, base)")
+                    e.emit("_np.add(base, ci, base)")
+                    e.emit("_np.add(base, 1, base)")
                     e.emit("_np.copyto(state, base, where=alive)")
-                    e.emit("_np.add(bofs, state, out=idx)")
-                    e.emit(f"_np.take({g}_sid, idx, mode='clip', out=t)")
-                    e.emit("_np.greater_equal(t, 0, out=alive)")
+                    e.emit("_np.add(bofs, state, idx)")
+                    self.take(f"{g}_sid", "idx", "t")
+                    e.emit("_np.greater_equal(t, 0, alive)")
                 else:
                     e.emit("t = _np.where(alive, state, 0)")
                     e.emit("idx = bofs + t")
@@ -694,39 +686,26 @@ class _GroupEmitter:
             final_vals()
             return
 
-        if self.vec:
-            e.emit(f"act_r, act_l = _np.nonzero(_np.take({g}_sid, bofs + state) >= 0)")
-            with e.block("while act_r.size:"):
-                self.prof("_C.walk_steps += act_r.size")
-                self.prof("_C.loop_iterations += 1")
-                if arena:
-                    self.bind_scratch("act_r.size", "_n", full=False)
-                e.emit("t = state[act_r, act_l]")
-                e.emit("idx = bofs0[act_l] + t")
-                self.eval_tile("idx", self._feat_act())
-                e.emit(f"nxt = t * {arity} + ci + 1")
+        self._scan_active(self._gather(f"{g}_sid", "bofs + state") + " >= 0")
+        with e.block("while act_r.size:" if self.vec else "while act.size:"):
+            self._compact_step()
+            e.emit(f"nxt = t * {arity} + ci + 1")
+            if self.vec:
                 e.emit("state[act_r, act_l] = nxt")
-                e.emit(f"keep = _np.take({g}_sid, bofs0[act_l] + nxt) >= 0")
+                e.emit(f"keep = {self._gather(f'{g}_sid', 'bofs0[act_l] + nxt')} >= 0")
                 e.emit("act_r = act_r[keep]")
                 e.emit("act_l = act_l[keep]")
-        else:
-            e.emit(f"act = _np.nonzero(_np.take({g}_sid, bofs + state) >= 0)[0]")
-            with e.block("while act.size:"):
-                self.prof("_C.walk_steps += act.size")
-                self.prof("_C.loop_iterations += 1")
-                if arena:
-                    self.bind_scratch("act.size", "_n", full=False)
-                e.emit("t = state[act]")
-                e.emit("idx = bofs[act] + t")
-                self.eval_tile("idx", "fidx")
-                e.emit(f"nxt = t * {arity} + ci + 1")
+            else:
                 e.emit("state[act] = nxt")
-                e.emit(f"act = act[_np.take({g}_sid, bofs[act] + nxt) >= 0]")
+                e.emit(f"act = act[{self._gather(f'{g}_sid', 'bofs[act] + nxt')} >= 0]")
         final_vals()
 
 
-def _emit_group(e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target: str) -> None:
-    """Emit the tree-chunk loop + walk + accumulation for one group."""
+def _emit_group(
+    e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target: str, views: list[str]
+) -> None:
+    """Emit the tree-chunk loop + walk + accumulation for one group;
+    ``views`` names the arena's scratch-view locals (empty in alloc mode)."""
     g = f"g{group.group_id}"
     layout = group.layout
     arena = lir.schedule.scratch == "arena"
@@ -741,7 +720,7 @@ def _emit_group(e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target:
     width = max(1, group.walk.width)
     num_trees = layout.num_trees
     budget = lir.lane_budget(group.group_id)
-    ge = _GroupEmitter(e, lir, group, vec)
+    ge = _GroupEmitter(e, lir, group, vec, views)
     e.emit(f"# group {group.group_id}: {num_trees} trees, {layout.kind} layout, "
            f"{group.walk.describe()}")
     step = _chunk_step(e, vec, width, num_trees, budget)
@@ -757,16 +736,11 @@ def _emit_group(e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target:
             ge.sparse_walk()
         else:
             ge.array_walk()
-        if arena:
-            classes = lir.num_classes
-            size = f"B * {classes}" if vec else str(classes)
-            shape = f"(B, {classes})" if vec else f"({classes},)"
-            e.emit(f"mm = _A.fm[:{size}].reshape{shape}")
 
         def accumulate(vals: str, onehot: str) -> None:
             if arena:
-                e.emit(f"_np.matmul({vals}, {onehot}, out=mm)")
-                e.emit(f"_np.add({target}, mm, out={target})")
+                e.emit(f"_np.matmul({vals}, {onehot}, mm)")
+                e.emit(f"_np.add({target}, mm, {target})")
             else:
                 e.emit(f"{target} += {vals} @ {onehot}")
 
@@ -802,6 +776,15 @@ def emit_module_source(lir: LIRModule) -> str:
     quant = lir.quant
     F, C = lir.num_features, lir.num_classes
     e.emit('"""Generated by repro.backend.codegen — do not edit."""')
+    views, width = [], 0
+    if arena:
+        spec = arena_spec(lir)
+        views, width = list(spec.scratch_views()), spec.lane_width
+    # Movemask constants, built once when the source is executed: as source
+    # lines they need no entry in an AOT or shm manifest.
+    for name, value in zip(("_pm", "_ps", "_pk"), _PACK.get(width, ())):
+        if value is not None:
+            e.emit(f"{name} = _np.uint{8 * width}({value})")
     with e.block("def predict_block(rows, out, arena=None):"):
         e.emit("B = rows.shape[0]")
         if lir.schedule.profile:
@@ -814,7 +797,11 @@ def emit_module_source(lir: LIRModule) -> str:
         if arena:
             with e.block("if arena is None:"):
                 e.emit("arena = _new_arena()")
-            e.emit("_A = arena.ensure(B)")
+            e.emit("_A = arena")
+            # A warmed call enters no Python frame: `ensure` only to (re)grow.
+            fits = "_A.cap_rows" if one_row else "0 < B <= _A.cap_rows"
+            with e.block(f"if not {fits}:"):
+                e.emit("_A.ensure(B)")
         if quant is not None:
             # Input pre-quantization prologue: one searchsorted against the
             # per-feature cut table turns each float column into rank codes
@@ -824,9 +811,11 @@ def emit_module_source(lir: LIRModule) -> str:
             else:
                 e.emit(f"qrows = _np.empty((B, {F}), dtype=_np.{quant.dtype})")
             with e.block(f"for f in range({F}):"):
+                cuts = "_qc[_qo[f]:_qo[f + 1]]"
                 e.emit(
-                    "qrows[:, f] = _np.searchsorted("
-                    "_qc[_qo[f]:_qo[f + 1]], rows[:, f], side='right')"
+                    f"qrows[:, f] = {cuts}.searchsorted(rows[:, f], 'right')"
+                    if arena else
+                    f"qrows[:, f] = _np.searchsorted({cuts}, rows[:, f], side='right')"
                 )
         if not one_row:
             e.emit("rowsf = qrows.reshape(-1)" if quant is not None
@@ -842,14 +831,14 @@ def emit_module_source(lir: LIRModule) -> str:
                 # rescale at the boundary below.
                 if arena:
                     e.emit(f"qacc = _A.qa[:B * {C}].reshape(B, {C})")
-                    e.emit("qacc[...] = 0")
+                    e.emit("qacc.fill(0)")
                 else:
                     e.emit(f"qacc = _np.zeros((B, {C}))")
             e.emit()
             for group in lir.groups:
                 _emit_group(
                     e, lir, group, vec=True,
-                    target="out" if quant is None else "qacc",
+                    target="out" if quant is None else "qacc", views=views,
                 )
         else:
             if quant is not None:
@@ -858,7 +847,7 @@ def emit_module_source(lir: LIRModule) -> str:
                 e.emit("row = qrows[i]" if quant is not None else "row = rows[i]")
                 e.emit("acc = qacc[i]" if quant is not None else "acc = out[i]")
                 for group in lir.groups:
-                    _emit_group(e, lir, group, vec=False, target="acc")
+                    _emit_group(e, lir, group, vec=False, target="acc", views=views)
         if quant is not None:
             e.emit("out += qacc * _qs")
         e.emit("return out")

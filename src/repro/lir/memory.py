@@ -18,6 +18,7 @@ Two concerns live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +255,37 @@ class ArenaSpec:
             total += n * self.num_features * fsize  # quantized row codes
         return total
 
+    def scratch_views(self) -> dict[str, tuple[str, str | None]]:
+        """Kernel local -> ``(arena buffer, reinterpret dtype)`` of every view
+        a walk chunk binds, in bind order: the step temporaries, then — from
+        ``idx`` on — the views only a full chunk has. The emitter names its
+        locals from this table and the arena builds them from it. ``cv`` is
+        the compare vector read as one unsigned integer per tile (the
+        movemask operand), ``bits`` the packed predicate bits as a LUT
+        index, ``lidx`` the leaf index (a compaction loop shadows ``idx``).
+        """
+        W = self.lane_width
+        views = {"thr": ("f0", None), "feat": ("f1", None), "fidx": ("i0", None)}
+        if not self.per_row:
+            views["gidx"] = ("i1", None)
+        views.update(cmp=("c0", None), ci=("i3", None), sid=("i4", None), base=("i6", None))
+        if 8 * W in self.pack_widths:
+            pv = f"p{8 * W}"
+            views.update(
+                pv=(pv, None),
+                cv=("c0", f"uint{8 * W}"),
+                bits=(pv, "int64" if W == 8 else None),
+            )
+        elif W == 1:
+            views["bits"] = ("c0", None)
+        views.update(idx=("i2", None), lidx=("i2", None), state=("i5", None), t=("i7", None))
+        views["vals"] = ("qv" if self.quantized else "f1", None)
+        return views
+
+
+#: scratch views with one element per tile *lane* (the rest: one per tile)
+LANE_VIEWS = ("thr", "feat", "fidx", "gidx", "cmp")
+
 
 class ScratchArena:
     """Preallocated temporaries for one kernel, owned by one thread.
@@ -269,6 +301,10 @@ class ScratchArena:
     worker thread its own instance so parallel row blocks never share
     scratch.
     """
+
+    #: full-chunk shapes one arena keeps bound (a served model sees a few
+    #: chunk widths per batch size it meets)
+    MEMO_CAP = 64
 
     def __init__(self, spec: ArenaSpec) -> None:
         self.spec = spec
@@ -319,8 +355,30 @@ class ScratchArena:
                 rows * spec.num_classes, dtype=np.dtype(spec.acc_dtype)
             )
             self.qr = np.empty(rows * spec.num_features, dtype=fdt)
+        # Capacity views in `scratch_views` order, lane ones pre-shaped
+        # `(n, W)`: a compaction step slices them, `bind` shapes full chunks.
+        W, cap = max(1, spec.lane_width), []
+        for name, (attr, dtype) in spec.scratch_views().items():
+            buf = getattr(self, attr)
+            if dtype:
+                buf = buf.view(dtype)
+            cap.append(buf.reshape(-1, W) if name in LANE_VIEWS else buf)
+        self.cap = tuple(cap)
+        self.memo: dict[tuple, tuple] = {}  # shapes bound before a regrow are stale
         self.cap_rows = rows
         self.grows += 1
+
+    def bind(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Every scratch view of one full chunk — working set ``shape``,
+        ``(B, k)`` or ``(k,)`` — plus the chunk matmul target, built once per
+        shape: the kernel reads ``memo`` directly and calls here on a miss.
+        The memo holds at most ``MEMO_CAP`` shapes (oldest dropped first)."""
+        if len(self.memo) >= self.MEMO_CAP:
+            del self.memo[next(iter(self.memo))]
+        n, out = math.prod(shape), shape[:-1] + (self.spec.num_classes,)
+        views = tuple(v[:n].reshape(shape + v.shape[1:]) for v in self.cap)
+        self.memo[shape] = views = views + (self.fm[: math.prod(out)].reshape(out),)
+        return views
 
     def nbytes(self) -> int:
         """Currently-materialized scratch footprint in bytes."""

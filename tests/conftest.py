@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,33 @@ def random_forest_model(
         trees.append(tree)
     objective = "multiclass" if num_classes > 1 else "regression"
     return Forest(trees, num_features=num_features, objective=objective, num_classes=num_classes)
+
+
+class CallCounter:
+    """What runs inside a ``with`` block, seen by ``sys.setprofile``.
+
+    ``frames`` holds the code object of every Python frame entered and
+    ``c_calls`` every builtin function or method called (``arg.__self__`` is
+    a method's receiver). Operators and callable objects that are not
+    builtin functions — NumPy ufuncs, types — raise no event, so the counts
+    measure the Python-level dispatch around them, which is what a
+    generated kernel can waste. Timing-free: equal code gives equal counts.
+    """
+
+    def __enter__(self) -> "CallCounter":
+        self.frames: list = []
+        self.c_calls: list = []
+        sys.setprofile(self._event)
+        return self
+
+    def _event(self, frame, event, arg) -> None:
+        if event == "call" and frame.f_code is not CallCounter.__exit__.__code__:
+            self.frames.append(frame.f_code)
+        elif event == "c_call" and arg is not sys.setprofile:
+            self.c_calls.append(arg)
+
+    def __exit__(self, *exc) -> None:
+        sys.setprofile(None)
 
 
 @pytest.fixture(scope="session")

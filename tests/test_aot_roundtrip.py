@@ -102,6 +102,24 @@ def test_profile_schedule_roundtrips_with_recorder(tmp_path, forest, rows):
     assert counters and counters.get("rows", 0) >= rows.shape[0]
 
 
+def test_artifact_exported_before_lean_emission_still_loads(forest, rows):
+    """``tests/data/aot_pr14`` was exported at PR14 (a67b05a), before the
+    arena emitter went dispatch-lean: its stored kernel slices the arena's
+    flat buffers by name (``_A.f0[:n].reshape(...)``, ``arena.ensure(B)``)
+    and spells its movemask constants inline. The format version did not
+    move, so it must load and agree bitwise with today's compile of the same
+    forest (the fixture of this module, int8 with a guarded loop)."""
+    loaded = load_artifact(Path(__file__).parent / "data" / "aot_pr14")
+    assert "_A.f0[:" in loaded.source and "_np.take(" in loaded.source
+    predictor = compile_model(forest, loaded.schedule)
+    assert "_A.f0[:" not in predictor.source
+    assert loaded.fingerprint == predictor.fingerprint
+    for batch in (1, 7, 65):
+        np.testing.assert_array_equal(
+            loaded.raw_predict(rows[:batch]), predictor.raw_predict(rows[:batch])
+        )
+
+
 # ----------------------------------------------------------------------
 # Fresh-process round-trip across the grid (one subprocess for all points)
 # ----------------------------------------------------------------------

@@ -45,10 +45,13 @@ class TestCodegen:
         assert "def predict_block(rows, out, arena=None):" in source
         # The §V-A op sequence: loads, gather, compare, bit pack, LUT lookup
         # — arena emission writes each op into preallocated scratch.
-        assert "_th, idx" in source and "_fi, idx" in source
-        assert "_np.less(feat, thr, out=cmp)" in source
-        assert "0x0102040810204080" in source  # movemask analog at width 8
-        assert "_np.take(lut, sid, mode='clip', out=ci)" in source
+        assert "_th.take(idx, 0, thr, 'clip')" in source
+        assert "_fi.take(idx, 0, fidx, 'clip')" in source
+        assert "_np.less(feat, thr, cmp)" in source
+        # movemask analog at width 8: the multiplier is a prelude constant
+        assert "_pm = _np.uint64(0x0102040810204080)\n" in source and "_ps = _np.uint64(56)\ndef predict_block" in source
+        assert "_np.multiply(cv, _pm, pv)" in source
+        assert "lut.take(sid, None, ci, 'clip')" in source
 
     def test_alloc_source_contains_walk_ops(self, trained_forest):
         """The legacy fresh-temporary emitter survives as scratch="alloc"."""

@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_forest_model
+from conftest import CallCounter, random_forest_model
 from repro.api import compile_model
 from repro.config import Schedule
 from repro.errors import VerificationError
@@ -229,33 +229,30 @@ class TestArena:
             verify_lir_module(lir)
 
 
-class _CountingNumpy:
-    """``_np`` stand-in that counts leaf gathers — one per walk chunk."""
+def _leaf_gathers(predictor, data) -> Counter:
+    """Leaf gathers per group — one per walk chunk — in one kernel call.
 
-    def __init__(self, namespace: dict) -> None:
-        self.chunks = Counter()
-        self._leaf_buffers = {
-            id(buf): name[: -len("_lv")]
-            for name, buf in namespace.items()
-            if name.endswith("_lv")
-        }
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def take(self, a, *args, **kwargs):
-        group = self._leaf_buffers.get(id(a))
-        if group is not None:
-            self.chunks[group] += 1
-        return np.take(a, *args, **kwargs)
+    The arena kernel gathers with ``g<i>_lv.take(...)``, a builtin method
+    call, so the count comes from ``sys.setprofile`` and not from a stand-in
+    ``_np`` (which that call never goes through)."""
+    leaf_buffers = {
+        id(buf): name[: -len("_lv")]
+        for name, buf in predictor.kernel.__globals__.items()
+        if name.endswith("_lv")
+    }
+    with CallCounter() as calls:
+        predictor.raw_predict(data)
+    return Counter(
+        leaf_buffers[id(call.__self__)]
+        for call in calls.c_calls
+        if call.__name__ == "take" and id(call.__self__) in leaf_buffers
+    )
 
 
 def test_chunks_per_group_follow_the_batch():
     # higgs-shaped: 100 trees over 28 features under the default schedule.
     forest = random_forest_model(np.random.default_rng(5), 100, 6, 28)
     predictor = compile_model(forest, Schedule())
-    namespace = predictor.kernel.__globals__
-    counter = namespace["_np"] = _CountingNumpy(namespace)
     groups = {
         f"g{g.group_id}": (g.num_trees, g.walk.width)
         for g in predictor.lir.groups
@@ -264,11 +261,7 @@ def test_chunks_per_group_follow_the_batch():
     assert max(trees for trees, _ in groups.values()) > 8
     data = np.random.default_rng(6).normal(size=(2048, 28))
 
-    predictor.raw_predict(data[:1])
-    assert counter.chunks == {name: 1 for name in groups}
-
-    counter.chunks.clear()
-    predictor.raw_predict(data)
-    assert counter.chunks == {
+    assert _leaf_gathers(predictor, data[:1]) == {name: 1 for name in groups}
+    assert _leaf_gathers(predictor, data) == {
         name: -(-trees // width) for name, (trees, width) in groups.items()
     }
