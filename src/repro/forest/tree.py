@@ -127,16 +127,22 @@ class DecisionTree:
     def depths(self) -> np.ndarray:
         """Depth of each node; the root has depth 0."""
         depth = np.zeros(self.num_nodes, dtype=np.int32)
-        for node in self.iter_preorder():
-            if not self.is_leaf(node):
-                depth[self.left[node]] = depth[node] + 1
-                depth[self.right[node]] = depth[node] + 1
+        for level, nodes in enumerate(self._levels()):
+            depth[nodes] = level
         return depth
 
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node."""
-        return int(self.depths().max())
+        return sum(1 for _ in self._levels()) - 1
+
+    def _levels(self) -> Iterator[np.ndarray]:
+        """Node ids of each depth level, root level first."""
+        level = np.zeros(1, dtype=np.int32)
+        while level.size:
+            yield level
+            inner = level[self.left[level] != NO_NODE]
+            level = np.concatenate([self.left[inner], self.right[inner]])
 
     def iter_preorder(self, start: int = 0) -> Iterator[int]:
         """Yield node ids in pre-order starting from ``start``."""

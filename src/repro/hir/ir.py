@@ -59,10 +59,6 @@ class HIRModule:
     def num_trees(self) -> int:
         return len(self.tiled_trees)
 
-    def shape_id(self, shape) -> int:
-        """Shape id lookup (shapes were all registered during build)."""
-        return self.shape_registry.register(shape)
-
 
 def _tile_tree(tree, schedule: Schedule):
     if schedule.tiling == "basic":

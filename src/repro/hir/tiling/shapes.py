@@ -20,7 +20,10 @@ child to visit next is a pure function of the shape — precomputed for all
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,11 @@ ShapeKey = tuple[tuple[int, int], ...]
 #: the speculative comparisons — in particular it stays correct for ``+inf``
 #: inputs, where the padding predicate ``x < +inf`` is false.
 DUMMY_SHAPE: ShapeKey = ()
+
+#: Byte bound on the LUT rows :func:`shape_facts` keeps. All 2 055 shapes of
+#: at most 8 nodes need under 0.5 MB; a row for ``k > 8`` nodes takes up to
+#: 64 KB, so the memo is bounded by bytes, least recently used row first.
+SHAPE_MEMO_BYTES: int = 4 << 20
 
 
 def storage_width(tile_size: int) -> int:
@@ -125,6 +133,64 @@ def shape_child_for_bits(shape: ShapeKey, bits: int) -> int:
         node = nxt
 
 
+class ShapeFacts(NamedTuple):
+    """Everything the compiler derives from a tile shape alone."""
+
+    #: :func:`out_edge_order` of the shape
+    edges: tuple[tuple[int, str], ...]
+    #: read-only ``(2**k,)`` int8 LUT row: predicate bits -> child index
+    row: np.ndarray
+
+
+_facts: OrderedDict[ShapeKey, ShapeFacts] = OrderedDict()
+_facts_bytes = 0
+_facts_lock = threading.Lock()
+
+
+def _lut_row(shape: ShapeKey, edges: tuple[tuple[int, str], ...]) -> np.ndarray:
+    """Child index for every predicate pattern: one walk, all lanes at once."""
+    k = len(shape)
+    kids = np.asarray(shape, dtype=np.intp)  # (k, 2); column 0 = left
+    exit_index = np.zeros((k, 2), dtype=np.int8)
+    for index, (node, side) in enumerate(edges):
+        exit_index[node, int(side == "R")] = index
+    bits = np.arange(1 << k)
+    node = np.zeros(1 << k, dtype=np.intp)
+    # A walk visits at most k nodes; a lane that met its out-edge stays put.
+    for _ in range(k - 1):
+        nxt = kids[node, 1 - ((bits >> node) & 1)]
+        node = np.where(nxt < 0, node, nxt)
+    row = exit_index[node, 1 - ((bits >> node) & 1)]
+    row.flags.writeable = False
+    return row
+
+
+def shape_facts(shape: ShapeKey) -> ShapeFacts:
+    """The validated shape's out-edge order and LUT row, computed once.
+
+    A forest has few distinct shapes (hundreds over tens of thousands of
+    tiles), so the compile path asks here instead of re-deriving per tile or
+    per bit pattern. Being returned at all means :func:`validate_shape`
+    passed. The row comes from one edge order and one walk vectorised over
+    all ``2**k`` patterns; :func:`shape_child_for_bits` stays the scalar
+    definition the verifier and the tests check it against.
+    """
+    global _facts_bytes
+    with _facts_lock:
+        facts = _facts.get(shape)
+        if facts is not None:
+            _facts.move_to_end(shape)
+            return facts
+        validate_shape(shape)
+        edges = tuple(out_edge_order(shape))
+        facts = _facts[shape] = ShapeFacts(edges, _lut_row(shape, edges))
+        _facts_bytes += facts.row.nbytes
+        while _facts_bytes > SHAPE_MEMO_BYTES:
+            _facts_bytes -= _facts.popitem(last=False)[1].row.nbytes
+    return facts
+
+
+@lru_cache(maxsize=None)
 def left_chain_shape(size: int) -> ShapeKey:
     """The all-left chain shape of ``size`` nodes.
 
@@ -193,7 +259,9 @@ def nested_to_shape(nested) -> ShapeKey:
     return tuple(shape)
 
 
-def shape_key_of_tile(tree, tile_nodes: list[int]) -> tuple[ShapeKey, list[int]]:
+def shape_key_of_tile(
+    tree, tile_nodes: list[int], root: int | None = None
+) -> tuple[ShapeKey, list[int]]:
     """Canonicalize the shape of a tile within ``tree``.
 
     Parameters
@@ -202,6 +270,9 @@ def shape_key_of_tile(tree, tile_nodes: list[int]) -> tuple[ShapeKey, list[int]]
         A :class:`~repro.forest.tree.DecisionTree`.
     tile_nodes:
         The original node ids belonging to the tile (any order).
+    root:
+        The tile's root node when the caller already knows it (the node an
+        out-edge of the parent tile points at); found here otherwise.
 
     Returns
     -------
@@ -212,39 +283,26 @@ def shape_key_of_tile(tree, tile_nodes: list[int]) -> tuple[ShapeKey, list[int]]
     members = set(tile_nodes)
     if not members:
         raise TilingError("tile has no nodes")
-    # Find the tile root: the unique member whose parent is not in the tile.
-    child_members = set()
-    for n in members:
-        for c in tree.children(n):
-            if c in members:
-                child_members.add(c)
-    roots = members - child_members
-    if len(roots) != 1:
-        raise TilingError(f"tile is not a connected subtree (roots={sorted(roots)})")
-    root = roots.pop()
-    # Level-order within the tile.
-    from collections import deque
-
-    ordered: list[int] = []
-    queue = deque([root])
-    while queue:
-        n = queue.popleft()
-        ordered.append(n)
-        for c in tree.children(n):
-            if c in members:
-                queue.append(c)
-    if len(ordered) != len(members):
-        raise TilingError("tile is not connected")
-    intra = {n: i for i, n in enumerate(ordered)}
+    left, right = tree.left, tree.right
+    if root is None:
+        # The unique member whose parent is not in the tile.
+        roots = members - {int(c) for n in members for c in (left[n], right[n])}
+        if len(roots) != 1:
+            raise TilingError(f"tile is not a connected subtree (roots={sorted(roots)})")
+        root = roots.pop()
+    # One level-order walk from the root yields order and shape together: a
+    # member child's intra-tile index is its position in the queue.
+    ordered = [root]
     shape = []
     for n in ordered:
-        left, right = tree.children(n)
-        shape.append(
-            (
-                intra[left] if left in members else -1,
-                intra[right] if right in members else -1,
-            )
-        )
+        pair = [-1, -1]
+        for side, child in enumerate((int(left[n]), int(right[n]))):
+            if child in members:
+                pair[side] = len(ordered)
+                ordered.append(child)
+        shape.append(tuple(pair))
+    if len(ordered) != len(members):
+        raise TilingError("tile is not connected")
     return tuple(shape), ordered
 
 
@@ -269,18 +327,17 @@ class ShapeRegistry:
         :data:`DUMMY_SHAPE` is accepted as a reserved key whose LUT row is
         all zeros (dummy tiles always route to child 0, data-independently).
         """
-        if shape == DUMMY_SHAPE:
-            if shape not in self._ids:
-                self._ids[shape] = len(self._ids)
-            return self._ids[shape]
+        sid = self._ids.get(shape)
+        if sid is not None:
+            return sid
         if len(shape) > self.tile_size:
             raise TilingError(
                 f"shape has {len(shape)} nodes but tile size is {self.tile_size}"
             )
-        validate_shape(shape)
-        if shape not in self._ids:
-            self._ids[shape] = len(self._ids)
-        return self._ids[shape]
+        if shape != DUMMY_SHAPE:
+            shape_facts(shape)  # validates; the LUT row is ready for build_lut
+        sid = self._ids[shape] = len(self._ids)
+        return sid
 
     @property
     def num_shapes(self) -> int:
@@ -312,12 +369,7 @@ class ShapeRegistry:
         for shape, sid in self._ids.items():
             if shape == DUMMY_SHAPE:
                 continue  # row stays zeros: every pattern routes to child 0
-            k = len(shape)
-            # Child index depends only on the low k bits; compute those once
-            # and broadcast over the ignored high bits.
-            base = np.empty(1 << k, dtype=np.int8)
-            for bits in range(1 << k):
-                base[bits] = shape_child_for_bits(shape, bits)
-            reps = n_patterns >> k
-            lut[sid] = np.tile(base, reps)
+            # Child index depends only on the low k bits: the shape's
+            # memoised row, repeated over the ignored high bits.
+            lut[sid] = np.tile(shape_facts(shape).row, n_patterns >> len(shape))
         return lut

@@ -11,7 +11,6 @@ always true, so the walk deterministically falls through to child 0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +20,8 @@ from repro.forest.tree import DecisionTree
 from repro.hir.tiling.shapes import (
     ShapeKey,
     left_chain_shape,
-    out_edge_order,
     shape_child_for_bits,
+    shape_facts,
     shape_key_of_tile,
 )
 from repro.hir.tiling.validity import check_valid_tiling
@@ -103,82 +102,52 @@ class TiledTree:
         """
         if validate:
             check_valid_tiling(tree, internal_tiles, tile_size)
-        prob = tree.node_probability
-
-        if tree.is_leaf(0):
-            leaf = Tile(
-                tile_id=0,
-                nodes=(0,),
-                shape=None,
-                is_leaf=True,
-                probability=1.0 if prob is None else float(prob[0]),
-            )
-            return cls(tree, tile_size, [leaf])
-
         # Which tile group does each internal node belong to?
         group_of_node: dict[int, int] = {}
         for gid, nodes in enumerate(internal_tiles):
             for n in nodes:
                 group_of_node[n] = gid
-
-        # Canonicalize each group: shape + ordered nodes + child node ids.
-        shapes: list[ShapeKey] = []
-        ordered_nodes: list[list[int]] = []
-        child_nodes: list[list[int]] = []
-        group_root: list[int] = []
-        for nodes in internal_tiles:
-            shape, ordered = shape_key_of_tile(tree, nodes)
-            shapes.append(shape)
-            ordered_nodes.append(ordered)
-            group_root.append(ordered[0])
-            kids = []
-            for intra, side in out_edge_order(shape):
-                node = ordered[intra]
-                child = tree.left[node] if side == "L" else tree.right[node]
-                kids.append(int(child))
-            child_nodes.append(kids)
-
-        # BFS from the group containing the root node; assign tile ids.
-        root_group = group_of_node[0]
+        left, right = tree.left.tolist(), tree.right.tolist()
+        prob = tree.node_probability
+        prob = None if prob is None else prob.tolist()
         tiles: list[Tile] = []
 
-        def new_tile(**kwargs) -> Tile:
-            tile = Tile(tile_id=len(tiles), **kwargs)
-            tiles.append(tile)
-            return tile
+        def new_tile(node: int, parent: int, depth: int) -> None:
+            """Append the tile rooted at ``node``: a leaf tile, or the node's
+            group canonicalized now that its root is known."""
+            if left[node] < 0:
+                nodes, shape = (node,), None
+            else:
+                group = internal_tiles[group_of_node[node]]
+                shape, ordered = shape_key_of_tile(tree, group, root=node)
+                nodes = tuple(ordered)
+            if prob is None:
+                p = 1.0 if parent < 0 else 0.0
+            else:
+                p = prob[node]
+            tiles.append(
+                Tile(
+                    tile_id=len(tiles),
+                    nodes=nodes,
+                    shape=shape,
+                    parent=parent,
+                    depth=depth,
+                    probability=p,
+                    is_leaf=shape is None,
+                )
+            )
 
-        queue: deque[tuple[int, int, int]] = deque()  # (group_or_node, parent, depth)
-        root_tile = new_tile(
-            nodes=tuple(ordered_nodes[root_group]),
-            shape=shapes[root_group],
-            probability=1.0 if prob is None else float(prob[0]),
-        )
-        queue.append((root_group, root_tile.tile_id, 0))
-        while queue:
-            gid, tile_id, depth = queue.popleft()
-            tile = tiles[tile_id]
-            for child_node in child_nodes[gid]:
-                p = 0.0 if prob is None else float(prob[child_node])
-                if tree.is_leaf(child_node):
-                    child = new_tile(
-                        nodes=(child_node,),
-                        shape=None,
-                        is_leaf=True,
-                        parent=tile_id,
-                        depth=depth + 1,
-                        probability=p,
-                    )
-                else:
-                    cgid = group_of_node[child_node]
-                    child = new_tile(
-                        nodes=tuple(ordered_nodes[cgid]),
-                        shape=shapes[cgid],
-                        parent=tile_id,
-                        depth=depth + 1,
-                        probability=p,
-                    )
-                    queue.append((cgid, child.tile_id, depth + 1))
-                tile.children.append(child.tile_id)
+        # Breadth-first from the tile holding node 0: ``tiles`` grows while
+        # it is iterated, so tile ids are visit order and each tile's
+        # children follow its shape's left-to-right out-edge order.
+        new_tile(0, -1, 0)
+        for tile in tiles:
+            if tile.is_leaf:
+                continue
+            for intra, side in shape_facts(tile.shape).edges:
+                node = tile.nodes[intra]
+                tile.children.append(len(tiles))
+                new_tile(left[node] if side == "L" else right[node], tile.tile_id, tile.depth + 1)
         return cls(tree, tile_size, tiles)
 
     # ------------------------------------------------------------------

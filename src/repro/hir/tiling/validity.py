@@ -17,6 +17,8 @@ hypothesis-generated random trees).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TilingError
 from repro.forest.tree import DecisionTree
 
@@ -32,8 +34,8 @@ def check_valid_tiling(
             raise TilingError("single-leaf tree must have an empty internal tiling")
         return
 
-    internal = set(int(n) for n in tree.internal_nodes())
-    leaves = set(int(n) for n in tree.leaves())
+    internal = set(tree.internal_nodes().tolist())
+    leaves = set(tree.leaves().tolist())
 
     seen: set[int] = set()
     for i, nodes in enumerate(internal_tiles):
@@ -54,44 +56,28 @@ def check_valid_tiling(
         missing = sorted(internal - seen)[:5]
         raise TilingError(f"partitioning violated: internal nodes {missing} not tiled")
 
+    # Connectedness and maximality of every tile from one parent array. In a
+    # tree a node set is connected iff exactly one member's parent lies
+    # outside it (the tile root): the others reach it by in-set parent edges.
+    tile_of = np.full(tree.num_nodes, -1, dtype=np.intp)
     for i, nodes in enumerate(internal_tiles):
-        members = set(int(n) for n in nodes)
-        _check_connected(tree, members, i)
-        if len(members) < tile_size:
-            _check_maximal(tree, members, i)
-
-
-def _check_connected(tree: DecisionTree, members: set[int], tile_index: int) -> None:
-    """Connectedness: the tile must induce a connected subtree.
-
-    In a tree, a node set is connected iff exactly one member's parent lies
-    outside the set (the tile root) and every member is reachable from it by
-    in-set child edges.
-    """
-    parents = tree.parents()
-    roots = [n for n in members if int(parents[n]) not in members]
-    if len(roots) != 1:
+        tile_of[nodes] = i
+    inner = tree.internal_nodes()[1:]  # node 0 roots its tile
+    above = tile_of[tree.parents()[inner]]
+    crossing = above != tile_of[inner]
+    roots = np.bincount(tile_of[inner[crossing]], minlength=len(internal_tiles))
+    roots[tile_of[0]] += 1
+    split = np.flatnonzero(roots != 1)
+    # Maximal tiling: an undersized tile may only border leaves.
+    sizes = np.array([len(nodes) for nodes in internal_tiles])
+    stunted = crossing & (sizes[above] < tile_size)
+    if stunted.any() and (not split.size or above[stunted].min() < split[0]):
+        i = above[stunted].min()
         raise TilingError(
-            f"connectedness violated in tile {tile_index}: {len(roots)} tile roots"
+            f"maximality violated: tile {i} has size {sizes[i]} "
+            f"< tile size but borders non-leaf node {inner[stunted & (above == i)][0]}"
         )
-    reached = {roots[0]}
-    stack = [roots[0]]
-    while stack:
-        n = stack.pop()
-        for c in tree.children(n):
-            if c in members and c not in reached:
-                reached.add(int(c))
-                stack.append(int(c))
-    if reached != members:
-        raise TilingError(f"connectedness violated in tile {tile_index}")
-
-
-def _check_maximal(tree: DecisionTree, members: set[int], tile_index: int) -> None:
-    """Maximal tiling: undersized tiles may only border leaves."""
-    for n in members:
-        for c in tree.children(n):
-            if c not in members and not tree.is_leaf(int(c)):
-                raise TilingError(
-                    f"maximality violated: tile {tile_index} has size {len(members)} "
-                    f"< tile size but borders non-leaf node {int(c)}"
-                )
+    if split.size:
+        raise TilingError(
+            f"connectedness violated in tile {split[0]}: {roots[split[0]]} tile roots"
+        )

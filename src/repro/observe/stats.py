@@ -44,18 +44,15 @@ def tiling_stats(hir) -> dict[str, Any]:
     tree's leaf-*tile* depth — their ratio is the walk-step compression the
     tiling bought. Dummy tiles are excluded here (padding owns them).
     """
-    shape_hist: Counter[str] = Counter()
+    shape_counts: Counter[tuple] = Counter()  # few shapes, many tiles
     tiles_per_tree: list[int] = []
-    nodes_per_tile: list[int] = []
     depth_before: list[int] = []
     depth_after: list[int] = []
     leaves_per_tree: list[int] = []
     for tiled in hir.tiled_trees:
-        real = [t for t in tiled.tiles if not t.is_dummy and not t.is_leaf]
+        real = [t.shape for t in tiled.tiles if not t.is_dummy and not t.is_leaf]
         tiles_per_tree.append(len(real))
-        for tile in real:
-            shape_hist[_shape_label(tile.shape)] += 1
-            nodes_per_tile.append(tile.num_nodes)
+        shape_counts.update(real)
         depth_before.append(int(tiled.tree.max_depth))
         depth_after.append(max((t.depth for t in tiled.tiles if t.is_leaf), default=0))
         leaves_per_tree.append(int(tiled.tree.num_leaves))
@@ -63,10 +60,12 @@ def tiling_stats(hir) -> dict[str, Any]:
         "tile_size": hir.schedule.tile_size,
         "tiling": hir.schedule.tiling,
         "num_trees": len(hir.tiled_trees),
-        "tile_shape_hist": dict(shape_hist),
-        "distinct_shapes": len(shape_hist),
+        "tile_shape_hist": {_shape_label(s): n for s, n in shape_counts.items()},
+        "distinct_shapes": len(shape_counts),
         "tiles_per_tree": distribution(tiles_per_tree),
-        "nodes_per_tile": distribution(nodes_per_tile),
+        "nodes_per_tile": distribution(
+            [len(s) for s, n in shape_counts.items() for _ in range(n)]
+        ),
         "tree_depth_before": distribution(depth_before),
         "leaf_tile_depth_after": distribution(depth_after),
         "leaves_per_tree": distribution(leaves_per_tree),
