@@ -46,7 +46,7 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
 BASE = dict(
     tile_size=8, tiling="basic", layout="sparse",
-    pad_and_unroll=True, interleave=16, scratch="arena",
+    pad_and_unroll=True, interleave=16,
 )
 
 PRECISIONS = ("float64", "float32", "int16", "int8")

@@ -47,7 +47,7 @@ from repro.backend.jit import compile_source, model_fingerprint
 from repro.backend.predictor import KernelExecutor, Predictor
 from repro.backend.registry import Backend, register_backend
 from repro.config import Schedule
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ScheduleError
 from repro.lir.memory import ArenaSpec, ScratchArena
 from repro.observe import registry as observe_registry
 from repro.observe.profile import ProfileRecorder
@@ -166,7 +166,7 @@ def export_artifact(
             "base_score": lir.base_score,
             "objective": predictor.forest.objective,
         },
-        "arena": asdict(predictor.arena_spec) if predictor.arena_spec else None,
+        "arena": asdict(predictor.arena_spec),
         "quantization": lir.quant.describe() if lir.quant is not None else None,
         "buffers": buffers,
         "files": files,
@@ -203,6 +203,7 @@ class ArtifactPredictor(KernelExecutor):
         kernel,
         schedule: Schedule,
         manifest: dict,
+        arena: ArenaSpec,
         path: Path,
         source: str,
         nbytes: int,
@@ -210,11 +211,6 @@ class ArtifactPredictor(KernelExecutor):
         profile_recorder: ProfileRecorder | None = None,
     ) -> None:
         model = manifest["model"]
-        arena = None
-        if manifest.get("arena"):
-            spec = dict(manifest["arena"])
-            spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-            arena = ArenaSpec(**spec)
         super().__init__(
             kernel,
             schedule,
@@ -270,6 +266,11 @@ def _read_manifest(out: Path) -> dict:
     for key in ("fingerprint", "model", "buffers", "files"):
         if key not in manifest:
             raise ArtifactError(f"artifact manifest {out} is missing {key!r}")
+    if not manifest.get("arena"):
+        raise ArtifactError(
+            f"artifact manifest {out} has no arena spec — re-export the "
+            f"model with this version"
+        )
     return manifest
 
 
@@ -312,7 +313,13 @@ def load_artifact(
     manifest = _read_manifest(out)
     _verify_files(out, manifest)
 
-    schedule = Schedule.from_dict(json.loads((out / SCHEDULE_NAME).read_text()))
+    try:
+        schedule = Schedule.from_dict(json.loads((out / SCHEDULE_NAME).read_text()))
+    except ScheduleError as exc:
+        raise ArtifactError(
+            f"artifact {out} was compiled under a schedule this build does "
+            f"not read ({exc}) — re-export the model with this version"
+        ) from exc
     source = (out / KERNEL_NAME).read_text()
 
     namespace: dict = {"_np": np}
@@ -327,12 +334,8 @@ def load_artifact(
             )
         namespace[name] = array
         nbytes += array.nbytes
-    arena_dict = manifest.get("arena")
-    if arena_dict:
-        spec = dict(arena_dict)
-        spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-        arena = ArenaSpec(**spec)
-        namespace["_new_arena"] = lambda spec=arena: ScratchArena(spec)
+    arena = ArenaSpec.from_manifest(manifest["arena"])
+    namespace["_new_arena"] = lambda: ScratchArena(arena)
     recorder = None
     if schedule.profile:
         recorder = ProfileRecorder(label=f"artifact-{manifest['fingerprint'][:8]}")
@@ -356,6 +359,7 @@ def load_artifact(
         kernel,
         schedule,
         manifest,
+        arena,
         out,
         source,
         nbytes,

@@ -6,7 +6,7 @@ statements follow the walk-step op sequence of Section V-A one to one,
 using the fastest NumPy realization of each op:
 
 ========================  ================================================
-LIR op                    emitted statement (arena emitter)
+LIR op                    emitted statement
 ========================  ================================================
 loadThresholds            ``g_th.take(idx, 0, thr, 'clip')``
 loadFeatureIndices        ``g_fi.take(idx, 0, fidx, 'clip')``
@@ -16,7 +16,7 @@ vectorCompare             ``_np.less(feat, thr, cmp)``
 packBits                  ``_np.multiply(cv, _pm, pv)``;
                           ``_np.right_shift(pv, _ps, pv)`` — integer
                           reinterpretation of the bool vector (the movemask
-                          analog; see ``_pack_bits_expr``)
+                          analog; see ``_PACK``)
 loadTileShape             ``g_sid.take(idx, None, sid, 'clip')``
 lookupChildIndex          ``_np.multiply(sid, LUTC, sid)``;
                           ``_np.add(sid, bits, sid)``;
@@ -29,25 +29,20 @@ indices is several times faster than multi-axis advanced indexing), and
 tile storage is padded to a power-of-two lane width so the comparison
 vector can be reinterpreted as a single integer per tile.
 
-Two temporary-buffer policies exist, selected by ``Schedule.scratch``:
-
-* ``"arena"`` (default): every step temporary is written into a
-  preallocated per-thread :class:`~repro.lir.memory.ScratchArena` buffer —
-  the NumPy substitute for the paper's generated SIMD loop keeping its
-  working set in registers and fixed buffers across walk steps. The
-  steady-state hot path allocates nothing, and emission is *dispatch-lean*
-  (DESIGN.md): at batch 1 a statement costs what Python spends reaching its
-  C body, so every statement is one direct C call. (R1) A gather is the
-  ``ndarray.take`` method with positional ``(indices, axis, out, 'clip')``,
-  never the ``np.take`` wrapper; ``'clip'`` skips NumPy's bounds-check
-  buffering, indices being in range by construction. (R2) Nothing
-  loop-invariant is built inside a step: scalar constants are lines of the
-  source's prelude, reinterpreted views (``cv``, ``bits``) are bound with
-  the other scratch views, ufunc ``out`` is positional. (R3) A full chunk
-  takes all its scratch views from one memoised lookup on the arena.
-* ``"alloc"``: the legacy emitter — a fresh temporary per op, written
-  ``thr = _np.take(g_th, idx, axis=0)`` … ``cmp = feat < thr`` — kept as
-  the benchmark/ablation reference and the oracle of ``arena == alloc``.
+Every step temporary is written into a preallocated per-thread
+:class:`~repro.lir.memory.ScratchArena` buffer — the NumPy substitute for
+the paper's generated SIMD loop keeping its working set in registers and
+fixed buffers across walk steps. The steady-state hot path allocates
+nothing, and emission is *dispatch-lean* (DESIGN.md): at batch 1 a
+statement costs what Python spends reaching its C body, so every statement
+is one direct C call. (R1) A gather is the ``ndarray.take`` method with
+positional ``(indices, axis, out, 'clip')``, never the ``np.take`` wrapper;
+``'clip'`` skips NumPy's bounds-check buffering, indices being in range by
+construction. (R2) Nothing loop-invariant is built inside a step: scalar
+constants are lines of the source's prelude, reinterpreted views (``cv``,
+``bits``) are bound with the other scratch views, ufunc ``out`` is
+positional. (R3) A full chunk takes all its scratch views from one memoised
+lookup on the arena.
 
 ``Schedule.precision`` specializes element widths: under ``"float32"`` the
 threshold/feature/leaf/one-hot buffers (and the input rows) are float32 and
@@ -95,7 +90,7 @@ import numpy as np
 from repro.config import PRECISION_TABLE
 from repro.errors import CodegenError
 from repro.lir.ir import LIRGroup, LIRModule
-from repro.lir.memory import ScratchArena, arena_spec, quant_mm_dtype
+from repro.lir.memory import LANE_VIEWS, ArenaSpec, ScratchArena, arena_spec, quant_mm_dtype
 from repro.mir.ir import chunk_width
 from repro.observe.profile import ProfileRecorder
 
@@ -131,39 +126,17 @@ class _IndentCtx:
         return False
 
 
-def _pack_bits_expr(width: int) -> str:
-    """Pack the bool comparison vector (last axis = ``width``, a power of
-    two) into integer predicate bits — the movemask analog.
+#: packBits for wide tiles (more than 8 lanes): no single integer holds the
+#: compare vector, so the bits come from a matmul against the powers of two
+#: ``p2`` (allocating; rare)
+_PACK_WIDE = "(cmp.astype(_np.uint32) @ p2).astype(_np.int64)"
 
-    The trick: a fresh bool array stores one byte per lane, so the last axis
-    can be reinterpreted as a single unsigned integer whose byte ``i`` is
-    lane ``i``'s outcome; one multiply gathers the bytes into the top byte
-    (LSB-first), one shift extracts them.
-    """
-    if width == 1:
-        return "cmp[..., 0]"
-    if width == 2:
-        return (
-            "(lambda v: (v | (v >> _np.uint16(7))) & _np.uint16(3))"
-            "(cmp.view(_np.uint16)[..., 0])"
-        )
-    if width == 4:
-        return (
-            "((cmp.view(_np.uint32)[..., 0] * _np.uint32(0x01020408)) "
-            ">> _np.uint32(24)) & _np.uint32(15)"
-        )
-    if width == 8:
-        return (
-            "((cmp.view(_np.uint64)[..., 0] * _np.uint64(0x0102040810204080)) "
-            ">> _np.uint64(56)).astype(_np.int64)"
-        )
-    # Wide tiles (>8): generic matmul fallback.
-    return "(cmp.astype(_np.uint32) @ p2).astype(_np.int64)"
-
-
-#: tile width -> the movemask's (multiplier, shift, mask); the arena emitter
-#: builds them once, as NumPy scalars of the width's unsigned dtype, in the
-#: generated source's prelude (``_pack_bits_expr`` spells them inline)
+#: tile width -> the movemask's (multiplier, shift, mask): a bool array
+#: stores one byte per lane, so ``cv`` reads a tile's compare vector as a
+#: single unsigned integer whose byte ``i`` is lane ``i``'s outcome; one
+#: multiply gathers the bytes into the top byte (LSB-first), one shift
+#: extracts them. The constants are built once, as NumPy scalars of the
+#: width's unsigned dtype, in the generated source's prelude.
 _PACK = {
     2: (None, "7", "3"),
     4: ("0x01020408", "24", "15"),
@@ -192,7 +165,7 @@ class _GroupEmitter:
     """Emits the chunked walk for one tree group."""
 
     def __init__(
-        self, e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, views: list[str]
+        self, e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, spec: ArenaSpec
     ) -> None:
         self.e = e
         self.lir = lir
@@ -203,11 +176,11 @@ class _GroupEmitter:
         self.width = self.layout.thresholds.shape[2]
         self.lut_cols = lir.lut.shape[1]
         self.has_dummy = lir.dummy_shape_id is not None
-        self.arena = lir.schedule.scratch == "arena"
+        self.spec = spec
         #: the arena's scratch-view locals in bind order, and how many of
         #: them a compaction step re-binds (the rest are full-chunk only)
-        self.views = views
-        self.step_views = views.index("idx") if views else 0
+        self.views = list(spec.scratch_views())
+        self.step_views = self.views.index("idx")
         self.profile = lir.schedule.profile
         # Number of LUT rows describing *real* tile shapes (the reserved
         # dummy row routes data-independently and is handled by masking).
@@ -223,10 +196,6 @@ class _GroupEmitter:
         the hot phase is being emitted (``g0_th`` vs ``g0_hth``)."""
         return f"{self.g}_{self.p}{name}"
 
-    def _needs_pack(self) -> bool:
-        single_shape = self.real_shapes == 1
-        return self.width in (2, 4, 8) and not (single_shape and self.width == 1)
-
     # -- profiling (Schedule.profile) ----------------------------------
     def prof(self, text: str) -> None:
         """Emit a profiling-counter statement — only under ``profile=True``.
@@ -239,21 +208,22 @@ class _GroupEmitter:
 
     def _scratch_bytes_per_elem(self, full: bool) -> int:
         """Bytes of arena views bound per working-set element (compile-time
-        constant, so the emitted increment is one multiply). Element and
-        feature-index widths come from the schedule precision table — the
-        same source of truth :func:`~repro.lir.memory.arena_spec` sizes
-        the arena from."""
-        info = PRECISION_TABLE[self.lir.schedule.precision]
-        fsize, isize = info.element_size, info.findex_size
-        per = self.width * (2 * fsize + isize + 1)      # thr, feat, fidx, cmp
-        if self.vec:
-            per += self.width * 8                       # gidx
-        per += 3 * 8                                    # ci, sid, base
-        if self._needs_pack():
-            per += self.width                           # pv (uint{W*8})
-        if full:
-            per += 8                                    # idx
-        return per
+        constant, so the emitted increment is one multiply): every distinct
+        buffer behind the views :meth:`ArenaSpec.scratch_views` declares
+        for a full chunk or a compaction step, at the spec's dtypes.
+        Aliases (``cv``/``bits``/``lidx``/``vals``) bind no new bytes."""
+        spec, per = self.spec, {}
+        for name, (attr, _) in spec.scratch_views().items():
+            if name == "idx" and not full:
+                break  # a compaction step re-binds the step temporaries only
+            # the buffer's element type, as ScratchArena allocates it
+            dtype = spec.findex_dtype if attr == "i0" else {
+                "f": spec.float_dtype, "c": "bool", "i": "int64",
+                "p": f"uint{attr[1:]}", "q": spec.mm_dtype,
+            }[attr[0]]
+            lanes = self.width if name in LANE_VIEWS else 1
+            per.setdefault(attr, lanes * np.dtype(dtype).itemsize)
+        return sum(per.values())
 
     # -- arena view management ----------------------------------------
     def bind_scratch(self, full: bool) -> None:
@@ -282,6 +252,10 @@ class _GroupEmitter:
     def eval_tile(self, idx: str, feat_index: str) -> None:
         """The evaluateTilePredicates sequence at flat tile indices ``idx``.
 
+        Every temporary lands in a preallocated buffer (``out`` passed
+        positionally), and nothing a step does not change — views, scalar
+        constants — is built here.
+
         Model-specific specialization (the compiler knows the tiled model
         statically): when every real tile in the model shares one shape,
         the shape load + full LUT lookup are elided — the LUT collapses to
@@ -291,61 +265,34 @@ class _GroupEmitter:
         forces their child index to 0 regardless of the speculative
         comparisons (which can be false for ``+inf`` inputs).
         """
-        if self.arena:
-            self._eval_tile_arena(idx, feat_index)
-            return
-        e = self.e
-        single_shape = self.real_shapes == 1
-        e.emit(f"thr = _np.take({self.buf('th')}, {idx}, axis=0)")    # loadThresholds
-        e.emit(f"fidx = _np.take({self.buf('fi')}, {idx}, axis=0)")   # loadFeatureIndices
-        e.emit(f"feat = _np.take({self._rowsrc()}, {feat_index})")  # gatherFeatures
-        e.emit("cmp = feat < thr")                          # vectorCompare
-        if single_shape and self.width == 1:
-            # packBits + lookupChildIndex folded into one arithmetic op.
-            e.emit("ci = 1 - cmp[..., 0]")
-            self._mask_dummies(idx)
-            return
-        e.emit(f"bits = {_pack_bits_expr(self.width)}")     # packBits
-        if single_shape:
-            e.emit("ci = _np.take(lut1, bits)")             # lookupChildIndex
-            self.prof(f"_C.lut_lookups += ({idx}).size")
-            self._mask_dummies(idx)
-            return
-        e.emit(f"sid = _np.take({self.buf('sid')}, {idx})")  # loadTileShape
-        e.emit(f"ci = _np.take(lut, sid * {self.lut_cols} + bits)")  # lookupChildIndex
-        self.prof(f"_C.lut_lookups += ({idx}).size")
-
-    def _eval_tile_arena(self, idx: str, feat_index: str) -> None:
-        """Arena realization of the same op sequence: every temporary lands
-        in a preallocated buffer (``out`` passed positionally), and nothing
-        a step does not change — views, scalar constants — is built here."""
         e, W = self.e, self.width
         single_shape = self.real_shapes == 1
-        self.take(self.buf("th"), idx, "thr", axis=0)
-        self.take(self.buf("fi"), idx, "fidx", axis=0)
-        if self.vec:
+        self.take(self.buf("th"), idx, "thr", axis=0)       # loadThresholds
+        self.take(self.buf("fi"), idx, "fidx", axis=0)      # loadFeatureIndices
+        if self.vec:                                        # gatherFeatures
             e.emit(f"_np.add({feat_index}, fidx, gidx)")
             self.take("rowsf", "gidx", "feat")
         else:
             self.take("row", "fidx", "feat")
-        e.emit("_np.less(feat, thr, cmp)")
+        e.emit("_np.less(feat, thr, cmp)")                  # vectorCompare
         if single_shape and W == 1:
+            # packBits + lookupChildIndex folded into one arithmetic op.
             e.emit("_np.subtract(1, bits, ci)")
-            self._mask_dummies_arena(idx)
+            self._mask_dummies(idx)
             return
-        self._emit_pack_arena()
+        self._emit_pack()                                   # packBits
         if single_shape:
-            self.take("lut1", "bits", "ci")
+            self.take("lut1", "bits", "ci")                 # lookupChildIndex
             self.prof(f"_C.lut_lookups += ({idx}).size")
-            self._mask_dummies_arena(idx)
+            self._mask_dummies(idx)
             return
-        self.take(self.buf("sid"), idx, "sid")
-        e.emit(f"_np.multiply(sid, {self.lut_cols}, sid)")
+        self.take(self.buf("sid"), idx, "sid")              # loadTileShape
+        e.emit(f"_np.multiply(sid, {self.lut_cols}, sid)")  # lookupChildIndex
         e.emit("_np.add(sid, bits, sid)")
         self.take("lut", "sid", "ci")
         self.prof(f"_C.lut_lookups += ({idx}).size")
 
-    def _emit_pack_arena(self) -> None:
+    def _emit_pack(self) -> None:
         """packBits: ``cv`` (the compare vector, one unsigned integer per
         tile) into ``pv``, a scratch of the same exact unsigned dtype — the
         movemask multiply relies on its wrap-around — with ``bits`` bound
@@ -355,8 +302,8 @@ class _GroupEmitter:
         are the ``_pm``/``_ps``/``_pk`` lines of the source prelude."""
         e, W = self.e, self.width
         if W not in _PACK:
-            if W > 1:  # wide tiles: generic matmul fallback, allocating (rare)
-                e.emit(f"bits = {_pack_bits_expr(W)}")
+            if W > 1:
+                e.emit(f"bits = {_PACK_WIDE}")
             return
         mult, _shift, mask = _PACK[W]
         if mult is not None:
@@ -371,28 +318,17 @@ class _GroupEmitter:
     def _mask_dummies(self, idx: str) -> None:
         """Zero the child index at dummy tiles (single-real-shape paths)."""
         if self.has_dummy:
-            self.e.emit(f"ci *= _np.take({self.buf('nd')}, {idx})")
-
-    def _mask_dummies_arena(self, idx: str) -> None:
-        if self.has_dummy:
             # `sid` is free here: single-real-shape paths never load shapes.
             self.take(self.buf("nd"), idx, "sid")
             self.e.emit("_np.multiply(ci, sid, ci)")
 
-    def _rowsrc(self) -> str:
-        return "rowsf" if self.vec else "row"
-
     def _feat_full(self) -> str:
         """Feature gather index for full (B, k) state."""
-        if self.arena:
-            return "rof" if self.vec else "fidx"
-        return "rof + fidx" if self.vec else "fidx"
+        return "rof" if self.vec else "fidx"
 
     def _feat_act(self) -> str:
         """Feature gather index for compacted active positions."""
-        if self.arena:
-            return "rof0[act_r][:, None]" if self.vec else "fidx"
-        return "rof0[act_r][:, None] + fidx" if self.vec else "fidx"
+        return "rof0[act_r][:, None]" if self.vec else "fidx"
 
     def _init_state(self) -> None:
         e = self.e
@@ -404,11 +340,30 @@ class _GroupEmitter:
             # pattern (out=, fancy assignment, rebinding) is view-safe.
             src = "hstate[:, c0:c0 + k]" if self.vec else "hstate[c0:c0 + k]"
             e.emit(f"state = {src}")
-        elif self.arena:
-            e.emit("state.fill(0)")
         else:
-            shape = "(B, k)" if self.vec else "(k,)"
-            e.emit(f"state = _np.zeros({shape}, dtype=_np.int64)")
+            e.emit("state.fill(0)")
+
+    def child_base(self) -> None:
+        """Sparse layout: load the evaluated tiles' child bases."""
+        self.take(self.buf("cb"), "idx", "base")
+
+    def advance(self) -> None:
+        """One check-free walk step of the whole chunk: evaluate the tiles
+        at ``state``, then the layout's advanceToChild arithmetic. Buffers
+        resolve through ``buf``, so the hot phase and the cold
+        unrolled/peeled steps emit from here alike."""
+        e = self.e
+        e.emit("_np.add(bofs, state, idx)")
+        self.eval_tile("idx", self._feat_full())
+        if self.layout.kind == "sparse":
+            self.child_base()
+            e.emit("_np.add(base, ci, state)")
+        else:
+            e.emit(f"_np.multiply(state, {self.layout.tile_size + 1}, state)")
+            e.emit("_np.add(state, ci, state)")
+            e.emit("_np.add(state, 1, state)")
+        self.prof("_C.walk_steps += idx.size")
+        e.emit()
 
     # -- hot prefix (Schedule(pgo=...)) --------------------------------
     def emit_hot(self, step: str) -> None:
@@ -423,66 +378,31 @@ class _GroupEmitter:
         """
         e, g, hot = self.e, self.g, self.hot
         nt = self.layout.num_trees
-        sparse = self.layout.kind == "sparse"
-        arity = self.layout.tile_size + 1
         e.emit(f"# hot prefix: {hot.depth} levels over {hot.tiles} tiles/lane")
-        if self.arena:
-            if self.vec:
-                e.emit(f"hstate = _A.hs[:B * {nt}].reshape(B, {nt})")
-            else:
-                e.emit(f"hstate = _A.hs[:{nt}]")
+        if self.vec:
+            e.emit(f"hstate = _A.hs[:B * {nt}].reshape(B, {nt})")
         else:
-            shape = f"(B, {nt})" if self.vec else f"({nt},)"
-            e.emit(f"hstate = _np.empty({shape}, dtype=_np.int64)")
+            e.emit(f"hstate = _A.hs[:{nt}]")
         self.p = "h"
         with e.block(f"for c0 in range(0, {nt}, {step}):"):
             e.emit(f"k = min({step}, {nt} - c0)")
             e.emit(f"bofs0 = {g}_hlaneT[c0:c0 + k]")
             e.emit("bofs = bofs0[None, :]" if self.vec else "bofs = bofs0")
-            if self.arena:
-                self.bind_scratch(full=True)
+            self.bind_scratch(full=True)
             src = "hstate[:, c0:c0 + k]" if self.vec else "hstate[c0:c0 + k]"
             e.emit(f"state = {src}")
-            e.emit("state.fill(0)" if self.arena else "state[...] = 0")
+            e.emit("state.fill(0)")
             for _ in range(hot.depth):
-                if self.arena:
-                    e.emit("_np.add(bofs, state, idx)")
-                    self.eval_tile("idx", self._feat_full())
-                    if sparse:
-                        self.take(self.buf("cb"), "idx", "base")
-                        e.emit("_np.add(base, ci, state)")
-                    else:
-                        e.emit(f"_np.multiply(state, {arity}, state)")
-                        e.emit("_np.add(state, ci, state)")
-                        e.emit("_np.add(state, 1, state)")
-                else:
-                    e.emit("idx = bofs + state")
-                    self.eval_tile("idx", self._feat_full())
-                    # write through: hstate must carry into the cold loop
-                    if sparse:
-                        e.emit(
-                            f"state[...] = _np.take({self.buf('cb')}, idx) + ci"
-                        )
-                    else:
-                        e.emit(f"state[...] = state * {arity} + ci + 1")
-                self.prof("_C.walk_steps += idx.size")
-                e.emit()
+                self.advance()
         self.p = ""
 
     # -- compaction loops (shared by both layouts) ----------------------
-    def _gather(self, buf: str, idx: str) -> str:
-        """Expression gathering ``buf`` at a freshly computed ``idx``."""
-        return f"{buf}.take({idx})" if self.arena else f"_np.take({buf}, {idx})"
-
     def _scan_active(self, alive: str) -> None:
         """Open a compaction loop: the positions where ``alive`` holds."""
         names, tail = ("act_r, act_l", "") if self.vec else ("act", "[0]")
-        if self.arena:
-            capacity = ", ".join(name.upper() for name in self.views)
-            self.e.emit(f"{capacity} = _A.cap")
-            self.e.emit(f"{names} = ({alive}).nonzero(){tail}")
-        else:
-            self.e.emit(f"{names} = _np.nonzero({alive}){tail}")
+        capacity = ", ".join(name.upper() for name in self.views)
+        self.e.emit(f"{capacity} = _A.cap")
+        self.e.emit(f"{names} = ({alive}).nonzero(){tail}")
 
     def _compact_step(self) -> None:
         """Head of one compaction-loop iteration: gather the active walks'
@@ -492,9 +412,8 @@ class _GroupEmitter:
         act = "act_r" if self.vec else "act"
         self.prof(f"_C.walk_steps += {act}.size")
         self.prof("_C.loop_iterations += 1")
-        if self.arena:
-            e.emit(f"_n = {act}.size")
-            self.bind_scratch(full=False)
+        e.emit(f"_n = {act}.size")
+        self.bind_scratch(full=False)
         if self.vec:
             e.emit("t = state[act_r, act_l]")
             e.emit("idx = bofs0[act_l] + t")
@@ -507,58 +426,31 @@ class _GroupEmitter:
     # -- sparse layout -------------------------------------------------
     def sparse_walk(self) -> None:
         e, g = self.e, self.g
-        arena = self.arena
         walk = self.group.walk
         # Levels already walked by the hot phase; straight-line cold styles
         # emit that many fewer steps (guarded loops terminate by state).
         hot_done = self.hot.depth if self.hot is not None else 0
-        if arena:
-            self.bind_scratch(full=True)
+        self.bind_scratch(full=True)
         self._init_state()
-
-        def child_base() -> None:
-            if arena:
-                self.take(f"{g}_cb", "idx", "base")
-            else:
-                e.emit(f"base = _np.take({g}_cb, idx)")
-
-        def advance() -> None:
-            if arena:
-                e.emit("_np.add(bofs, state, idx)")
-                self.eval_tile("idx", self._feat_full())
-                child_base()
-                e.emit("_np.add(base, ci, state)")
-            else:
-                e.emit("idx = bofs + state")
-                self.eval_tile("idx", self._feat_full())
-                e.emit(f"state = _np.take({g}_cb, idx) + ci")    # advanceToChild
-            self.prof("_C.walk_steps += idx.size")
-            e.emit()
 
         if walk.style == "unrolled":
             for _ in range(walk.depth - 1 - hot_done):
-                advance()
+                self.advance()
             # Final step: uniform depth guarantees the leaves array.
-            if arena:
-                e.emit("_np.add(bofs, state, idx)")
-                self.eval_tile("idx", self._feat_full())
-                child_base()
-                e.emit("_np.subtract(lofs, base, base)")
-                e.emit("_np.subtract(base, 1, base)")
-                e.emit("_np.add(base, ci, base)")
-                self.take(f"{g}_lv", "base", "vals")
-            else:
-                e.emit("idx = bofs + state")
-                self.eval_tile("idx", self._feat_full())
-                child_base()
-                e.emit(f"vals = _np.take({g}_lv, lofs - base - 1 + ci)")
+            e.emit("_np.add(bofs, state, idx)")
+            self.eval_tile("idx", self._feat_full())
+            self.child_base()
+            e.emit("_np.subtract(lofs, base, base)")
+            e.emit("_np.subtract(base, 1, base)")
+            e.emit("_np.add(base, ci, base)")
+            self.take(f"{g}_lv", "base", "vals")
             self.prof("_C.walk_steps += idx.size")
             self.prof(f"_C.unrolled_steps += {walk.depth - hot_done}")
             return
 
         if walk.style == "peeled":
             for _ in range(walk.peel - hot_done):
-                advance()
+                self.advance()
             if walk.peel - hot_done > 0:
                 self.prof(f"_C.peeled_steps += {walk.peel - hot_done}")
 
@@ -572,26 +464,18 @@ class _GroupEmitter:
                 self.prof("_C.walk_steps += _pa")
                 self.prof("_C.rows_masked += alive.size - _pa")
                 self.prof("_C.loop_iterations += 1")
-                if arena:
-                    e.emit("_np.multiply(state, alive, t)")
-                    e.emit("_np.add(bofs, t, idx)")
-                else:
-                    e.emit("t = _np.where(alive, state, 0)")
-                    e.emit("idx = bofs + t")
+                e.emit("_np.multiply(state, alive, t)")
+                e.emit("_np.add(bofs, t, idx)")
                 self.eval_tile("idx", self._feat_full())
-                child_base()
+                self.child_base()
                 e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
-                if arena:
-                    e.emit("_np.copyto(state, nxt, where=alive)")
-                    e.emit("_np.greater_equal(state, 0, alive)")
-                else:
-                    e.emit("state = _np.where(alive, nxt, state)")
-                    e.emit("alive = state >= 0")
+                e.emit("_np.copyto(state, nxt, where=alive)")
+                e.emit("_np.greater_equal(state, 0, alive)")
         else:
             self._scan_active("state >= 0")
             with e.block("while act_r.size:" if self.vec else "while act.size:"):
                 self._compact_step()
-                child_base()
+                self.child_base()
                 e.emit("nxt = _np.where(base >= 0, base + ci, base - ci)")
                 if self.vec:
                     e.emit("state[act_r, act_l] = nxt")
@@ -601,114 +485,80 @@ class _GroupEmitter:
                 else:
                     e.emit("state[act] = nxt")
                     e.emit("act = act[nxt >= 0]")
-        if arena:
-            e.emit("_np.subtract(lofs, state, lidx)")
-            e.emit("_np.subtract(lidx, 1, lidx)")
-            self.take(f"{g}_lv", "lidx", "vals")
-        else:
-            e.emit(f"vals = _np.take({g}_lv, lofs - state - 1)")
+        e.emit("_np.subtract(lofs, state, lidx)")
+        e.emit("_np.subtract(lidx, 1, lidx)")
+        self.take(f"{g}_lv", "lidx", "vals")
 
     # -- array layout ----------------------------------------------------
     def array_walk(self) -> None:
         e, g = self.e, self.g
-        arena = self.arena
         walk = self.group.walk
         arity = self.layout.tile_size + 1
         hot_done = self.hot.depth if self.hot is not None else 0
-        if arena:
-            self.bind_scratch(full=True)
+        self.bind_scratch(full=True)
         self._init_state()
 
-        def advance() -> None:
-            if arena:
-                e.emit("_np.add(bofs, state, idx)")
-                self.eval_tile("idx", self._feat_full())
-                e.emit(f"_np.multiply(state, {arity}, state)")
-                e.emit("_np.add(state, ci, state)")
-                e.emit("_np.add(state, 1, state)")
-            else:
-                e.emit("idx = bofs + state")
-                self.eval_tile("idx", self._feat_full())
-                e.emit(f"state = state * {arity} + ci + 1")
-            self.prof("_C.walk_steps += idx.size")
-            e.emit()
-
         def final_vals() -> None:
-            if arena:
-                e.emit("_np.add(bofs, state, lidx)")
-                self.take(f"{g}_lv", "lidx", "vals")
-            else:
-                e.emit(f"vals = _np.take({g}_lv, bofs + state)")
+            e.emit("_np.add(bofs, state, lidx)")
+            self.take(f"{g}_lv", "lidx", "vals")
 
         if walk.style == "unrolled":
             for _ in range(walk.depth - hot_done):
-                advance()
+                self.advance()
             self.prof(f"_C.unrolled_steps += {walk.depth - hot_done}")
             final_vals()
             return
 
         if walk.style == "peeled":
             for _ in range(walk.peel - hot_done):
-                advance()
+                self.advance()
             if walk.peel - hot_done > 0:
                 self.prof(f"_C.peeled_steps += {walk.peel - hot_done}")
 
         if not self.lir.schedule.compact_walks:
             # Ablation path: masked loop (see the sparse variant).
-            if arena:
-                e.emit("_np.add(bofs, state, idx)")
-                e.emit(f"alive = {g}_sid.take(idx) >= 0")
-            else:
-                e.emit(f"alive = _np.take({g}_sid, bofs + state) >= 0")
+            e.emit("_np.add(bofs, state, idx)")
+            e.emit(f"alive = {g}_sid.take(idx) >= 0")
             with e.block("while alive.any():"):
                 self.prof("_pa = int(alive.sum())")
                 self.prof("_C.walk_steps += _pa")
                 self.prof("_C.rows_masked += alive.size - _pa")
                 self.prof("_C.loop_iterations += 1")
-                if arena:
-                    e.emit("_np.multiply(state, alive, t)")
-                    e.emit("_np.add(bofs, t, idx)")
-                    self.eval_tile("idx", self._feat_full())
-                    e.emit(f"_np.multiply(t, {arity}, base)")
-                    e.emit("_np.add(base, ci, base)")
-                    e.emit("_np.add(base, 1, base)")
-                    e.emit("_np.copyto(state, base, where=alive)")
-                    e.emit("_np.add(bofs, state, idx)")
-                    self.take(f"{g}_sid", "idx", "t")
-                    e.emit("_np.greater_equal(t, 0, alive)")
-                else:
-                    e.emit("t = _np.where(alive, state, 0)")
-                    e.emit("idx = bofs + t")
-                    self.eval_tile("idx", self._feat_full())
-                    e.emit(f"nxt = t * {arity} + ci + 1")
-                    e.emit("state = _np.where(alive, nxt, state)")
-                    e.emit(f"alive = _np.take({g}_sid, bofs + state) >= 0")
+                e.emit("_np.multiply(state, alive, t)")
+                e.emit("_np.add(bofs, t, idx)")
+                self.eval_tile("idx", self._feat_full())
+                e.emit(f"_np.multiply(t, {arity}, base)")
+                e.emit("_np.add(base, ci, base)")
+                e.emit("_np.add(base, 1, base)")
+                e.emit("_np.copyto(state, base, where=alive)")
+                e.emit("_np.add(bofs, state, idx)")
+                self.take(f"{g}_sid", "idx", "t")
+                e.emit("_np.greater_equal(t, 0, alive)")
             final_vals()
             return
 
-        self._scan_active(self._gather(f"{g}_sid", "bofs + state") + " >= 0")
+        self._scan_active(f"{g}_sid.take(bofs + state) >= 0")
         with e.block("while act_r.size:" if self.vec else "while act.size:"):
             self._compact_step()
             e.emit(f"nxt = t * {arity} + ci + 1")
             if self.vec:
                 e.emit("state[act_r, act_l] = nxt")
-                e.emit(f"keep = {self._gather(f'{g}_sid', 'bofs0[act_l] + nxt')} >= 0")
+                e.emit(f"keep = {g}_sid.take(bofs0[act_l] + nxt) >= 0")
                 e.emit("act_r = act_r[keep]")
                 e.emit("act_l = act_l[keep]")
             else:
                 e.emit("state[act] = nxt")
-                e.emit(f"act = act[{self._gather(f'{g}_sid', 'bofs[act] + nxt')} >= 0]")
+                e.emit(f"act = act[{g}_sid.take(bofs[act] + nxt) >= 0]")
         final_vals()
 
 
 def _emit_group(
-    e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target: str, views: list[str]
+    e: _Emitter, lir: LIRModule, group: LIRGroup, vec: bool, target: str, spec: ArenaSpec
 ) -> None:
     """Emit the tree-chunk loop + walk + accumulation for one group;
-    ``views`` names the arena's scratch-view locals (empty in alloc mode)."""
+    ``spec`` declares the arena's scratch views."""
     g = f"g{group.group_id}"
     layout = group.layout
-    arena = lir.schedule.scratch == "arena"
     if group.trivial:
         # Depth-0 group: every member tree is a single leaf; its contribution
         # is a per-class constant folded at compile time.
@@ -720,7 +570,7 @@ def _emit_group(
     width = max(1, group.walk.width)
     num_trees = layout.num_trees
     budget = lir.lane_budget(group.group_id)
-    ge = _GroupEmitter(e, lir, group, vec, views)
+    ge = _GroupEmitter(e, lir, group, vec, spec)
     e.emit(f"# group {group.group_id}: {num_trees} trees, {layout.kind} layout, "
            f"{group.walk.describe()}")
     step = _chunk_step(e, vec, width, num_trees, budget)
@@ -738,11 +588,8 @@ def _emit_group(
             ge.array_walk()
 
         def accumulate(vals: str, onehot: str) -> None:
-            if arena:
-                e.emit(f"_np.matmul({vals}, {onehot}, mm)")
-                e.emit(f"_np.add({target}, mm, {target})")
-            else:
-                e.emit(f"{target} += {vals} @ {onehot}")
+            e.emit(f"_np.matmul({vals}, {onehot}, mm)")
+            e.emit(f"_np.add({target}, mm, {target})")
 
         if budget:
             # A wide chunk still sums leaves `width` trees at a time, at the
@@ -766,20 +613,17 @@ def emit_module_source(lir: LIRModule) -> str:
     ``rows`` is a C-contiguous ``(B, F)`` batch in the schedule's precision
     dtype; ``out`` a ``(B, num_classes)`` float64 accumulator pre-filled by
     the caller with the base score; ``arena`` the caller's per-thread
-    :class:`~repro.lir.memory.ScratchArena` (arena-mode kernels build a
+    :class:`~repro.lir.memory.ScratchArena` (the kernel builds a
     transient one when omitted). Model buffers resolve from the JIT
     namespace.
     """
     e = _Emitter()
     one_row = lir.mir.loop_order == "one-row"
-    arena = lir.schedule.scratch == "arena"
     quant = lir.quant
     F, C = lir.num_features, lir.num_classes
     e.emit('"""Generated by repro.backend.codegen — do not edit."""')
-    views, width = [], 0
-    if arena:
-        spec = arena_spec(lir)
-        views, width = list(spec.scratch_views()), spec.lane_width
+    spec = arena_spec(lir)
+    width = spec.lane_width
     # Movemask constants, built once when the source is executed: as source
     # lines they need no entry in an AOT or shm manifest.
     for name, value in zip(("_pm", "_ps", "_pk"), _PACK.get(width, ())):
@@ -794,51 +638,42 @@ def emit_module_source(lir: LIRModule) -> str:
             e.emit("_C = _P.local()")
             e.emit("_C.kernel_calls += 1")
             e.emit("_C.rows += B")
-        if arena:
-            with e.block("if arena is None:"):
-                e.emit("arena = _new_arena()")
-            e.emit("_A = arena")
-            # A warmed call enters no Python frame: `ensure` only to (re)grow.
-            fits = "_A.cap_rows" if one_row else "0 < B <= _A.cap_rows"
-            with e.block(f"if not {fits}:"):
-                e.emit("_A.ensure(B)")
+        with e.block("if arena is None:"):
+            e.emit("arena = _new_arena()")
+        e.emit("_A = arena")
+        # A warmed call enters no Python frame: `ensure` only to (re)grow.
+        fits = "_A.cap_rows" if one_row else "0 < B <= _A.cap_rows"
+        with e.block(f"if not {fits}:"):
+            e.emit("_A.ensure(B)")
         if quant is not None:
             # Input pre-quantization prologue: one searchsorted against the
             # per-feature cut table turns each float column into rank codes
             # once per batch; the walk below is integer-only after this.
-            if arena and not one_row:
-                e.emit(f"qrows = _A.qr[:B * {F}].reshape(B, {F})")
-            else:
+            if one_row:
                 e.emit(f"qrows = _np.empty((B, {F}), dtype=_np.{quant.dtype})")
+            else:
+                e.emit(f"qrows = _A.qr[:B * {F}].reshape(B, {F})")
             with e.block(f"for f in range({F}):"):
-                cuts = "_qc[_qo[f]:_qo[f + 1]]"
                 e.emit(
-                    f"qrows[:, f] = {cuts}.searchsorted(rows[:, f], 'right')"
-                    if arena else
-                    f"qrows[:, f] = _np.searchsorted({cuts}, rows[:, f], side='right')"
+                    "qrows[:, f] = _qc[_qo[f]:_qo[f + 1]]"
+                    ".searchsorted(rows[:, f], 'right')"
                 )
         if not one_row:
             e.emit("rowsf = qrows.reshape(-1)" if quant is not None
                    else "rowsf = rows.reshape(-1)")
-            if arena:
-                e.emit("rof0 = _A.rof0[:B]")
-            else:
-                e.emit(f"rof0 = _np.arange(B, dtype=_np.int64) * {lir.num_features}")
+            e.emit("rof0 = _A.rof0[:B]")
             e.emit("rof = rof0[:, None, None]")
             if quant is not None:
                 # Leaf codes accumulate exactly in float64 (integral sums
                 # of T trees of |code| <= qmax sit far below 2**53); one
                 # rescale at the boundary below.
-                if arena:
-                    e.emit(f"qacc = _A.qa[:B * {C}].reshape(B, {C})")
-                    e.emit("qacc.fill(0)")
-                else:
-                    e.emit(f"qacc = _np.zeros((B, {C}))")
+                e.emit(f"qacc = _A.qa[:B * {C}].reshape(B, {C})")
+                e.emit("qacc.fill(0)")
             e.emit()
             for group in lir.groups:
                 _emit_group(
                     e, lir, group, vec=True,
-                    target="out" if quant is None else "qacc", views=views,
+                    target="out" if quant is None else "qacc", spec=spec,
                 )
         else:
             if quant is not None:
@@ -847,7 +682,7 @@ def emit_module_source(lir: LIRModule) -> str:
                 e.emit("row = qrows[i]" if quant is not None else "row = rows[i]")
                 e.emit("acc = qacc[i]" if quant is not None else "acc = out[i]")
                 for group in lir.groups:
-                    _emit_group(e, lir, group, vec=False, target="acc", views=views)
+                    _emit_group(e, lir, group, vec=False, target="acc", spec=spec)
         if quant is not None:
             e.emit("out += qacc * _qs")
         e.emit("return out")
@@ -863,9 +698,8 @@ def build_namespace(lir: LIRModule, profile_recorder: ProfileRecorder | None = N
     ``shape_id * row_length + bits``. Under ``precision="float32"`` the
     threshold/leaf/one-hot buffers narrow to float32 and feature indices to
     int32, halving their footprint and memory traffic; index math that
-    feeds ``np.take`` stays int64 (its fast path). Arena-mode modules also
-    get ``_new_arena``, the fallback scratch factory for direct kernel
-    calls.
+    feeds ``np.take`` stays int64 (its fast path). ``_new_arena`` is the
+    fallback scratch factory for direct kernel calls.
     """
     info = PRECISION_TABLE[lir.schedule.precision]
     fdt = np.dtype(info.element_dtype)
@@ -879,9 +713,8 @@ def build_namespace(lir: LIRModule, profile_recorder: ProfileRecorder | None = N
         ns["_qc"] = np.ascontiguousarray(quant.cuts, dtype=np.float64)
         ns["_qo"] = np.ascontiguousarray(quant.cut_offsets, dtype=np.int64)
         ns["_qs"] = np.asarray(quant.leaf_scale, dtype=np.float64)
-    if lir.schedule.scratch == "arena":
-        spec = arena_spec(lir)
-        ns["_new_arena"] = lambda spec=spec: ScratchArena(spec)
+    spec = arena_spec(lir)
+    ns["_new_arena"] = lambda: ScratchArena(spec)
     if lir.schedule.profile:
         # The kernel's `_C = _P.local()` resolves against this recorder. An
         # externally owned recorder (the predictor's) is bound as a weak

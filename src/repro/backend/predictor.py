@@ -16,8 +16,8 @@ Two layers live here:
   the introspection hooks used heavily by the tests and experiments
   (generated source, LIR dump, buffer footprints).
 
-Arena-mode kernels (``Schedule.scratch == "arena"``) write their walk-step
-temporaries into a preallocated :class:`~repro.lir.memory.ScratchArena`.
+Kernels write their walk-step temporaries into a preallocated
+:class:`~repro.lir.memory.ScratchArena`.
 The executor owns one arena *per thread* (created lazily in thread-local
 storage), so parallel row blocks never share scratch; the weak registry
 behind :meth:`KernelExecutor.scratch_nbytes` tracks every live arena for
@@ -59,7 +59,7 @@ class KernelExecutor:
         base_score: float,
         objective: str = "regression",
         validate_inputs: bool = True,
-        arena: ArenaSpec | None = None,
+        arena: ArenaSpec,
         source: str = "",
     ) -> None:
         self.kernel = kernel
@@ -104,10 +104,8 @@ class KernelExecutor:
     def _alloc_out(self, n: int) -> np.ndarray:
         return np.full((n, self.num_classes), self.base_score, dtype=np.float64)
 
-    def _arena(self) -> ScratchArena | None:
-        """This thread's scratch arena (lazily created), or None in alloc mode."""
-        if self.arena_spec is None:
-            return None
+    def _arena(self) -> ScratchArena:
+        """This thread's scratch arena (lazily created)."""
         arena = getattr(self._tls, "arena", None)
         if arena is None:
             arena = ScratchArena(self.arena_spec)
@@ -161,8 +159,8 @@ class KernelExecutor:
     def scratch_nbytes(self) -> int:
         """Materialized scratch-arena footprint across all owning threads.
 
-        Zero for alloc-mode schedules and for arena-mode executors that
-        have not run yet (arenas are created lazily per thread).
+        Zero for executors that have not run yet (arenas are created
+        lazily per thread).
         """
         with self._arenas_lock:
             return sum(arena.nbytes() for arena in self._arenas)
@@ -202,7 +200,7 @@ class Predictor(KernelExecutor):
             base_score=lir.base_score,
             objective=forest.objective,
             validate_inputs=validate_inputs,
-            arena=arena_spec(lir) if lir.schedule.scratch == "arena" else None,
+            arena=arena_spec(lir),
             source=source,
         )
         self._fingerprint: str | None = None

@@ -52,8 +52,8 @@ class Backend:
     """Interface one code-generation target implements.
 
     A backend receives the *fully lowered* module — every schedule decision
-    (tiling, layout, interleave, precision, scratch policy) is already
-    baked into the LIR — and returns an executor with the
+    (tiling, layout, interleave, precision) is already baked into the
+    LIR — and returns an executor with the
     :class:`~repro.backend.predictor.Predictor` surface: ``raw_predict`` /
     ``predict`` with an optional ``threads`` override, ``schedule``,
     ``fingerprint``, ``memory_bytes``. Backends must be stateless and

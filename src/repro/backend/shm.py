@@ -145,7 +145,7 @@ def export_shared(predictor: Predictor, *, name_prefix: str = "repro") -> Shared
             "objective": predictor.forest.objective,
             "num_trees": predictor.forest.num_trees,
         },
-        "arena": asdict(predictor.arena_spec) if predictor.arena_spec else None,
+        "arena": asdict(predictor.arena_spec),
         "buffers": buffers,
     }
     return SharedModelHandle(manifest, segments)
@@ -168,17 +168,13 @@ class SharedMemoryPredictor(KernelExecutor):
         kernel,
         schedule: Schedule,
         manifest: dict,
+        arena: ArenaSpec,
         segments: list[shared_memory.SharedMemory],
         source: str,
         validate_inputs: bool = True,
         profile_recorder: ProfileRecorder | None = None,
     ) -> None:
         model = manifest["model"]
-        arena = None
-        if manifest.get("arena"):
-            spec = dict(manifest["arena"])
-            spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-            arena = ArenaSpec(**spec)
         super().__init__(
             kernel,
             schedule,
@@ -225,8 +221,8 @@ def attach_shared(
 
     Rebuilds the JIT namespace from zero-copy, read-only views over the
     named segments and byte-compiles the stored kernel source against it.
-    Raises :class:`~repro.errors.BackendError` if a segment is gone or a
-    buffer does not match its manifest entry.
+    Raises :class:`~repro.errors.BackendError` if the manifest has no arena
+    spec, a segment is gone or a buffer does not match its manifest entry.
 
     ``untrack`` matters only for processes with their *own* resource
     tracker (spawn-started workers, unrelated processes): there, Python's
@@ -237,8 +233,11 @@ def attach_shared(
     must leave ``untrack=False``, or they would cancel the registration
     that lets the tracker reap the segments if the exporter crashes.
     """
+    if not manifest.get("arena"):
+        raise BackendError("shared-model manifest has no arena spec")
+    arena = ArenaSpec.from_manifest(manifest["arena"])
     segments: list[shared_memory.SharedMemory] = []
-    namespace: dict = {"_np": np}
+    namespace: dict = {"_np": np, "_new_arena": lambda: ScratchArena(arena)}
     try:
         for buf_name, meta in manifest["buffers"].items():
             try:
@@ -273,11 +272,6 @@ def attach_shared(
         raise
 
     schedule = Schedule.from_dict(manifest["schedule"])
-    if manifest.get("arena"):
-        spec = dict(manifest["arena"])
-        spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-        arena = ArenaSpec(**spec)
-        namespace["_new_arena"] = lambda spec=arena: ScratchArena(spec)
     recorder = None
     if schedule.profile:
         recorder = ProfileRecorder(label=f"shm-{manifest['fingerprint'][:8]}")
@@ -290,6 +284,7 @@ def attach_shared(
         kernel,
         schedule,
         manifest,
+        arena,
         segments,
         manifest["source"],
         validate_inputs=validate_inputs,

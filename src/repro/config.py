@@ -19,7 +19,13 @@ TILINGS = ("basic", "probability", "hybrid", "optimal")
 LOOP_ORDERS = ("one-tree", "one-row")
 LAYOUTS = ("array", "sparse")
 TRAVERSALS = ("tiled", "quickscorer")
-SCRATCH_MODES = ("arena", "alloc")
+#: retired field -> (the only value a persisted schedule may still carry
+#: for it, why every other value is refused); see :meth:`Schedule.from_dict`
+_RETIRED_FIELDS = {
+    # every kernel now writes its walk-step temporaries into a preallocated
+    # per-thread scratch arena
+    "scratch": ("arena", "the fresh-temporary (alloc) emitter was retired"),
+}
 
 
 @dataclass(frozen=True)
@@ -157,13 +163,6 @@ class Schedule:
     #: one per-forest scale, so the whole walk runs on integer compares and
     #: integer gathers with a single rescale at the boundary.
     precision: str = "float64"
-    #: temporary-buffer policy of the emitted kernel: ``"arena"`` writes
-    #: every walk-step temporary into a preallocated per-thread scratch
-    #: arena via ``out=`` (the register/fixed-buffer residency of the
-    #: paper's generated SIMD loop); ``"alloc"`` emits the legacy
-    #: fresh-temporary-per-op statements (kept as an ablation/benchmark
-    #: reference).
-    scratch: str = "arena"
     #: compile kernel profiling counters *into* the generated source (walk
     #: steps, LUT lookups, masked lanes, scratch bytes — see
     #: :mod:`repro.observe.profile`). Off by default: with ``False`` the
@@ -233,8 +232,6 @@ class Schedule:
             raise ScheduleError(f"traversal must be one of {TRAVERSALS}")
         if self.precision not in PRECISIONS:
             raise ScheduleError(f"precision must be one of {PRECISIONS}")
-        if self.scratch not in SCRATCH_MODES:
-            raise ScheduleError(f"scratch must be one of {SCRATCH_MODES}")
         if not isinstance(self.backend, str) or not self.backend:
             raise ScheduleError(
                 f"backend must be a non-empty string, got {self.backend!r}"
@@ -289,8 +286,16 @@ class Schedule:
 
         Unknown keys raise :class:`ScheduleError` — a persisted schedule
         written by a different version of the knob set must be discarded,
-        not silently reinterpreted.
+        not silently reinterpreted. A retired field (``_RETIRED_FIELDS``)
+        is dropped when it carries its one surviving value — that names the
+        behaviour every schedule now has — and rejected otherwise.
         """
+        data = dict(data)
+        for name, (accepted, why) in _RETIRED_FIELDS.items():
+            if data.pop(name, accepted) != accepted:
+                raise ScheduleError(
+                    f"schedule field {name!r} only loads as {accepted!r}: {why}"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -218,6 +218,15 @@ class ArenaSpec:
     max_group: int = 0
     lane_budget: int = 0
 
+    @classmethod
+    def from_manifest(cls, data: dict) -> "ArenaSpec":
+        """Rebuild the spec an AOT or shared-memory manifest stores as
+        ``dataclasses.asdict`` output (JSON turns ``pack_widths`` into a
+        list)."""
+        spec = dict(data)
+        spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
+        return cls(**spec)
+
     @property
     def lane_width(self) -> int:
         """Padded tile lanes per ``(row, tree)`` element (one per module)."""

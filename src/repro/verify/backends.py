@@ -50,14 +50,15 @@ BACKEND_SWEEP_CONFIG = {
 
 #: reduced Table-II schedule set: the paper default, the scalar baseline,
 #: and the corners that stress distinct codegen paths (array layout +
-#: float32, hybrid tiling, scratch arena off, one-row loop order)
+#: float32, hybrid tiling, the widened interleave-2 loop, one-row loop
+#: order)
 _SWEEP_SCHEDULES = (
     {},
     {"tile_size": 1, "tiling": "basic", "pad_and_unroll": False,
      "peel_walk": False, "interleave": 1, "layout": "array"},
     {"tile_size": 4, "layout": "array", "precision": "float32"},
     {"tiling": "hybrid", "alpha": 0.075},
-    {"scratch": "alloc", "interleave": 2},
+    {"interleave": 2},
     {"loop_order": "one-row", "tile_size": 2},
 )
 

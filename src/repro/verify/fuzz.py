@@ -2,9 +2,9 @@
 
 Each fuzz case samples a random forest, a random point of the Table-II
 schedule grid (all four precisions including the quantized int16/int8
-modes, both layouts, both scratch modes, the interleave/peel/pad axes,
-row blocking, parallel degree) and compiles it with
-``Schedule(verify=True)`` so every structural verifier runs. The
+modes, both layouts, the interleave/peel/pad axes, row blocking, parallel
+degree) and compiles it with ``Schedule(verify=True)`` so every
+structural verifier runs. The
 compiled kernel is then driven with a corpus of adversarial batches —
 ±inf features, values exactly equal to thresholds, float32 boundary
 values, denormals, empty/1-row/large batches, non-contiguous and
@@ -58,7 +58,6 @@ _SCHEDULE_SIMPLIFICATIONS = (
     ("pad_and_unroll", False),
     ("peel_walk", False),
     ("reorder", False),
-    ("scratch", "alloc"),
     ("compact_walks", True),
     ("profile", False),
     ("pgo", None),
@@ -147,7 +146,6 @@ def sample_schedule(rng: np.random.Generator) -> Schedule:
         precision=str(
             rng.choice(["float64", "float64", "float32", "int16", "int8"])
         ),
-        scratch=str(rng.choice(["arena", "alloc"])),
         # Profiling instrumentation must be output-invariant too.
         profile=bool(rng.integers(4) == 0),
         # Hot/cold splitting must be output-invariant, so the fuzzer
@@ -467,7 +465,7 @@ def load_repro(path: str) -> tuple[Forest, Schedule, np.ndarray]:
     with open(path) as fh:
         payload = json.load(fh)
     forest = Forest.from_dict(payload["forest"])
-    schedule = Schedule(**payload["schedule"])
+    schedule = Schedule.from_dict(payload["schedule"])
     rows = np.asarray(payload["rows"], dtype=np.float64)
     return forest, schedule, rows
 

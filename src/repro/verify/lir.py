@@ -20,7 +20,7 @@ MIR→LIR lowering are supposed to guarantee about the flattened buffers):
   never land on an :data:`EMPTY_SLOT`;
 * **numeric sanity**: no NaN thresholds (padding uses ``+inf``), feature
   indices inside ``[0, num_features)``;
-* **scratch adequacy**: under ``scratch="arena"`` the compile-time
+* **scratch adequacy**: the compile-time
   :func:`~repro.lir.memory.arena_spec` extents cover every temporary the
   kernel will bind (lane width ``k·width`` and chunk width ``k`` per
   non-trivial group, plus each needed movemask width), at every batch size
@@ -484,8 +484,7 @@ def verify_lir_module(lir: LIRModule) -> dict:
             f"nest's groups {sorted(mir_groups)}"
         )
 
-    if lir.schedule.scratch == "arena":
-        _verify_arena(lir)
+    _verify_arena(lir)
 
     stats = {
         "groups_checked": len(lir.groups),

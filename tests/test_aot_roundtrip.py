@@ -14,6 +14,7 @@ and writes an ``.npz`` the parent compares against in-process results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -34,8 +35,8 @@ from repro.errors import ArtifactError
 from repro.verify.fuzz import random_fuzz_forest
 
 #: reduced Table-II grid: every axis that changes the generated kernel
-#: (tile size, tiling, layout, precision, loop order, interleave/pad/peel,
-#: scratch policy) is exercised by at least one point
+#: (tile size, tiling, layout, precision, loop order, interleave/pad/peel)
+#: is exercised by at least one point
 GRID = [
     Schedule(),
     Schedule.scalar_baseline(),
@@ -43,11 +44,11 @@ GRID = [
     Schedule(tile_size=4, layout="array", precision="float32"),
     Schedule(tile_size=8, tiling="hybrid", alpha=0.075, interleave=8),
     Schedule(loop_order="one-row", tile_size=2, interleave=2),
-    Schedule(scratch="alloc", pad_and_unroll=False),
+    Schedule(pad_and_unroll=False),
     Schedule(profile=True),
     Schedule(precision="int16"),
     Schedule(precision="int8", tile_size=4, layout="array"),
-    Schedule(precision="int8", loop_order="one-row", scratch="alloc"),
+    Schedule(precision="int8", loop_order="one-row"),
 ]
 
 
@@ -108,12 +109,15 @@ def test_artifact_exported_before_lean_emission_still_loads(forest, rows):
     flat buffers by name (``_A.f0[:n].reshape(...)``, ``arena.ensure(B)``)
     and spells its movemask constants inline. The format version did not
     move, so it must load and agree bitwise with today's compile of the same
-    forest (the fixture of this module, int8 with a guarded loop)."""
+    forest (the fixture of this module, int8 with a guarded loop). Its
+    ``schedule.json`` still carries the retired ``"scratch": "arena"``
+    entry, and its manifest fingerprint hashed that token: the schedule
+    must come back equal, the fingerprint is no longer comparable."""
     loaded = load_artifact(Path(__file__).parent / "data" / "aot_pr14")
     assert "_A.f0[:" in loaded.source and "_np.take(" in loaded.source
+    assert loaded.schedule == Schedule(precision="int8", pad_and_unroll=False, pgo=2)
     predictor = compile_model(forest, loaded.schedule)
     assert "_A.f0[:" not in predictor.source
-    assert loaded.fingerprint == predictor.fingerprint
     for batch in (1, 7, 65):
         np.testing.assert_array_equal(
             loaded.raw_predict(rows[:batch]), predictor.raw_predict(rows[:batch])
@@ -222,6 +226,38 @@ def test_missing_buffer_rejected(artifact):
     buffers = sorted((artifact / "buffers").glob("*.npy"))
     buffers[0].unlink()
     with pytest.raises(ArtifactError, match="missing"):
+        load_artifact(artifact)
+
+
+def _rewrite_schedule(artifact, **updates):
+    """Edit ``schedule.json`` the way a different build would have written
+    it, keeping the manifest's content hash consistent."""
+    path = artifact / "schedule.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **updates}))
+    manifest = json.loads((artifact / "MANIFEST.json").read_text())
+    manifest["files"]["schedule.json"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (artifact / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+def test_unreadable_schedule_is_version_skew(artifact):
+    """An artifact compiled by the retired alloc emitter, or under a knob
+    this build does not know: ``ArtifactError``, never the loader's inner
+    ``ScheduleError``."""
+    _rewrite_schedule(artifact, scratch="arena")
+    load_artifact(artifact)  # the surviving value still loads
+    _rewrite_schedule(artifact, scratch="alloc")
+    with pytest.raises(ArtifactError, match="retired.*re-export"):
+        load_artifact(artifact)
+    _rewrite_schedule(artifact, scratch="arena", from_the_future=1)
+    with pytest.raises(ArtifactError, match="from_the_future"):
+        load_artifact(artifact)
+
+
+def test_manifest_without_arena_spec_rejected(artifact):
+    manifest = json.loads((artifact / "MANIFEST.json").read_text())
+    manifest["arena"] = None  # what an alloc-mode export used to record
+    (artifact / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match="arena spec"):
         load_artifact(artifact)
 
 

@@ -208,6 +208,17 @@ class TestPersist:
         assert cache.lookup("a", "m", 8) is not None
         assert cache.lookup("b", "m", 8) is None
 
+    def test_entry_with_retired_scratch_field_still_loads(self, tmp_path):
+        import json
+
+        path = tmp_path / "s.json"
+        stored = CacheEntry(Schedule(tile_size=4), 1.0).to_dict()
+        stored["schedule"]["scratch"] = "arena"  # as every pre-PR17 entry has
+        doc = {"version": CACHE_FORMAT_VERSION, "entries": {"a|m|8": stored}}
+        path.write_text(json.dumps(doc))
+        hit = ScheduleCache(str(path)).lookup("a", "m", 8)
+        assert hit is not None and hit.schedule == Schedule(tile_size=4)
+
     def test_invalidate_by_model_and_machine(self, tmp_path):
         cache = ScheduleCache(str(tmp_path / "s.json"))
         cache.store("fp", "m1", 8, CacheEntry(Schedule(), 1.0))

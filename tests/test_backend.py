@@ -44,7 +44,7 @@ class TestCodegen:
         source = emit_module_source(lir)
         assert "def predict_block(rows, out, arena=None):" in source
         # The §V-A op sequence: loads, gather, compare, bit pack, LUT lookup
-        # — arena emission writes each op into preallocated scratch.
+        # — each op writes into preallocated scratch.
         assert "_th.take(idx, 0, thr, 'clip')" in source
         assert "_fi.take(idx, 0, fidx, 'clip')" in source
         assert "_np.less(feat, thr, cmp)" in source
@@ -52,17 +52,6 @@ class TestCodegen:
         assert "_pm = _np.uint64(0x0102040810204080)\n" in source and "_ps = _np.uint64(56)\ndef predict_block" in source
         assert "_np.multiply(cv, _pm, pv)" in source
         assert "lut.take(sid, None, ci, 'clip')" in source
-
-    def test_alloc_source_contains_walk_ops(self, trained_forest):
-        """The legacy fresh-temporary emitter survives as scratch="alloc"."""
-        lir = lower(trained_forest, Schedule(scratch="alloc"))
-        source = emit_module_source(lir)
-        assert "def predict_block(rows, out, arena=None):" in source
-        assert "_th, idx" in source and "_fi, idx" in source
-        assert "cmp = feat < thr" in source
-        assert "0x0102040810204080" in source
-        assert "_np.take(lut," in source
-        assert "out=" not in source.replace("(rows, out, arena=None)", "")
 
     def test_unrolled_source_has_no_while(self, trained_forest):
         lir = lower(trained_forest, Schedule(pad_and_unroll=True, pad_max_slack=99))

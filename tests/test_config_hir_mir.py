@@ -54,6 +54,18 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             Schedule(**kwargs)
 
+    def test_retired_scratch_field(self):
+        """Persisted schedules written before the alloc emitter was retired
+        carry ``"scratch": "arena"``: it names the only kernel left, so it
+        loads; any other value names a kernel that no longer exists."""
+        stored = {**Schedule(tile_size=4).to_dict(), "scratch": "arena"}
+        assert Schedule.from_dict(stored) == Schedule(tile_size=4)
+        with pytest.raises(ScheduleError, match="retired"):
+            Schedule.from_dict({**stored, "scratch": "alloc"})
+        assert "scratch" not in Schedule().to_dict()
+        with pytest.raises(TypeError):
+            Schedule(scratch="arena")
+
 
 class TestBuildHIR:
     def test_groups_cover_all_trees(self, trained_forest):

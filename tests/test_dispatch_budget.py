@@ -1,19 +1,17 @@
 """Dispatch-lean kernel emission: every emitted statement is one direct C call.
 
-The arena emitter of ``repro.backend.codegen`` follows three rules — gathers
+The emitter of ``repro.backend.codegen`` follows three rules — gathers
 are ``buf.take(idx, axis, out, 'clip')`` method calls (R1), nothing
 loop-invariant is built inside a step (R2), a full chunk's scratch views
 come from one memoised lookup on the thread's ``ScratchArena`` (R3). What
 this file pins, without a clock:
 
 * the dispatch budget of one warmed 1-row call;
-* a source lint of the arena emitter over the schedule grid, and the
-  ``alloc`` emitter — the independent oracle — byte for byte;
+* a source lint of the emitter over the schedule grid;
 * the bind memo: stale views die with a regrow, threads do not share one,
   it stays inside its bound, and scratch accounting does not see it.
 """
 
-import hashlib
 import os
 import re
 import threading
@@ -116,13 +114,6 @@ def grid_forest():
     return random_forest_model(np.random.default_rng(11), 37, 5, NUM_FEATURES)
 
 
-def alloc_digest(forest) -> str:
-    digest = hashlib.sha256()
-    for schedule in _grid():
-        digest.update(compile_model(forest, schedule.with_(scratch="alloc")).source.encode())
-    return digest.hexdigest()
-
-
 def test_arena_sources_are_dispatch_lean(grid_forest):
     for schedule in _grid():
         source = compile_model(grid_forest, schedule).source
@@ -136,14 +127,6 @@ def test_arena_sources_are_dispatch_lean(grid_forest):
         assert all(
             line.startswith(('"""', "_p")) for line in prelude.splitlines()
         ), prelude
-
-
-def test_alloc_sources_are_the_parents(grid_forest):
-    # sha256 over the grid's alloc sources, recorded at the parent commit
-    # (PR14, a67b05a): the oracle of `arena == alloc` did not move.
-    assert alloc_digest(grid_forest) == (
-        "100774f1c524b7cbbf9fb960b0cf4ea9f3b3f49d36965d805812eed99b41b41a"
-    )
 
 
 # ----------------------------------------------------------------------

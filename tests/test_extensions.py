@@ -96,15 +96,9 @@ class TestSingleShapeSpecialization:
     def test_tile1_source_has_no_lut(self, trained_forest):
         lir = lower(trained_forest, Schedule(tile_size=1))
         source = emit_module_source(lir)
-        # Arena emitter: the LUT lookup folds to `1 - bit` written in place.
+        # The LUT lookup folds to `1 - bit` written in place.
         assert "_np.subtract(1, bits, ci)" in source
         assert "lut.take(" not in source and "lut1.take(" not in source
-
-    def test_tile1_alloc_source_has_no_lut(self, trained_forest):
-        lir = lower(trained_forest, Schedule(tile_size=1, scratch="alloc"))
-        source = emit_module_source(lir)
-        assert "ci = 1 - cmp[..., 0]" in source
-        assert "_np.take(lut," not in source
 
     def test_tile1_still_correct(self, trained_forest, test_rows):
         predictor = compile_model(trained_forest, Schedule(tile_size=1))

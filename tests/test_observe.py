@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro import Schedule, compile_model, explain
+from repro.lir.memory import ScratchArena
+from repro.mir.ir import chunk_width
 from repro.observe import (
     COUNTER_FIELDS,
     SNAPSHOT_KEYS,
@@ -168,6 +170,40 @@ class TestProfileCounters:
         steps_untiled = untiled.profile_counters()["walk_steps"]
         steps_tiled = tiled.profile_counters()["walk_steps"]
         assert 0 < steps_tiled < steps_untiled
+
+    @pytest.mark.parametrize("precision", ["float64", "int8"])
+    def test_scratch_bytes_counts_the_bound_views(self, trained_forest, precision):
+        """A fully unrolled batch binds each chunk's scratch views once: the
+        counter is the bytes of the distinct arena buffers behind the views
+        ``ArenaSpec.scratch_views`` declares (``cv``/``bits``/``lidx``/
+        ``vals`` alias other views' buffers and bind nothing new)."""
+        batch = 16
+        predictor = compile_model(
+            trained_forest,
+            Schedule(pad_max_slack=99, precision=precision, profile=True),
+        )
+        assert "while" not in predictor.source
+        predictor.raw_predict(
+            np.random.default_rng(3).normal(size=(batch, trained_forest.num_features))
+        )
+        spec, lir = predictor.arena_spec, predictor.lir
+        arena = ScratchArena(spec).ensure(batch)
+        buffers = [attr for attr, _ in spec.scratch_views().values()]
+        expected = 0
+        for group in lir.groups:
+            if group.trivial:
+                continue
+            trees = group.layout.num_trees
+            step = chunk_width(
+                batch, max(1, group.walk.width), trees, lir.lane_budget(group.group_id)
+            )
+            for c0 in range(0, trees, step):
+                *views, _mm = arena.bind((batch, min(step, trees - c0)))
+                # first view of each buffer wins: it is the widest one
+                first = dict(reversed(list(zip(buffers, views))))
+                expected += sum(view.nbytes for view in first.values())
+        assert expected > 0
+        assert predictor.profile_counters()["scratch_bytes"] == expected
 
     def test_reset_profile_zeroes_counters(self, trained_forest, test_rows):
         predictor = compile_model(trained_forest, Schedule(profile=True))

@@ -37,7 +37,6 @@ QUANT_GRID = [
         {},
         {"layout": "array", "tile_size": 4},
         {"loop_order": "one-row", "tile_size": 2, "interleave": 2},
-        {"scratch": "alloc"},
         {"tile_size": 1, "tiling": "basic", "pad_and_unroll": False,
          "peel_walk": False, "interleave": 1, "layout": "array"},
     )

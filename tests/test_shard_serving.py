@@ -240,6 +240,11 @@ class TestSharedMemory:
         with pytest.raises(BackendError, match="segment"):
             attach_shared(manifest)
 
+    def test_manifest_without_arena_spec_raises(self, forest):
+        with export_shared(compile_model(forest)) as handle:
+            with pytest.raises(BackendError, match="arena spec"):
+                attach_shared({**handle.manifest, "arena": None})
+
     def test_export_requires_compiled_predictor(self):
         with pytest.raises(BackendError):
             export_shared(object())

@@ -313,6 +313,12 @@ class TestFuzzer:
         loaded_forest, loaded_schedule, loaded_rows = load_repro(path)
         np.testing.assert_array_equal(loaded_rows, rows)
         assert loaded_forest.num_trees == 2
+        # a repro stored before the scratch knob was retired still loads
+        payload = json.loads(open(path).read())
+        payload["schedule"]["scratch"] = "arena"
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert load_repro(path)[1] == loaded_schedule
 
 
 class TestMinimizer:
