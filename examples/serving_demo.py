@@ -41,9 +41,7 @@ def train_models():
 def main() -> None:
     regressor, classifier = train_models()
 
-    config = ServerConfig(
-        batching=BatchingPolicy(max_batch_rows=512, max_delay_s=0.002),
-    )
+    config = ServerConfig(batching=BatchingPolicy(max_batch_rows=512))
     with ModelServer(config) as server:
         server.register("risk-score", regressor, Schedule(tile_size=4))
         server.register("churn", classifier, Schedule(tile_size=4))

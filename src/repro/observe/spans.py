@@ -3,8 +3,9 @@
 Compilation traces (:mod:`repro.observe.trace`) answer *why is this model
 slow to build*; request spans answer *where does each request spend its
 time once the model is serving*. Every sampled ``ModelServer.predict``
-gets a :class:`RequestTrace` — one root span with a contiguous sequence of
-stage spans covering the whole request path:
+(and open-loop ``InferenceSession.submit``) gets a :class:`RequestTrace` —
+one root span with a contiguous sequence of stage spans covering the whole
+request path:
 
 ``admission``
     input coercion + NaN validation on the caller thread.
@@ -18,7 +19,7 @@ stage spans covering the whole request path:
     the compiled kernel (or fallback executor) running the batch.
 ``aggregate``
     result scatter, future wake-up and serving bookkeeping back on the
-    caller thread.
+    caller thread (``submit``: up to its done-callback on the worker).
 
 Stages are recorded as *marks*: each stage ends exactly where the next
 one begins, so the stage durations sum to the root span's duration by

@@ -3,23 +3,23 @@
 The compiler's entire premise is that batch inference amortizes per-call
 overhead (Section II) — so the server should never run a compiled kernel on
 one row if ten requests are waiting. :class:`MicroBatcher` owns a bounded
-queue and a worker thread: the worker takes the oldest pending request,
-drains whatever else arrives within the coalescing window (up to
-``max_batch_rows``), stacks the rows into one contiguous batch, runs the
-kernel once, and scatters the per-request slices back through futures.
-
-The window is either fixed (``max_delay_s``) or adaptive
-(``BatchingPolicy(adaptive=True)``): sized from the live request-latency
-p50 that :class:`~repro.serve.metrics.ServingMetrics` already tracks, so a
-fast model coalesces briefly and a slow model — where the kernel dwarfs
-the wait — coalesces longer, without retuning ``max_delay_s`` per model.
+queue and a worker thread that is *work-conserving*: it blocks only for the
+first request of a batch, takes whatever else is already queued (up to
+``max_batch_rows``) without waiting, stacks the rows into one contiguous
+batch, runs the kernel once, and scatters the per-request slices back
+through futures. Whatever arrives while that kernel runs forms the next
+batch, so the kernel's own service time is the coalescing window: a lone
+request pays one thread hop plus the kernel, and a busy server batches as
+much as its load queues up. ``BatchingPolicy(max_delay_s=...)`` adds an
+explicit linger on top for deployments that trade latency for CPU.
 
 Requests never interleave rows: each request's rows occupy one contiguous
 slice of the batch, so per-row results are identical to a solo run (the
-kernels are row-parallel). Exceptions during a batch are delivered to every
-request in that batch; death of the worker thread itself fails every
-pending and future request with :class:`~repro.errors.ServingError` rather
-than stranding their futures.
+kernels are row-parallel). When a coalesced batch raises, its requests are
+re-run one at a time, so each future gets exactly what it would have got
+alone — one malformed request cannot fail its batch-mates. Death of the
+worker thread itself fails every pending and future request with
+:class:`~repro.errors.ServingError` rather than stranding their futures.
 """
 
 from __future__ import annotations
@@ -49,36 +49,22 @@ class BatchingPolicy:
         The batch may exceed it by the final request's rows (requests are
         never split).
     max_delay_s:
-        How long the worker waits for more requests after the first one —
-        the latency the slowest request in a batch pays for coalescing.
-        With ``adaptive=True`` this becomes the window's upper bound.
+        Extra time the worker lingers for companions after the first
+        request of a batch. The default ``0.0`` is work-conserving: take
+        what is queued and run. Set it only to buy larger batches (less
+        CPU per row) with latency — every request then pays up to this
+        much even on an idle server.
     queue_depth:
         Bound on queued (not yet batched) requests; backpressure beyond it.
     submit_timeout_s:
         How long ``submit`` blocks on a full queue before raising
         :class:`~repro.errors.ServingError`.
-    adaptive:
-        Size the coalescing window from live latency percentiles instead
-        of the fixed ``max_delay_s``: the window is
-        ``delay_fraction × p50`` request latency, clamped to
-        ``[min_delay_s, max_delay_s]``. Until the latency window has
-        samples the batcher falls back to ``max_delay_s``.
-    min_delay_s:
-        Adaptive-window floor (ignored when ``adaptive`` is false).
-    delay_fraction:
-        Fraction of the live p50 latency to spend coalescing (ignored
-        when ``adaptive`` is false). Spending a quarter of the typical
-        request's latency on coalescing bounds the relative latency tax
-        while still letting slow models form large batches.
     """
 
     max_batch_rows: int = 1024
-    max_delay_s: float = 0.002
+    max_delay_s: float = 0.0
     queue_depth: int = 1024
     submit_timeout_s: float = 1.0
-    adaptive: bool = False
-    min_delay_s: float = 0.0
-    delay_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_batch_rows < 1:
@@ -91,17 +77,16 @@ class BatchingPolicy:
         # otherwise turn into an opaque ValueError on every submit.
         if not (self.submit_timeout_s >= 0):
             raise ServingError("submit_timeout_s must be >= 0")
-        if not (0 <= self.min_delay_s <= self.max_delay_s):
-            raise ServingError("min_delay_s must be within [0, max_delay_s]")
-        if not (0 < self.delay_fraction <= 1):
-            raise ServingError("delay_fraction must be within (0, 1]")
 
 
 class _Request:
-    __slots__ = ("rows", "future", "enqueued_s", "trace")
+    __slots__ = ("rows", "num_rows", "future", "enqueued_s", "trace")
 
     def __init__(self, rows: np.ndarray, future: Future, trace=None) -> None:
         self.rows = rows
+        # A malformed (non-2-D) request claims no rows; it still reaches
+        # ``run_batch``, whose typed error is what its future receives.
+        self.num_rows = rows.shape[0] if rows.ndim == 2 else 0
         self.future = future
         # Enqueue timestamp feeds the queue-wait histogram (always) and the
         # request trace's queue_wait stage (when the request is sampled).
@@ -189,22 +174,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def coalescing_window_s(self) -> float:
-        """The window the worker currently waits to coalesce one batch.
-
-        Fixed policies always return ``max_delay_s``; adaptive policies
-        return ``delay_fraction × live p50`` request latency clamped to
-        ``[min_delay_s, max_delay_s]`` (``max_delay_s`` until the metrics
-        latency window has any samples).
-        """
-        policy = self.policy
-        if not policy.adaptive:
-            return policy.max_delay_s
-        p50 = self.metrics.latency_percentiles().get("p50")
-        if p50 is None:
-            return policy.max_delay_s
-        return min(policy.max_delay_s, max(policy.min_delay_s, policy.delay_fraction * p50))
-
     def _loop(self) -> None:
         # ``inflight`` is the batch currently being assembled/executed; it
         # must be visible to the except handler because requests already
@@ -216,13 +185,15 @@ class MicroBatcher:
                 if item is _STOP:
                     break
                 inflight = [item]
-                num_rows = item.rows.shape[0]
-                deadline = time.monotonic() + self.coalescing_window_s()
+                num_rows = item.num_rows
+                # Work-conserving: past the (default zero) linger the worker
+                # only takes what is already queued, never waits for more.
+                deadline = time.monotonic() + self.policy.max_delay_s
                 stop_after = False
                 while num_rows < self.policy.max_batch_rows:
                     remaining = deadline - time.monotonic()
                     try:
-                        nxt = self._queue.get(timeout=max(0.0, remaining)) if remaining > 0 \
+                        nxt = self._queue.get(timeout=remaining) if remaining > 0 \
                             else self._queue.get_nowait()
                     except queue.Empty:
                         break
@@ -230,7 +201,7 @@ class MicroBatcher:
                         stop_after = True
                         break
                     inflight.append(nxt)
-                    num_rows += nxt.rows.shape[0]
+                    num_rows += nxt.num_rows
                 self._execute(inflight, num_rows)
                 inflight = []
                 if stop_after:
@@ -243,50 +214,65 @@ class MicroBatcher:
             self._death = ServingError(f"micro-batch worker {self.name!r} died: {exc!r}")
             self._death.__cause__ = exc
             flight.record("worker_dead", component="micro_batcher", name=self.name, error=repr(exc))
-            for req in inflight:
-                if req.future.set_running_or_notify_cancel():
-                    req.future.set_exception(self._death)
+            self._fail(inflight, self._death)
             self._fail_pending(self._death)
             return
         self._fail_pending(ServingError("micro-batcher closed"))
 
     def _execute(self, batch: list[_Request], num_rows: int) -> None:
-        # Everything up to the scatter is guarded: metrics hooks and trace
-        # stages can raise (they take locks and call user-visible code),
-        # and an escape here must fail this batch's futures, not the worker.
+        # Everything is guarded: metrics hooks and trace stages can raise
+        # (they take locks and call user-visible code), and an escape here
+        # must fail this batch's futures, not the worker.
         try:
             started = time.perf_counter()
             for req in batch:
                 self.metrics.record_queue_wait(started - req.enqueued_s)
                 if req.trace is not None:
                     req.trace.stage("queue_wait", now=started)
-            self.metrics.record_batch(num_rows, len(batch))
-            if len(batch) == 1:
-                stacked = batch[0].rows
-            else:
-                stacked = np.concatenate([req.rows for req in batch], axis=0)
-            assembled = time.perf_counter()
-            results = self.run_batch(stacked)
-            finished = time.perf_counter()
-            for req in batch:
-                if req.trace is not None:
-                    req.trace.stage("assemble", now=assembled)
-                    req.trace.stage("kernel", now=finished)
+            self._run(batch, num_rows)
         except BaseException as exc:
+            if len(batch) == 1 or not isinstance(exc, Exception):
+                self._fail(batch, exc)
+                return
+            # Who shares a batch depends on load, so one malformed request
+            # (wrong width, NaN) must not fail its batch-mates: re-run each
+            # alone and give it exactly what it would have got alone.
             for req in batch:
-                if not req.future.set_running_or_notify_cancel():
-                    continue
-                req.future.set_exception(exc)
-            return
-        offset = 0
-        for req in batch:
-            n = req.rows.shape[0]
-            if req.future.set_running_or_notify_cancel():
                 try:
-                    req.future.set_result(results[offset : offset + n])
-                except BaseException as exc:  # e.g. run_batch returned a non-array
-                    req.future.set_exception(exc)
-            offset += n
+                    self._run([req], req.num_rows)
+                except BaseException as alone:
+                    self._fail([req], alone)
+
+    def _run(self, batch: list[_Request], num_rows: int) -> None:
+        """One kernel call for ``batch``; raises before resolving any future."""
+        self.metrics.record_batch(num_rows, len(batch))
+        if len(batch) == 1:
+            stacked = batch[0].rows
+        else:
+            stacked = np.concatenate([req.rows for req in batch], axis=0)
+        assembled = time.perf_counter()
+        results = self.run_batch(stacked)
+        finished = time.perf_counter()
+        if len(results) != num_rows:
+            raise ServingError(
+                f"run_batch returned {len(results)} rows for a batch of {num_rows}"
+            )
+        slices, offset = [], 0
+        for req in batch:
+            slices.append(results[offset : offset + req.num_rows])
+            offset += req.num_rows
+            if req.trace is not None:
+                req.trace.stage("assemble", now=assembled)
+                req.trace.stage("kernel", now=finished)
+        for req, part in zip(batch, slices):
+            if req.future.set_running_or_notify_cancel():
+                req.future.set_result(part)
+
+    @staticmethod
+    def _fail(batch: list[_Request], exc: BaseException) -> None:
+        for req in batch:
+            if req.future.set_running_or_notify_cancel():
+                req.future.set_exception(exc)
 
     def _fail_pending(self, exc: ServingError) -> None:
         while True:
@@ -294,10 +280,8 @@ class MicroBatcher:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if item is _STOP:
-                continue
-            if item.future.set_running_or_notify_cancel():
-                item.future.set_exception(exc)
+            if item is not _STOP:
+                self._fail([item], exc)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -321,8 +305,8 @@ class MicroBatcher:
                     item = self._queue.get_nowait()
                 except queue.Empty:
                     continue  # the worker drained between our two calls; retry
-                if item is not _STOP and item.future.set_running_or_notify_cancel():
-                    item.future.set_exception(ServingError("micro-batcher closed"))
+                if item is not _STOP:
+                    self._fail([item], ServingError("micro-batcher closed"))
         self._worker.join(timeout=timeout)
         if self._worker.is_alive():
             # Worker is wedged (e.g. run_batch never returns): requests

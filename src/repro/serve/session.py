@@ -228,17 +228,9 @@ class InferenceSession:
         self.metrics.record_kernel_time(time.perf_counter() - start)
         return out
 
-    def raw_predict(self, rows: np.ndarray) -> np.ndarray:
-        """Raw margins, through the micro-batcher when one is configured.
-
-        When this session has a tracer and the request is sampled, the
-        whole call is covered by a span tree: ``admission`` (input
-        coercion), then either ``queue_wait``/``assemble``/``kernel``
-        (batched, recorded by the batcher worker) or ``kernel`` (direct),
-        then ``aggregate`` (scatter/wake-up/bookkeeping). The stages are
-        contiguous marks, so their durations sum to the recorded request
-        latency by construction.
-        """
+    def _admit(self, rows):
+        """Start the clock (and the span tree, when this request is sampled)
+        and coerce the input: ``(start, trace, rows, num_rows)``."""
         start = time.perf_counter()
         trace = (
             self._tracer.maybe_trace(self.name, started_s=start)
@@ -250,6 +242,26 @@ class InferenceSession:
         if trace is not None:
             trace.rows = num_rows
             trace.stage("admission")
+        return start, trace, rows, num_rows
+
+    def _record_failure(self, exc: BaseException, trace, num_rows: int) -> None:
+        self.metrics.record_error()
+        flight.record("error", model=self.name, rows=num_rows, error=str(exc))
+        if trace is not None:
+            self._tracer.record(trace.finish(error=str(exc)))
+
+    def raw_predict(self, rows: np.ndarray) -> np.ndarray:
+        """Raw margins, through the micro-batcher when one is configured.
+
+        When this session has a tracer and the request is sampled, the
+        whole call is covered by a span tree: ``admission`` (input
+        coercion), then either ``queue_wait``/``assemble``/``kernel``
+        (batched, recorded by the batcher worker) or ``kernel`` (direct),
+        then ``aggregate`` (scatter/wake-up/bookkeeping). The stages are
+        contiguous marks, so their durations sum to the recorded request
+        latency by construction.
+        """
+        start, trace, rows, num_rows = self._admit(rows)
         try:
             if self._batcher is not None:
                 out = self._batcher.predict(rows, trace=trace)
@@ -258,10 +270,7 @@ class InferenceSession:
                 if trace is not None:
                     trace.stage("kernel")
         except BaseException as exc:
-            self.metrics.record_error()
-            flight.record("error", model=self.name, rows=num_rows, error=str(exc))
-            if trace is not None:
-                self._tracer.record(trace.finish(error=str(exc)))
+            self._record_failure(exc, trace, num_rows)
             raise
         if trace is not None:
             trace.stage("aggregate")
@@ -291,27 +300,31 @@ class InferenceSession:
     def submit(self, rows: np.ndarray):
         """Async raw-margin request; requires a batching policy.
 
-        The request is accounted when its future completes (one
-        done-callback, run by the batcher worker), so open-loop traffic
-        reaches the same counters and latency histograms — and through
-        them the adaptive window and SLO percentiles — as ``raw_predict``.
+        The request is accounted — and its span tree, when sampled,
+        finished with the same stages as ``raw_predict`` — when its future
+        completes (one done-callback, run by the batcher worker), so
+        open-loop traffic reaches the same counters, latency histograms,
+        SLO percentiles and trace ring as ``raw_predict``.
         """
         if self._batcher is None:
             raise ServingError("session was created without a batching policy")
-        start = time.perf_counter()
-        rows = np.asarray(rows)
-        num_rows = rows.shape[0] if rows.ndim == 2 else 0
-        future = self._batcher.submit(rows)
+        start, trace, rows, num_rows = self._admit(rows)
+        future = self._batcher.submit(rows, trace=trace)
 
         def record(done) -> None:
             if done.cancelled():
                 return
             exc = done.exception()
-            if exc is None:
-                self.metrics.record_request(num_rows, time.perf_counter() - start)
-            else:
-                self.metrics.record_error()
-                flight.record("error", model=self.name, rows=num_rows, error=str(exc))
+            if exc is not None:
+                self._record_failure(exc, trace, num_rows)
+                return
+            # one clock read closes both the span tree and the latency
+            # sample, so the stages sum exactly to the recorded latency
+            now = time.perf_counter()
+            self.metrics.record_request(num_rows, now - start)
+            if trace is not None:
+                trace.stage("aggregate", now=now)
+                self._tracer.record(trace.finish())
 
         future.add_done_callback(record)
         return future

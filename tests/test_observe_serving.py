@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import Schedule
-from repro.errors import ServingError
+from repro.errors import ExecutionError, ServingError
 from repro.observe import parse_openmetrics, registry, render_openmetrics
 from repro.observe.events import FlightRecorder, format_event
 from repro.observe.events import recorder as flight_recorder
@@ -300,6 +300,32 @@ class TestServerTracing:
             "kernel",
             "aggregate",
         ]
+
+    def test_submitted_requests_are_traced(self, trained_forest, test_rows):
+        """Open-loop ``session.submit`` traffic gets the same span tree as
+        ``predict``, closed by the clock read that records its latency."""
+        cfg = ServerConfig(trace_sample=1.0, batching=BatchingPolicy())
+        with ModelServer(cfg) as server:
+            server.register("m", trained_forest)
+            session = server.session("m")
+            session.submit(test_rows[:1]).result(timeout=5.0)
+            with pytest.raises(ExecutionError, match="NaN"):
+                session.submit(np.full_like(test_rows[:1], np.nan)).result(timeout=5.0)
+        # close() joined the batcher worker, which runs the done-callbacks
+        ok, failed = RING.snapshot()["recent"]
+        assert [s["name"] for s in ok["stages"]] == [
+            "admission",
+            "queue_wait",
+            "assemble",
+            "kernel",
+            "aggregate",
+        ]
+        assert ok["model"] == "m" and ok["rows"] == 1 and ok["error"] is None
+        latency_ms = server.metrics.snapshot()["histograms"]["latency_seconds"]["sum"] * 1e3
+        assert sum(s["duration_ms"] for s in ok["stages"]) == pytest.approx(latency_ms, abs=1e-5)
+        assert ok["duration_ms"] == pytest.approx(latency_ms, abs=1e-5)
+        assert "NaN" in failed["error"]
+        assert [s["name"] for s in failed["stages"]] == ["admission", "queue_wait"]
 
     def test_stage_durations_sum_to_request_latency(
         self, trained_forest, test_rows

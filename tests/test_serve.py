@@ -276,6 +276,106 @@ class TestMicroBatcher:
         assert all(name == "assert-worker" for name in seen_threads)
         assert threading.current_thread().name not in seen_threads
 
+    def test_lone_request_does_not_wait_for_companions(self):
+        """The default policy is work-conserving: a request on an idle
+        batcher pays a thread hop, not a coalescing window."""
+        assert BatchingPolicy().max_delay_s == 0.0
+        rows = np.ones((1, 3))
+        with MicroBatcher(lambda r: r.sum(axis=1)) as b:
+            round_trips = []
+            for _ in range(50):
+                start = time.perf_counter()
+                b.submit(rows).result(timeout=5.0)
+                round_trips.append(time.perf_counter() - start)
+        assert np.median(round_trips) < 1e-3
+
+    def test_arrivals_during_a_kernel_form_the_next_batch(self):
+        """A request on an idle worker is dispatched alone; everything
+        submitted while that kernel runs comes out as exactly one batch."""
+        entered, release = threading.Event(), threading.Event()
+        executed = []
+
+        def run(rows):
+            executed.append(rows.shape[0])
+            if len(executed) == 1:
+                entered.set()
+                assert release.wait(5.0)
+            return rows.sum(axis=1)
+
+        with MicroBatcher(run) as b:
+            futures = [b.submit(np.ones((1, 3)))]
+            assert entered.wait(5.0)
+            futures += [b.submit(np.ones((1, 3))) for _ in range(5)]
+            release.set()
+            for f in futures:
+                assert np.array_equal(f.result(timeout=5.0), [3.0])
+        assert executed == [1, 5]
+
+    @pytest.mark.parametrize("poison", ["width", "ndim", "nan"])
+    def test_malformed_request_does_not_fail_its_batch_mates(
+        self, small_forest, small_rows, poison
+    ):
+        """Regression: a coalesced batch holding one malformed request used
+        to fail every future in it (untyped ``ValueError`` from
+        ``np.concatenate`` for a wrong shape, the offender's
+        ``ExecutionError`` for a NaN) and count one error per batch-mate."""
+        bad = {
+            "width": np.zeros((1, 3)),
+            "ndim": np.zeros(small_forest.num_features),
+            "nan": np.full((1, small_forest.num_features), np.nan),
+        }[poison]
+        entered, release = threading.Event(), threading.Event()
+        with InferenceSession(small_forest, batching=BatchingPolicy()) as session:
+            inner = session._batcher.run_batch
+
+            def gated(rows):
+                # Block the worker inside a first batch so the three
+                # requests under test queue up and must share the next one.
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(5.0)
+                return inner(rows)
+
+            session._batcher.run_batch = gated
+            blocker = session.submit(small_rows[2:3])
+            assert entered.wait(5.0)
+            good = [small_rows[0:1], small_rows[1:2]]
+            first, offender, last = (
+                session.submit(good[0]), session.submit(bad), session.submit(good[1])
+            )
+            release.set()
+            blocker.result(timeout=5.0)
+            with pytest.raises(ExecutionError):
+                offender.result(timeout=5.0)
+            for rows, future in zip(good, (first, last)):
+                got = future.result(timeout=5.0)
+                assert np.array_equal(got, session.predictor.raw_predict(rows))
+                assert np.allclose(got, small_forest.raw_predict(rows), rtol=1e-12)
+        # close() joined the batcher worker, which runs the done-callbacks
+        snap = session.metrics.snapshot()
+        assert snap["errors"] == 1
+        assert snap["requests"] == 3
+        assert snap["batch_requests_hist"].get(3) == 1  # they did share a batch
+
+    def test_wrong_length_result_is_an_error(self):
+        """Regression: a ``run_batch`` returning the wrong number of rows
+        used to hand some requests truncated or empty slices."""
+        with MicroBatcher(
+            lambda rows: rows.sum(axis=1)[:-1], BatchingPolicy(max_delay_s=0.05)
+        ) as b:
+            futures = [b.submit(np.ones((2, 3))) for _ in range(3)]
+            for f in futures:
+                with pytest.raises(ServingError, match="returned 1 rows for a batch of 2"):
+                    f.result(timeout=5.0)
+
+    def test_non_2d_request_does_not_kill_the_worker(self):
+        """Regression: ``rows.shape[0]`` on a 0-d request raised in the
+        worker loop, outside every guard, and killed the thread."""
+        with MicroBatcher(lambda rows: rows.sum(axis=1)) as b:
+            with pytest.raises(Exception, match="axis"):
+                b.submit(np.float64(1.0)).result(timeout=5.0)
+            assert np.array_equal(b.submit(np.ones((1, 3))).result(timeout=5.0), [3.0])
+
 
 # ----------------------------------------------------------------------
 # Fallback
@@ -391,7 +491,7 @@ class TestInferenceSession:
     def test_submit_metrics_recorded(self, small_forest, small_rows):
         # Regression: submit() used to bypass record_request/record_error,
         # so open-loop traffic never reached the request counters, the
-        # latency histogram or the adaptive-window/SLO percentiles.
+        # latency histogram or the SLO percentiles.
         policy = BatchingPolicy(max_batch_rows=64, max_delay_s=0.001)
         with InferenceSession(small_forest, batching=policy) as session:
             futures = [session.submit(small_rows[i:i + 1]) for i in range(10)]
@@ -764,71 +864,6 @@ class TestPolicyValidation:
     def test_zero_submit_timeout_allowed(self):
         policy = BatchingPolicy(submit_timeout_s=0.0)
         assert policy.submit_timeout_s == 0.0
-
-    def test_adaptive_knob_validation(self):
-        with pytest.raises(ServingError, match="min_delay_s"):
-            BatchingPolicy(adaptive=True, max_delay_s=0.001, min_delay_s=0.01)
-        with pytest.raises(ServingError, match="delay_fraction"):
-            BatchingPolicy(adaptive=True, delay_fraction=0.0)
-        with pytest.raises(ServingError, match="delay_fraction"):
-            BatchingPolicy(adaptive=True, delay_fraction=1.5)
-
-
-class TestAdaptiveBatching:
-    def test_cold_window_falls_back_to_max(self):
-        metrics = ServingMetrics()
-        b = MicroBatcher(
-            lambda rows: rows.sum(axis=1),
-            BatchingPolicy(adaptive=True, max_delay_s=0.01, min_delay_s=0.001),
-            metrics=metrics,
-        )
-        try:
-            assert b.coalescing_window_s() == 0.01
-        finally:
-            b.close()
-
-    def test_window_tracks_p50_and_clamps(self):
-        metrics = ServingMetrics()
-        policy = BatchingPolicy(
-            adaptive=True, max_delay_s=0.01, min_delay_s=0.001, delay_fraction=0.5
-        )
-        b = MicroBatcher(lambda rows: rows.sum(axis=1), policy, metrics=metrics)
-        try:
-            for _ in range(10):
-                metrics.record_request(1, 0.004)
-            assert b.coalescing_window_s() == pytest.approx(0.002)  # 0.5 x p50
-            metrics.reset()
-            for _ in range(10):
-                metrics.record_request(1, 1.0)  # slow model: clamp to max
-            assert b.coalescing_window_s() == 0.01
-            metrics.reset()
-            for _ in range(10):
-                metrics.record_request(1, 1e-6)  # fast model: clamp to min
-            assert b.coalescing_window_s() == 0.001
-        finally:
-            b.close()
-
-    def test_fixed_policy_ignores_latency(self):
-        metrics = ServingMetrics()
-        b = MicroBatcher(
-            lambda rows: rows.sum(axis=1),
-            BatchingPolicy(max_delay_s=0.005),
-            metrics=metrics,
-        )
-        try:
-            for _ in range(10):
-                metrics.record_request(1, 2.0)
-            assert b.coalescing_window_s() == 0.005
-        finally:
-            b.close()
-
-    def test_adaptive_batcher_serves_correctly(self, small_rows):
-        with MicroBatcher(
-            lambda rows: rows.sum(axis=1),
-            BatchingPolicy(adaptive=True, max_delay_s=0.002),
-        ) as b:
-            got = b.predict(small_rows)
-            assert np.allclose(got, small_rows.sum(axis=1))
 
 
 # ----------------------------------------------------------------------
