@@ -35,6 +35,8 @@ SPACE = TuningSpace(
     pad_and_unroll=(True, False),
     interleaves=(4, 8, 16),
     layouts=("sparse",),
+    # the cost model this bench scores prices NumPy dispatch amortisation
+    backends=("numpy_jit",),
 )
 
 

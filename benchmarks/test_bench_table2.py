@@ -4,9 +4,10 @@ Benchmarks compiling + timing a slice of the Table-II schedule grid — the
 operation the paper's ``--explore`` switch performs.
 """
 
-from conftest import run_benchmark
+from conftest import PAPER_BACKEND, run_benchmark
 from repro.autotune import autotune
 from repro.autotune.space import TuningSpace
+from repro.config import Schedule
 
 
 def test_table2_grid_exploration(benchmark, airline_model):
@@ -20,7 +21,10 @@ def test_table2_grid_exploration(benchmark, airline_model):
     )
 
     def explore():
-        return autotune(forest, rows[:256], space=space, repeats=1)
+        return autotune(
+            forest, rows[:256], space=space, repeats=1,
+            base=Schedule(backend=PAPER_BACKEND),
+        )
 
     result = run_benchmark(benchmark, explore, rounds=3)
     assert len(result.log) == 2

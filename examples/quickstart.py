@@ -28,7 +28,10 @@ def main() -> None:
     #    tile size 8, hybrid tiling, padding+unrolling, walk interleaving,
     #    sparse in-memory layout.
     predictor = compile_model(forest, Schedule(tile_size=8, interleave=16))
-    print(f"compiled: {predictor.memory_bytes()} bytes of model buffers")
+    print(
+        f"compiled on the {predictor.backend_name!r} backend: "
+        f"{predictor.memory_bytes()} bytes of model buffers"
+    )
 
     # 4. Predict a batch.
     batch = rng.normal(size=(1024, 16))

@@ -4,7 +4,8 @@
 (tiling, padding, reordering) → MIR lowering + loop passes (interleave,
 peel/unroll, parallelize) → LIR lowering (layouts, LUT) → and finally the
 code-generation backend selected by ``Schedule(backend=...)`` through the
-:mod:`repro.backend.registry` (default: the in-process NumPy JIT). The
+:mod:`repro.backend.registry` (default: the native C walker where this
+machine can build it, the in-process NumPy JIT otherwise). The
 result is a :class:`~repro.backend.predictor.Predictor`-surface executor
 whose ``predict``/``raw_predict`` match the reference ``Forest`` semantics.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.predictor import Predictor
-from repro.backend.registry import get_backend
+from repro.backend.registry import resolve_backend
 from repro.config import Schedule
 from repro.forest.ensemble import Forest
 from repro.hir.ir import build_hir
@@ -61,7 +62,10 @@ def compile_model(
         # the same predictor interface.
         from repro.backend.strategies import QuickScorerStrategyPredictor
 
-        with trace.span("quickscorer"):
+        with trace.span("quickscorer") as span:
+            # no code generator runs, but a backend asked for by name must
+            # still cover the schedule, and the default records its fallback
+            resolve_backend(schedule, span.stats)
             predictor = QuickScorerStrategyPredictor(
                 forest, schedule, validate_inputs=validate_inputs
             )
@@ -89,9 +93,8 @@ def compile_model(
     if schedule.verify:
         with trace.span("verify-lir") as span:
             span.stats.update(verify_lir_module(lir))
-    backend = get_backend(schedule.backend)
     with trace.span("backend") as span:
-        span.stats["backend"] = backend.name
+        backend = resolve_backend(schedule, span.stats)
         predictor = backend.build(
             forest, lir, validate_inputs=validate_inputs, trace=trace
         )

@@ -9,7 +9,13 @@ enough that the true winner (or something within a few percent of it)
 appears early, which is the same bar the related MLIR-autotuning work sets
 for its learned cost models.
 
-The model mirrors how this backend actually spends time:
+The model mirrors how the ``numpy_jit`` backend spends time — its central
+term is interpreter dispatch amortised over jammed walks. The native walker
+has no dispatch to amortise and ignores the interleave/peel/unroll knobs, so
+under ``backend="native"`` only the tile-size, tiling and layout terms still
+order candidates; the tuner's measured timings decide either way, and the
+rank-correlation this module is scored by is taken on ``numpy_jit``
+(``benchmarks/test_bench_autotune.py``). Term by term:
 
 * **walk steps** — each tile descends ``log2(tile_size + 1)`` levels, so a
   tree of expected depth ``d`` takes ``ceil(d / log2(t + 1))`` steps.

@@ -46,9 +46,9 @@ class TuningSpace:
     #: alternative (one grid point — it has no tiling knobs)
     traversals: tuple[str, ...] = ("tiled",)
     #: code-generation backends (names from :mod:`repro.backend.registry`);
-    #: backend choice never changes compiled semantics, so the default axis
-    #: stays singleton — widen it to also time e.g. ``aot_export`` builds
-    backends: tuple[str, ...] = ("numpy_jit",)
+    #: empty = the base schedule's own, so candidates are measured on the
+    #: backend that will serve them — name several to time them side by side
+    backends: tuple[str, ...] = ()
     #: hot-depth cutoffs for profile-guided hot/cold splitting
     #: (:mod:`repro.pgo`); the default stays singleton ``None`` — widen to
     #: e.g. ``(None, "auto", 2)`` to let the tuner time split kernels

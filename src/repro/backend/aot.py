@@ -1,13 +1,16 @@
 """Ahead-of-time artifact export: compile once, load anywhere, free.
 
-The ``aot_export`` backend compiles the same NumPy kernel the default
-backend does, but additionally knows how to *serialize* a compiled model
+The ``aot_export`` backend compiles the NumPy kernel, and this module
+knows how to *serialize* any in-process compiled model — NumPy or native —
 into a self-contained artifact directory::
 
     artifact/
       MANIFEST.json        format version, content fingerprint, model facts,
-                           arena spec, per-file sha256 hashes
-      kernel.py            the generated ``predict_block`` source
+                           arena spec, per-file sha256 hashes, and
+                           ``kernel_backend``: which backend emitted the
+                           kernel (absent in older artifacts: ``numpy_jit``)
+      kernel.py            the generated ``predict_block`` source — for a
+                           native kernel the stub that binds the walker
       schedule.json        ``Schedule.to_dict()`` of the compiling schedule
       buffers/<name>.npy   every model buffer of the JIT namespace
                            (thresholds, feature indices, LUT, leaf values,
@@ -20,6 +23,10 @@ namespace, byte-compiles the stored source and wraps it in an
 :class:`ArtifactPredictor` (a :class:`~repro.backend.predictor.KernelExecutor`).
 That is the cold-start-free deploy path: warm workers load artifacts in
 milliseconds where a compile costs hundreds (``benchmarks/test_bench_aot.py``).
+A native kernel's stub finds the walker library in this machine's cache, or
+builds it there (:mod:`repro.backend.native`); on a machine that cannot, and
+for buffers that fail the stub's bind-time range checks, the load is an
+:class:`~repro.errors.ArtifactError`.
 
 Artifacts are validated whole before anything is trusted: the manifest's
 ``format_version`` must match this build (:data:`ARTIFACT_FORMAT_VERSION`),
@@ -43,11 +50,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend.codegen import build_namespace
-from repro.backend.jit import compile_source, model_fingerprint
+from repro.backend.jit import compile_source
 from repro.backend.predictor import KernelExecutor, Predictor
 from repro.backend.registry import Backend, register_backend
 from repro.config import Schedule
-from repro.errors import ArtifactError, ScheduleError
+from repro.errors import ArtifactError, BackendError, ScheduleError
 from repro.lir.memory import ArenaSpec, ScratchArena
 from repro.observe import registry as observe_registry
 from repro.observe.profile import ProfileRecorder
@@ -158,7 +165,8 @@ def export_artifact(
     manifest = {
         "format_version": ARTIFACT_FORMAT_VERSION,
         "backend": AotExportBackend.name,
-        "fingerprint": model_fingerprint(predictor.forest, sched),
+        "kernel_backend": predictor.backend_name,
+        "fingerprint": predictor.fingerprint,
         "model": {
             "num_features": lir.num_features,
             "num_classes": lir.num_classes,
@@ -346,7 +354,12 @@ def load_artifact(
         # with its ArtifactPredictor.
         namespace["_P"] = weakref.proxy(recorder)
 
-    kernel, code_hit = compile_source(source, namespace)
+    try:
+        kernel, code_hit = compile_source(source, namespace)
+    except BackendError as exc:
+        # a native stub that found no walker library, or whose bind-time
+        # range checks refused the buffers
+        raise ArtifactError(f"artifact {out} cannot be bound: {exc}") from exc
     observe_registry.record_backend_event(AotExportBackend.name, "artifact_loads")
     if code_hit:
         # The stored source was already byte-compiled in this process

@@ -82,16 +82,19 @@ def compile_lir(
     lir: LIRModule,
     trace: CompilationTrace | None = None,
     profile_recorder: ProfileRecorder | None = None,
+    emit: Callable[[LIRModule], str] = emit_module_source,
 ) -> tuple[Callable, str]:
     """Emit + compile ``lir``; returns ``(predict_block, source)``.
 
     ``trace`` gets one span per backend stage (source emission, namespace
     materialization, bytecode compile); ``profile_recorder`` is bound as
-    the kernel's ``_P`` when the schedule enables profiling.
+    the kernel's ``_P`` when the schedule enables profiling. ``emit`` is
+    the backend's source emitter: whatever text it returns defines
+    ``predict_block`` against the :func:`build_namespace` buffers.
     """
     trace = trace or CompilationTrace()
     with trace.span("codegen-emit") as span:
-        source = emit_module_source(lir)
+        source = emit(lir)
         span.stats["source_lines"] = source.count("\n")
         span.stats["source_bytes"] = len(source)
     with trace.span("codegen-namespace") as span:
@@ -154,8 +157,13 @@ def model_fingerprint(forest: "Forest", schedule: "Schedule | None" = None) -> s
     return digest.hexdigest()
 
 
-def predictor_cache_key(forest: "Forest", schedule: "Schedule") -> str:
+def predictor_cache_key(
+    forest: "Forest", schedule: "Schedule", fingerprint: str | None = None
+) -> str:
     """Backend-qualified key for caches that hold compiled *executors*.
+
+    ``fingerprint`` is ``model_fingerprint(forest, schedule)`` when the
+    caller already holds it — hashing a forest costs tens of milliseconds.
 
     :func:`model_fingerprint` deliberately excludes the backend name (the
     backend choice never changes compiled semantics, and the schedule's
@@ -170,7 +178,9 @@ def predictor_cache_key(forest: "Forest", schedule: "Schedule") -> str:
     with different cutoffs must occupy different cache slots. The default
     (``pgo=None``) key shape is unchanged — pinned key hashes stay valid.
     """
-    key = f"{schedule.backend}:{model_fingerprint(forest, schedule)}"
+    if fingerprint is None:
+        fingerprint = model_fingerprint(forest, schedule)
+    key = f"{schedule.backend}:{fingerprint}"
     if schedule.pgo is not None:
         key += f":pgo={schedule.pgo}"
     return key

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.backend.codegen import emit_module_source
 from repro.backend.jit import compile_lir, model_fingerprint
 from repro.backend.parallel import MulticoreSimulator, parallel_predict
 from repro.config import Schedule
@@ -175,6 +176,7 @@ class Predictor(KernelExecutor):
         lir: LIRModule,
         validate_inputs: bool = True,
         trace: CompilationTrace | None = None,
+        emit: Callable[[LIRModule], str] = emit_module_source,
     ) -> None:
         self.forest = forest
         self.lir = lir
@@ -190,7 +192,7 @@ class Predictor(KernelExecutor):
             else None
         )
         kernel, source = compile_lir(
-            lir, trace=trace, profile_recorder=self.profile_recorder
+            lir, trace=trace, profile_recorder=self.profile_recorder, emit=emit
         )
         super().__init__(
             kernel,

@@ -11,13 +11,20 @@ backend idiom of gt4py / slope).
 
 Built-in backends:
 
-* ``"numpy_jit"`` (:mod:`repro.backend.numpy_jit`) — the default: emit
-  NumPy source, ``compile()`` it in-process. Behavior and generated code
-  are byte-identical to the pre-registry pipeline.
-* ``"aot_export"`` (:mod:`repro.backend.aot`) — same kernel, plus
+* ``"native"`` (:mod:`repro.backend.native`) — walk the tiles in one
+  generic C function, built once per machine with ``gcc`` and cached; a
+  request is one foreign call. Covers the tiled traversal at float64 and
+  float32.
+* ``"numpy_jit"`` (:mod:`repro.backend.numpy_jit`) — emit NumPy source,
+  ``compile()`` it in-process. Covers every schedule; needs no toolchain.
+* ``"aot_export"`` (:mod:`repro.backend.aot`) — the NumPy kernel, plus
   ahead-of-time serialization: ``export_artifact`` writes a self-contained
   artifact directory that ``load_artifact`` reconstitutes into a ready
   executor in a fresh process without running the compiler.
+* ``"auto"`` (:data:`DEFAULT_BACKEND`, what ``Schedule()`` carries) — not a
+  code generator: :func:`resolve_backend` picks ``native`` when this
+  machine can build it and the walker covers the schedule, ``numpy_jit``
+  otherwise, and records every such fallback with its reason.
 
 Third parties register their own with the decorator idiom::
 
@@ -38,14 +45,16 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BackendError
+from repro.observe import events as flight
+from repro.observe import registry as observe_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.forest.ensemble import Forest
     from repro.lir.ir import LIRModule
     from repro.observe.trace import CompilationTrace
 
-#: name of the default backend (the pre-registry JIT path)
-DEFAULT_BACKEND = "numpy_jit"
+#: what ``Schedule().backend`` holds: "let :func:`resolve_backend` choose"
+DEFAULT_BACKEND = "auto"
 
 
 class Backend:
@@ -77,6 +86,13 @@ class Backend:
     ):
         """Turn ``lir`` into an executor; must not mutate the module."""
         raise NotImplementedError
+
+    def unavailable(self, schedule, stats: dict | None = None) -> str | None:
+        """Why this backend cannot build ``schedule`` here (``None``: it can).
+
+        ``stats`` is the compile-trace span the check may annotate (what a
+        first-use toolchain build cost, say)."""
+        return None
 
     def describe(self) -> dict:
         """Registry metadata (stable keys: name, capabilities, class)."""
@@ -113,7 +129,10 @@ def _ensure_builtins() -> None:
         # registration of *future* builtins must not recurse here.
         _builtins_loaded = True
     import repro.backend.aot  # noqa: F401  (registers "aot_export")
+    import repro.backend.native  # noqa: F401  (registers "native")
     import repro.backend.numpy_jit  # noqa: F401  (registers "numpy_jit")
+
+    register_backend(_AutoBackend)
 
 
 def register_backend(backend):
@@ -174,6 +193,54 @@ def get_backend(name: str) -> Backend:
             f"{list_backends()}"
         )
     return backend
+
+
+def resolve_backend(schedule, stats: dict | None = None) -> Backend:
+    """The concrete backend that builds ``schedule`` — the one place the
+    default is decided.
+
+    A named backend resolves to itself, or raises
+    :class:`~repro.errors.BackendError` when it reports the schedule
+    :meth:`~Backend.unavailable`. The default (``"auto"``) is ``native``
+    when that backend is available — a C toolchain that built the walker,
+    a schedule the walker covers — and ``numpy_jit`` otherwise; each
+    fallback is a ``fallbacks`` backend event, a ``backend_fallback``
+    flight event and a ``fallback`` entry in ``stats``, all carrying the
+    reason. ``stats`` also receives the resolved ``backend`` name.
+    """
+    backend = get_backend(schedule.backend)
+    if backend.name != DEFAULT_BACKEND:
+        reason = backend.unavailable(schedule, stats)
+        if reason is not None:
+            raise BackendError(
+                f"backend {backend.name!r} cannot build this schedule: {reason}"
+            )
+    else:
+        backend = get_backend("native")
+        reason = backend.unavailable(schedule, stats)
+        if reason is not None:
+            backend = get_backend("numpy_jit")
+            observe_registry.record_backend_event("native", "fallbacks")
+            flight.record(
+                "backend_fallback", wanted="native", backend=backend.name, reason=reason
+            )
+            if stats is not None:
+                stats["fallback"] = reason
+    if stats is not None:
+        stats["backend"] = backend.name
+    return backend
+
+
+class _AutoBackend(Backend):
+    """``Schedule().backend``: builds through whatever
+    :func:`resolve_backend` picks for the module's schedule."""
+
+    name = DEFAULT_BACKEND
+
+    def build(self, forest, lir, *, validate_inputs=True, trace=None):
+        return resolve_backend(lir.schedule).build(
+            forest, lir, validate_inputs=validate_inputs, trace=trace
+        )
 
 
 def require_backend(name: str) -> None:

@@ -93,9 +93,12 @@ def export_shared(predictor: Predictor, *, name_prefix: str = "repro") -> Shared
     """Copy a compiled predictor's model buffers into shared memory.
 
     Returns a :class:`SharedModelHandle` whose ``manifest`` is picklable
-    and self-contained: kernel source, schedule, model facts, arena spec
-    and per-buffer segment names. Only in-process :class:`Predictor`
-    instances can be exported (the namespace is rebuilt from their LIR).
+    and self-contained: the name of the backend that emitted the kernel,
+    its source (a native kernel's stub binds the walker over the attached
+    views, with the same range checks as in-process), schedule, model
+    facts, arena spec and per-buffer segment names. Only in-process
+    :class:`Predictor` instances can be exported (the namespace is rebuilt
+    from their LIR).
     """
     if not isinstance(predictor, Predictor):
         raise BackendError(
@@ -136,6 +139,7 @@ def export_shared(predictor: Predictor, *, name_prefix: str = "repro") -> Shared
         raise
     manifest = {
         "fingerprint": predictor.fingerprint,
+        "backend": predictor.backend_name,
         "source": predictor.source,
         "schedule": predictor.schedule.to_dict(),
         "model": {
@@ -279,7 +283,13 @@ def attach_shared(
         # AOT loader: let the recorder die by refcount with its executor.
         namespace["_P"] = weakref.proxy(recorder)
 
-    kernel, _ = compile_source(manifest["source"], namespace)
+    try:
+        kernel, _ = compile_source(manifest["source"], namespace)
+    except BaseException:
+        # a native stub's bind refused the buffers, or found no walker
+        for segment in segments:
+            segment.close()
+        raise
     return SharedMemoryPredictor(
         kernel,
         schedule,

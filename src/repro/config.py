@@ -184,16 +184,21 @@ class Schedule:
     #: compiled, only whether the compiler double-checks itself.
     verify: bool = False
     #: which registered code-generation backend turns the lowered LIR into
-    #: an executable (:mod:`repro.backend.registry`): ``"numpy_jit"`` is
+    #: an executable (:mod:`repro.backend.registry`): ``"native"`` walks
+    #: the tiles in a C function built once per machine; ``"numpy_jit"`` is
     #: the in-process NumPy source + ``compile()`` path; ``"aot_export"``
-    #: builds the same kernel but supports serializing it to a
-    #: self-contained artifact (:mod:`repro.backend.aot`). Excluded from
+    #: builds the NumPy kernel and supports serializing it to a
+    #: self-contained artifact (:mod:`repro.backend.aot`). The default,
+    #: ``"auto"``, is resolved per compile by
+    #: :func:`~repro.backend.registry.resolve_backend`: ``native`` where
+    #: this machine can build it and the walker covers the schedule,
+    #: ``numpy_jit`` otherwise. Excluded from
     #: ``repr`` on purpose: :func:`~repro.backend.jit.model_fingerprint`
     #: hashes the schedule repr, and the backend choice never changes the
     #: compiled semantics — executors compiled under different backends are
     #: distinguished one level up by the backend-qualified predictor cache
     #: key (:func:`~repro.backend.jit.predictor_cache_key`).
-    backend: str = field(default="numpy_jit", repr=False)
+    backend: str = field(default="auto", repr=False)
     #: profile-guided hot/cold tree splitting (:mod:`repro.pgo`): ``None``
     #: disables it; ``"auto"`` derives a per-group hot-depth cutoff from
     #: static leaf statistics; an int ``>= 1`` pins the cutoff explicitly

@@ -17,12 +17,17 @@ from __future__ import annotations
 
 from repro.api import compile_model
 from repro.config import Schedule
-from repro.experiments.harness import ExperimentConfig, benchmark_model, time_per_row
+from repro.experiments.harness import (
+    PAPER_BACKEND,
+    ExperimentConfig,
+    benchmark_model,
+    time_per_row,
+)
 from repro.reporting import format_table
 
 BASE = Schedule(
     tile_size=8, tiling="hybrid", pad_and_unroll=False, peel_walk=True,
-    interleave=32, layout="sparse", row_block=1024,
+    interleave=32, layout="sparse", row_block=1024, backend=PAPER_BACKEND,
 )
 
 

@@ -16,7 +16,12 @@ from __future__ import annotations
 from repro.api import compile_model
 from repro.config import Schedule
 from repro.datasets.registry import BENCHMARKS
-from repro.experiments.harness import ExperimentConfig, benchmark_model, paired_per_row_us
+from repro.experiments.harness import (
+    PAPER_BACKEND,
+    ExperimentConfig,
+    benchmark_model,
+    paired_per_row_us,
+)
 from repro.experiments.speedups import scalar_baseline_us
 from repro.reporting import format_table, geomean
 
@@ -27,11 +32,13 @@ ALPHA, BETA = 0.075, 0.9
 TILING_ONLY = dict(
     tile_size=TILE_SIZE, pad_and_unroll=False, peel_walk=False,
     interleave=1, layout="sparse", alpha=ALPHA, beta=BETA, row_block=1024,
+    backend=PAPER_BACKEND,
 )
 #: tiling + walk interleaving + padding/unrolling (Figure 11b)
 TILING_PLUS_WALK_OPTS = dict(
     tile_size=TILE_SIZE, pad_and_unroll=True, peel_walk=True,
     interleave=32, layout="sparse", alpha=ALPHA, beta=BETA, row_block=1024,
+    backend=PAPER_BACKEND,
 )
 
 

@@ -11,6 +11,7 @@ from repro.backend.predictor import Predictor
 from repro.config import Schedule
 from repro.experiments.harness import (
     BASELINE_SAMPLE_ROWS,
+    PAPER_BACKEND,
     ExperimentConfig,
     STRONG_SCHEDULE,
     quick_space,
@@ -25,7 +26,9 @@ def scalar_baseline_us(forest: Forest, rows: np.ndarray, repeats: int = 3) -> fl
     Measured on a row subsample: the baseline is a per-row interpreter, so
     per-row cost is batch-size independent.
     """
-    predictor = compile_model(forest, Schedule.scalar_baseline(), validate_tiling=False)
+    predictor = compile_model(
+        forest, Schedule.scalar_baseline().with_(backend=PAPER_BACKEND), validate_tiling=False
+    )
     return time_per_row(
         predictor.raw_predict, rows, repeats=repeats, sample=BASELINE_SAMPLE_ROWS
     )
@@ -45,7 +48,7 @@ def tuned_predictor(
     if tune:
         result: TuneResult = autotune(
             forest, rows, space=quick_space(), repeats=config.repeats,
-            base=Schedule(row_block=1024),
+            base=Schedule(row_block=1024, backend=PAPER_BACKEND),
         )
         return result.best_predictor, result.best_per_row_us, result.best_schedule
     predictor = compile_model(forest, STRONG_SCHEDULE, validate_tiling=False)

@@ -7,6 +7,9 @@ discrete events that explain a deployment's behaviour after the fact:
 ``compile``       a predictor was actually compiled (cache misses only)
 ``fallback``      a compile failed and the session degraded to the
                   interpreter / reference executor
+``backend_fallback``  the default backend resolved to ``numpy_jit`` because
+                  ``native`` could not build the schedule (reason attached:
+                  no C compiler, uncovered precision, profiling, ...)
 ``hot_swap``      a session atomically switched to a tuned predictor
 ``tune``          an autotune run finished (winner, budget outcome)
 ``tune_failed``   a background tune died without poisoning serving

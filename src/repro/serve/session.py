@@ -133,7 +133,7 @@ class InferenceSession:
             self.fingerprint = model_fingerprint(forest, self.schedule)
             # Backend-qualified: the same (forest, schedule) compiled under
             # two backends must not collide on one cache slot.
-            self.cache_key = predictor_cache_key(forest, self.schedule)
+            self.cache_key = predictor_cache_key(forest, self.schedule, self.fingerprint)
             self.predictor, self.cache_hit = self.cache.get_or_compile(
                 self.cache_key, self._compile
             )
@@ -178,7 +178,7 @@ class InferenceSession:
             "compile",
             model=label,
             fingerprint=self.fingerprint[:12],
-            backend=self.schedule.backend,
+            backend=getattr(predictor, "backend_name", self.schedule.backend),
             precision=self.schedule.precision,
             duration_ms=(
                 round(trace.total_seconds * 1e3, 3) if trace is not None else None
@@ -212,7 +212,7 @@ class InferenceSession:
                 )
             self.schedule = schedule
             self.fingerprint = model_fingerprint(self.forest, schedule)
-            self.cache_key = predictor_cache_key(self.forest, schedule)
+            self.cache_key = predictor_cache_key(self.forest, schedule, self.fingerprint)
         self.predictor = predictor
         self.fallback_error = None
         self.metrics.record_hot_swap()

@@ -17,7 +17,9 @@ Two phases, both deterministic in ``--seed``:
    against the reference interpreter.
 2. **Differential fuzzing** — :func:`repro.verify.run_fuzz` with the
    adversarial input corpus; failures are minimized and dumped as JSON
-   under ``--out`` (exit code 1).
+   under ``--out`` (exit code 1). With ``--backends`` the cases run once per
+   kernel backend: the default (native where this machine builds it) and
+   ``numpy_jit``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import time
 
 import numpy as np
 
+from repro.backend.registry import DEFAULT_BACKEND, get_backend
 from repro.config import PRECISIONS, Schedule
 from repro.errors import ReproError
 from repro.verify import FuzzConfig, run_fuzz
@@ -186,16 +189,26 @@ def main(argv: list[str] | None = None) -> int:
         )
         grid_failures += backend_failures
 
-    config = FuzzConfig(
-        cases=cases,
-        seed=args.seed,
-        minimize=not args.no_minimize,
-        out_dir=args.out,
-    )
-    report = run_fuzz(config, log=print)
-    print(report.summary())
+    # The fuzz phase runs on the default backend; with --backends, where
+    # that default resolves covered cases to the native walker, the same
+    # cases run again on the NumPy emitter they would otherwise never reach.
+    fuzz_backends = [DEFAULT_BACKEND]
+    if args.backends and get_backend("native").unavailable(Schedule()) is None:
+        fuzz_backends.append("numpy_jit")
+    fuzz_failures = 0
+    for backend in fuzz_backends:
+        config = FuzzConfig(
+            cases=cases,
+            seed=args.seed,
+            backend=backend,
+            minimize=not args.no_minimize,
+            out_dir=args.out,
+        )
+        report = run_fuzz(config, log=print)
+        print(report.summary())
+        fuzz_failures += len(report.failures)
     elapsed = time.perf_counter() - started
-    total = grid_failures + len(report.failures)
+    total = grid_failures + fuzz_failures
     print(f"verify: {'OK' if total == 0 else 'FAILED'} in {elapsed:.1f}s")
     return 0 if total == 0 else 1
 

@@ -7,7 +7,10 @@ code-generation backend (:func:`repro.backend.registry.list_backends`) it
 compiles seeded forests across a reduced Table-II schedule set with
 ``Schedule(backend=name, verify=True)`` and cross-checks the compiled
 kernel against the reference interpreter and (at float64) the reference
-``Forest`` over the adversarial input corpus.
+``Forest`` over the adversarial input corpus. A (backend, schedule) pair the
+backend reports :meth:`~repro.backend.registry.Backend.unavailable` — the
+native walker under a quantized precision, or on a machine without a C
+compiler — is skipped and counted, not failed.
 
 Backends that advertise the ``"export"`` capability (the ``aot_export``
 backend) are additionally round-tripped through a temporary artifact
@@ -124,11 +127,12 @@ def run_backend_sweep(
     ``log`` (a ``print``-like callable) with enough context to rebuild the
     case deterministically from its seed.
     """
-    from repro.backend.registry import list_backends
+    from repro.backend.registry import get_backend, list_backends
 
     names = tuple(backends) if backends else tuple(list_backends())
     comparisons = 0
     failures = 0
+    skipped: dict[str, int] = {}
     for seed in seeds:
         rng = np.random.default_rng([seed, 0xBA])
         for fname, forest in _sweep_forests(rng):
@@ -143,6 +147,9 @@ def run_backend_sweep(
                         else [base]
                     )
                     for schedule in points:
+                        if get_backend(backend).unavailable(schedule) is not None:
+                            skipped[backend] = skipped.get(backend, 0) + 1
+                            continue
                         for label, rows in adversarial_batches(
                             forest, rng, precision=schedule.precision
                         ):
@@ -170,5 +177,9 @@ def run_backend_sweep(
             f"backend sweep: {comparisons} comparisons over "
             f"{len(seeds)} seeds x {len(names)} backends "
             f"({', '.join(names)}), {failures} failures"
+            + "".join(
+                f", {n} {name} compiles skipped (unavailable)"
+                for name, n in sorted(skipped.items())
+            )
         )
     return comparisons, failures

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.backend.registry import DEFAULT_BACKEND
 from repro.config import Schedule
 from repro.errors import ReproError
 from repro.forest.builder import TreeBuilder
@@ -389,6 +390,10 @@ class FuzzConfig:
     num_features: int = 6
     max_trees: int = 6
     max_depth: int = 6
+    #: ``Schedule.backend`` of every case: the default resolves covered
+    #: schedules to the native walker where this machine builds it;
+    #: ``"numpy_jit"`` fuzzes the NumPy emitter on the same cases
+    backend: str = DEFAULT_BACKEND
     #: shrink failures into minimal repros (costs extra compiles)
     minimize: bool = True
     #: directory for minimized repro JSON dumps (None = don't write)
@@ -424,6 +429,7 @@ class FuzzReport:
     comparisons: int
     seed: int
     failures: list[FuzzFailure] = field(default_factory=list)
+    backend: str = DEFAULT_BACKEND
 
     @property
     def ok(self) -> bool:
@@ -431,7 +437,7 @@ class FuzzReport:
 
     def summary(self) -> str:
         head = (
-            f"fuzz(seed={self.seed}): {self.cases} cases, "
+            f"fuzz(seed={self.seed}, backend={self.backend}): {self.cases} cases, "
             f"{self.comparisons} comparisons, {len(self.failures)} failures"
         )
         return "\n".join([head] + [f"  {f.describe()}" for f in self.failures])
@@ -478,7 +484,9 @@ def run_fuzz(config: FuzzConfig | None = None, log=None) -> FuzzReport:
     one line per failure and a progress line every 50 cases.
     """
     config = config or FuzzConfig()
-    report = FuzzReport(cases=config.cases, comparisons=0, seed=config.seed)
+    report = FuzzReport(
+        cases=config.cases, comparisons=0, seed=config.seed, backend=config.backend
+    )
     for case in range(config.cases):
         rng = np.random.default_rng([config.seed, case])
         num_classes = int(rng.choice([1, 1, 1, 3]))
@@ -489,7 +497,7 @@ def run_fuzz(config: FuzzConfig | None = None, log=None) -> FuzzReport:
             num_features=config.num_features,
             num_classes=num_classes,
         )
-        schedule = sample_schedule(rng)
+        schedule = sample_schedule(rng).with_(backend=config.backend)
         for label, rows in adversarial_batches(
             forest, rng, precision=schedule.precision
         ):

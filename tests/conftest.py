@@ -7,11 +7,28 @@ import sys
 import numpy as np
 import pytest
 
+from repro.backend.registry import get_backend
+from repro.config import Schedule
 from repro.forest.builder import TreeBuilder
 from repro.forest.ensemble import Forest
 from repro.forest.statistics import populate_node_probabilities
 from repro.forest.tree import DecisionTree
 from repro.training.gbdt import GBDTParams, train_gbdt
+
+
+#: the code-generating backends this machine runs: differential tests
+#: compile every schedule under each of them. ``native`` is absent where no
+#: toolchain builds the walker (CI's compiler-hidden leg).
+KERNEL_BACKENDS = ("numpy_jit",) + (
+    ("native",) if get_backend("native").unavailable(Schedule()) is None else ()
+)
+
+
+def numpy_schedule(**knobs) -> Schedule:
+    """``Schedule(backend="numpy_jit", **knobs)``: for modules that pin the
+    NumPy emitter's own artefacts (source text, dispatch counts, the scratch
+    arena, batch-adaptive chunks), which the native walker does not have."""
+    return Schedule(backend="numpy_jit", **knobs)
 
 
 def random_tree(

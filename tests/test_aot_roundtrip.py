@@ -2,8 +2,9 @@
 
 The contract under test: ``export_artifact`` → ``load_artifact`` in a
 **fresh process** (no shared module state, no warm code cache) produces an
-executor whose predictions are *bitwise equal* to the in-process JIT,
-across the Table-II schedule grid; and a damaged artifact — truncated
+executor whose predictions are *bitwise equal* to the in-process kernel,
+across the Table-II schedule grid and under every code-generating backend
+this machine runs (``conftest.KERNEL_BACKENDS``); and a damaged artifact — truncated
 buffer, edited kernel, version bump, missing file — is rejected whole with
 :class:`~repro.errors.ArtifactError` before any kernel runs.
 
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import KERNEL_BACKENDS
 from repro.api import compile_model
 from repro.backend.aot import (
     ARTIFACT_FORMAT_VERSION,
@@ -50,6 +52,13 @@ GRID = [
     Schedule(precision="int8", tile_size=4, layout="array"),
     Schedule(precision="int8", loop_order="one-row"),
 ]
+#: the default backend resolves the float points above to the native walker
+#: where a toolchain exists; their NumPy kernels round-trip by name
+GRID += [
+    schedule.with_(backend="numpy_jit")
+    for schedule in GRID
+    if schedule.precision.startswith("float") and not schedule.profile
+]
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +81,21 @@ def artifact(tmp_path, forest):
 # ----------------------------------------------------------------------
 
 def test_roundtrip_in_process(tmp_path, forest, rows):
-    predictor = compile_model(forest, Schedule())
-    out = export_artifact(predictor, tmp_path / "a")
-    loaded = load_artifact(out)
-    np.testing.assert_array_equal(
-        loaded.raw_predict(rows), predictor.raw_predict(rows)
-    )
-    np.testing.assert_array_equal(loaded.predict(rows), predictor.predict(rows))
-    assert loaded.fingerprint == predictor.fingerprint
-    assert loaded.is_artifact
-    assert loaded.backend_name == "aot_export"
-    assert loaded.memory_bytes() > 0
-    assert artifact_fingerprint(out) == predictor.fingerprint
+    for backend in KERNEL_BACKENDS:
+        predictor = compile_model(forest, Schedule(backend=backend))
+        out = export_artifact(predictor, tmp_path / backend)
+        loaded = load_artifact(out)
+        np.testing.assert_array_equal(
+            loaded.raw_predict(rows), predictor.raw_predict(rows)
+        )
+        np.testing.assert_array_equal(loaded.predict(rows), predictor.predict(rows))
+        assert loaded.source == predictor.source
+        assert loaded.manifest["kernel_backend"] == backend
+        assert loaded.fingerprint == predictor.fingerprint
+        assert loaded.is_artifact
+        assert loaded.backend_name == "aot_export"
+        assert loaded.memory_bytes() > 0
+        assert artifact_fingerprint(out) == predictor.fingerprint
 
 
 def test_export_refuses_nonempty_dir(tmp_path, forest):
@@ -115,7 +127,9 @@ def test_artifact_exported_before_lean_emission_still_loads(forest, rows):
     must come back equal, the fingerprint is no longer comparable."""
     loaded = load_artifact(Path(__file__).parent / "data" / "aot_pr14")
     assert "_A.f0[:" in loaded.source and "_np.take(" in loaded.source
-    assert loaded.schedule == Schedule(precision="int8", pad_and_unroll=False, pgo=2)
+    assert loaded.schedule == Schedule(
+        precision="int8", pad_and_unroll=False, pgo=2, backend="numpy_jit"
+    )
     predictor = compile_model(forest, loaded.schedule)
     assert "_A.f0[:" not in predictor.source
     for batch in (1, 7, 65):

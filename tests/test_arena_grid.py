@@ -16,9 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+# the scratch arena is the NumPy kernels' working set: every schedule here
+# names that backend
+from conftest import numpy_schedule as Schedule
 from conftest import random_forest_model
 from repro.api import compile_model
-from repro.config import Schedule
 from repro.lir.memory import ArenaSpec, ScratchArena
 from test_differential_grid import GRID, NUM_FEATURES, _with_probabilities
 

@@ -51,17 +51,17 @@ class _Dummy(Backend):
     capabilities = ("jit",)
 
     def build(self, forest, lir, *, validate_inputs=True, trace=None):
-        return get_backend(DEFAULT_BACKEND).build(
+        return get_backend("numpy_jit").build(
             forest, lir, validate_inputs=validate_inputs, trace=trace
         )
 
 
 def test_builtin_backends_registered():
     names = list_backends()
-    assert "numpy_jit" in names
-    assert "aot_export" in names
+    assert {"numpy_jit", "aot_export", "native", DEFAULT_BACKEND} <= set(names)
     assert names == sorted(names)
-    assert DEFAULT_BACKEND == "numpy_jit"
+    # the default is resolved per compile (test_native_backend), not a generator
+    assert DEFAULT_BACKEND == "auto"
     assert Schedule().backend == DEFAULT_BACKEND
 
 
@@ -119,7 +119,7 @@ def test_temporary_backend_scopes_registration():
 
 def test_describe_backends_shape():
     info = describe_backends()
-    assert set(info) >= {"numpy_jit", "aot_export"}
+    assert set(info) >= {"numpy_jit", "aot_export", "native"}
     for entry in info.values():
         assert "capabilities" in entry
 
@@ -175,7 +175,7 @@ def test_compile_dispatches_to_schedule_backend(forest):
     rows = np.random.default_rng(0).normal(size=(8, forest.num_features))
     np.testing.assert_array_equal(
         predictor.raw_predict(rows),
-        compile_model(forest, Schedule()).raw_predict(rows),
+        compile_model(forest, Schedule(backend="numpy_jit")).raw_predict(rows),
     )
 
 
@@ -184,7 +184,7 @@ def test_compile_dispatches_to_schedule_backend(forest):
 # ----------------------------------------------------------------------
 
 def test_predictor_cache_key_is_backend_qualified(forest):
-    base = Schedule()
+    base = Schedule(backend="numpy_jit")
     jit_key = predictor_cache_key(forest, base)
     aot_key = predictor_cache_key(forest, base.with_(backend="aot_export"))
     assert jit_key != aot_key
@@ -194,6 +194,9 @@ def test_predictor_cache_key_is_backend_qualified(forest):
     assert jit_key.split(":", 1)[1] == aot_key.split(":", 1)[1]
     fp = model_fingerprint(forest, base)
     assert artifact_cache_key("aot_export", fp) == aot_key
+    # a caller that already holds the fingerprint passes it down: same bytes
+    assert predictor_cache_key(forest, base, fp) == jit_key
+    assert predictor_cache_key(forest, Schedule(), fp) == f"{DEFAULT_BACKEND}:{fp}"
 
 
 # ----------------------------------------------------------------------
@@ -218,15 +221,21 @@ def test_predictor_cache_key_is_backend_qualified(forest):
 #: pins the widened loop (the 5-tree group under interleave=2 steps by
 #: ``K = 2 * max(1, min(4096 // (max(1, B) * 2), 3))`` and accumulates per
 #: 2-tree sub-chunk).
+#: The source hashes are the NumPy emitter's, so the schedules name it; the
+#: fingerprints never see the backend field.
 _BASELINES = [
-    (Schedule(), "c9c092ce91789df7", "e6e18e72bb0236a7"),
-    (Schedule.scalar_baseline(), "43d99216a31ce9dc", "7c1c6a1308559cdb"),
+    (Schedule(backend="numpy_jit"), "c9c092ce91789df7", "e6e18e72bb0236a7"),
     (
-        Schedule(tile_size=4, layout="array", precision="float32"),
+        Schedule.scalar_baseline().with_(backend="numpy_jit"),
+        "43d99216a31ce9dc",
+        "7c1c6a1308559cdb",
+    ),
+    (
+        Schedule(tile_size=4, layout="array", precision="float32", backend="numpy_jit"),
         "1b71ce1679ecce9e",
         "a69416956b5b4f26",
     ),
-    (Schedule(interleave=2), "810c628e0018a8d6", "f55c8b0041f22eca"),
+    (Schedule(interleave=2, backend="numpy_jit"), "810c628e0018a8d6", "f55c8b0041f22eca"),
 ]
 
 
@@ -239,4 +248,5 @@ def test_default_backend_output_byte_identical(forest, schedule, source_hash, fi
     predictor = compile_model(forest, schedule)
     assert hashlib.sha256(predictor.source.encode()).hexdigest()[:16] == source_hash
     assert model_fingerprint(forest, schedule)[:16] == fingerprint
+    assert model_fingerprint(forest, schedule.with_(backend=DEFAULT_BACKEND))[:16] == fingerprint
     assert predictor.fingerprint[:16] == fingerprint

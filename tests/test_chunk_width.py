@@ -25,15 +25,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+# batch-adaptive chunks are the NumPy emitter's loop, so every schedule
+# names that backend (the native walker has no chunks; its batch
+# independence is pinned in test_native_backend)
 from conftest import CallCounter, random_forest_model
+from conftest import numpy_schedule as Schedule
 from repro.api import compile_model
-from repro.config import Schedule
 from repro.errors import VerificationError
 from repro.forest.ensemble import Forest
 from repro.lir.memory import ScratchArena
 from repro.mir.ir import LANE_BUDGET, chunk_width
 from repro.verify import verify_lir_module
 from test_differential_grid import CORNERS, NUM_FEATURES
+
 
 BATCHES = (1, 2, 7, 8, 64, 65, 513)
 #: 37 trees: ragged against interleave 4 and 8, so wide chunks end in a
@@ -123,7 +127,10 @@ def _corner_cases():
                     multiclass = layout == "sparse" and pgo is None
                     for classes in (1, 3) if multiclass else (1,):
                         yield pytest.param(
-                            schedule.with_(precision=precision, layout=layout, pgo=pgo),
+                            schedule.with_(
+                                precision=precision, layout=layout, pgo=pgo,
+                                backend="numpy_jit",
+                            ),
                             classes,
                             id=f"{corner.id}-{precision}-{layout}-pgo{pgo}-c{classes}",
                         )

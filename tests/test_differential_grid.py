@@ -1,8 +1,9 @@
 """Differential testing across the Table-II schedule grid.
 
 Every valid combination of tile size x tiling algorithm x layout x
-interleave/peel settings is compiled on small regression, binary and
-multiclass forests, and the compiled output is checked against the
+interleave/peel settings is compiled, under every code-generating backend
+this machine runs (``conftest.KERNEL_BACKENDS``), on small regression,
+binary and multiclass forests, and the compiled output is checked against the
 reference ``Forest`` semantics (tolerating only accumulation-order float
 noise). Hypothesis drives randomized row batches through representative
 grid corners, and invalid inputs (NaN, wrong width/rank) must be rejected
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_forest_model
+from conftest import KERNEL_BACKENDS, random_forest_model
 from repro.api import compile_model
 from repro.config import Schedule
 from repro.errors import ExecutionError
@@ -92,16 +93,19 @@ def schedule_for(tile_size, tiling, layout, loops) -> Schedule:
 
 
 def assert_matches_reference(forest, schedule, rows):
-    predictor = compile_model(forest, schedule)
-    got = predictor.raw_predict(rows)
     want = forest.raw_predict(rows)
-    # Exact up to accumulation order: reassociation of ~tens of float64
-    # leaf-value additions.
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    # predict() additionally applies the objective transform.
-    np.testing.assert_allclose(
-        predictor.predict(rows), forest.predict(rows), rtol=1e-10, atol=1e-12
-    )
+    for backend in KERNEL_BACKENDS:
+        predictor = compile_model(forest, schedule.with_(backend=backend))
+        assert predictor.backend_name == backend
+        got = predictor.raw_predict(rows)
+        # Exact up to accumulation order: reassociation of ~tens of float64
+        # leaf-value additions.
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=backend)
+        # predict() additionally applies the objective transform.
+        np.testing.assert_allclose(
+            predictor.predict(rows), forest.predict(rows),
+            rtol=1e-10, atol=1e-12, err_msg=backend,
+        )
 
 
 @pytest.mark.parametrize("tile_size,tiling,layout,loops", GRID)
@@ -145,8 +149,12 @@ CORNERS = [
 
 @pytest.fixture(scope="module")
 def corner_predictors(regression_forest):
+    """Per corner, the predictor of every backend in ``KERNEL_BACKENDS``."""
     return {
-        id(corner.values[0]): compile_model(regression_forest, corner.values[0])
+        id(corner.values[0]): [
+            compile_model(regression_forest, corner.values[0].with_(backend=backend))
+            for backend in KERNEL_BACKENDS
+        ]
         for corner in CORNERS
     }
 
@@ -158,7 +166,6 @@ class TestRandomizedBatches:
     def test_random_rows_match_reference(
         self, regression_forest, corner_predictors, schedule, data
     ):
-        predictor = corner_predictors[id(schedule)]
         n = data.draw(st.integers(min_value=0, max_value=24), label="rows")
         finite = st.floats(
             min_value=-1e9, max_value=1e9, allow_nan=False, width=64
@@ -174,49 +181,53 @@ class TestRandomizedBatches:
             ),
             dtype=np.float64,
         ).reshape(n, NUM_FEATURES)
-        got = predictor.raw_predict(batch)
         want = regression_forest.raw_predict(batch)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        for predictor in corner_predictors[id(schedule)]:
+            got = predictor.raw_predict(batch)
+            np.testing.assert_allclose(
+                got, want, rtol=1e-10, atol=1e-12, err_msg=predictor.backend_name
+            )
 
     @pytest.mark.parametrize("schedule", CORNERS)
     def test_infinities_match_reference(self, regression_forest, corner_predictors, schedule):
-        predictor = corner_predictors[id(schedule)]
         rows = np.zeros((4, NUM_FEATURES))
         rows[0, :] = np.inf
         rows[1, :] = -np.inf
         rows[2, 0] = np.inf
         rows[3, -1] = -np.inf
-        np.testing.assert_allclose(
-            predictor.raw_predict(rows),
-            regression_forest.raw_predict(rows),
-            rtol=1e-10,
-            atol=1e-12,
-        )
+        for predictor in corner_predictors[id(schedule)]:
+            np.testing.assert_allclose(
+                predictor.raw_predict(rows),
+                regression_forest.raw_predict(rows),
+                rtol=1e-10,
+                atol=1e-12,
+                err_msg=predictor.backend_name,
+            )
 
 
 class TestRejections:
     @pytest.mark.parametrize("schedule", CORNERS)
     def test_nan_rejected(self, regression_forest, corner_predictors, schedule):
-        predictor = corner_predictors[id(schedule)]
         bad = np.zeros((3, NUM_FEATURES))
         bad[1, 2] = np.nan
-        with pytest.raises(ExecutionError, match="NaN"):
-            predictor.raw_predict(bad)
+        for predictor in corner_predictors[id(schedule)]:
+            with pytest.raises(ExecutionError, match="NaN"):
+                predictor.raw_predict(bad)
 
     @pytest.mark.parametrize("schedule", CORNERS)
     def test_wrong_width_rejected(self, regression_forest, corner_predictors, schedule):
-        predictor = corner_predictors[id(schedule)]
-        with pytest.raises(ExecutionError, match="rows"):
-            predictor.raw_predict(np.zeros((3, NUM_FEATURES + 1)))
+        for predictor in corner_predictors[id(schedule)]:
+            with pytest.raises(ExecutionError, match="rows"):
+                predictor.raw_predict(np.zeros((3, NUM_FEATURES + 1)))
 
     @pytest.mark.parametrize("schedule", CORNERS)
     def test_wrong_rank_rejected(self, regression_forest, corner_predictors, schedule):
-        predictor = corner_predictors[id(schedule)]
-        with pytest.raises(ExecutionError, match="rows"):
-            predictor.raw_predict(np.zeros(NUM_FEATURES))
+        for predictor in corner_predictors[id(schedule)]:
+            with pytest.raises(ExecutionError, match="rows"):
+                predictor.raw_predict(np.zeros(NUM_FEATURES))
 
     @pytest.mark.parametrize("schedule", CORNERS)
     def test_zero_rows_ok(self, regression_forest, corner_predictors, schedule):
-        predictor = corner_predictors[id(schedule)]
-        out = predictor.raw_predict(np.zeros((0, NUM_FEATURES)))
-        assert out.shape == (0,)
+        for predictor in corner_predictors[id(schedule)]:
+            out = predictor.raw_predict(np.zeros((0, NUM_FEATURES)))
+            assert out.shape == (0,)

@@ -19,9 +19,11 @@ import threading
 import numpy as np
 import pytest
 
+# what is pinned here is the NumPy emitter's source text, dispatch counts
+# and arena: every schedule names that backend
 from conftest import CallCounter, random_forest_model
+from conftest import numpy_schedule as Schedule
 from repro.api import compile_model
-from repro.config import Schedule
 from repro.lir.memory import ScratchArena
 from test_differential_grid import CORNERS, NUM_FEATURES
 
@@ -105,7 +107,7 @@ def _grid():
                     for loop_order in ("one-tree", "one-row"):
                         yield base.with_(
                             precision=precision, layout=layout, pgo=pgo,
-                            loop_order=loop_order,
+                            loop_order=loop_order, backend="numpy_jit",
                         )
 
 

@@ -129,7 +129,8 @@ class TestProfileCounters:
     def test_profiled_predictions_bit_identical(
         self, trained_forest, test_rows, schedule
     ):
-        plain = compile_model(trained_forest, schedule)
+        # profiling is a NumPy emission: its bitwise twin is the NumPy kernel
+        plain = compile_model(trained_forest, schedule.with_(backend="numpy_jit"))
         profiled = compile_model(trained_forest, schedule.with_(profile=True))
         expected = plain.raw_predict(test_rows)
         got = profiled.raw_predict(test_rows)
@@ -221,7 +222,7 @@ class TestProfileCounters:
         schedule = Schedule(tile_size=4, parallel=4, row_block=32, profile=True)
         predictor = compile_model(trained_forest, schedule)
         expected = compile_model(
-            trained_forest, schedule.with_(profile=False)
+            trained_forest, schedule.with_(profile=False, backend="numpy_jit")
         ).raw_predict(rows)
         got = predictor.raw_predict(rows)
         assert np.array_equal(expected, got)

@@ -111,7 +111,8 @@ class TestOutputIdentity:
     @pytest.mark.parametrize("layout", ["sparse", "array"])
     @pytest.mark.parametrize("pgo", ["auto", 1, 3])
     def test_split_is_bitwise_identical(self, pgo_forest, pgo_rows, layout, pgo):
-        base = Schedule(layout=layout, interleave=4, verify=True)
+        # the split is a NumPy emission: its bitwise twin is the NumPy kernel
+        base = Schedule(layout=layout, interleave=4, verify=True, backend="numpy_jit")
         ref = compile_model(pgo_forest, base).raw_predict(pgo_rows)
         got = compile_model(pgo_forest, base.with_(pgo=pgo)).raw_predict(
             pgo_rows
@@ -121,7 +122,7 @@ class TestOutputIdentity:
     def test_profiled_split_identical_with_live_counters(
         self, pgo_forest, pgo_rows
     ):
-        base = Schedule(verify=True)
+        base = Schedule(verify=True, backend="numpy_jit")
         ref = compile_model(pgo_forest, base).raw_predict(pgo_rows)
         predictor = compile_model(
             pgo_forest, base.with_(pgo=2, profile=True)

@@ -219,11 +219,12 @@ PARENT_PINS = {
     "int8": ("2e0f26e6c2bce4f5", "6bdaf774bf78c533", "3a8f3bbcb5f1def5", 73),
     "scalar": ("98ad43c217d4e5d8", "47dc540c94ceb704", "67b4ff51e6be8d3e", 1),
 }
+#: the first pin of each row hashes NumPy source text: that backend, by name
 COLD_SCHEDULES = {
-    "default": Schedule(),
-    "f32_pgo2": Schedule(precision="float32", pgo=2),
-    "int8": Schedule(precision="int8"),
-    "scalar": Schedule.scalar_baseline(),
+    "default": Schedule(backend="numpy_jit"),
+    "f32_pgo2": Schedule(precision="float32", pgo=2, backend="numpy_jit"),
+    "int8": Schedule(precision="int8", backend="numpy_jit"),
+    "scalar": Schedule.scalar_baseline().with_(backend="numpy_jit"),
 }
 
 

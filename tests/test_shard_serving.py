@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_forest_model
+from conftest import KERNEL_BACKENDS, random_forest_model
 from repro.api import compile_model
 from repro.autotune import recommend_shard_count
 from repro.backend.shm import attach_shared, export_shared
@@ -198,22 +198,25 @@ class TestCombiners:
 # ----------------------------------------------------------------------
 class TestSharedMemory:
     def test_roundtrip_is_bitwise(self, forest, rows):
-        predictor = compile_model(forest, Schedule(tile_size=4))
-        handle = export_shared(predictor)
-        try:
-            attached = attach_shared(handle.manifest)
+        for backend in KERNEL_BACKENDS:
+            predictor = compile_model(forest, Schedule(tile_size=4, backend=backend))
+            handle = export_shared(predictor)
             try:
-                assert np.array_equal(
-                    attached.raw_predict(rows), predictor.raw_predict(rows)
-                )
-                assert attached.fingerprint == predictor.fingerprint
+                assert handle.manifest["backend"] == backend
+                attached = attach_shared(handle.manifest)
+                try:
+                    assert np.array_equal(
+                        attached.raw_predict(rows), predictor.raw_predict(rows)
+                    )
+                    assert attached.fingerprint == predictor.fingerprint
+                finally:
+                    attached.close()
             finally:
-                attached.close()
-        finally:
-            handle.unlink()
-        handle.unlink()  # idempotent
+                handle.unlink()
+            handle.unlink()  # idempotent
 
     def test_attached_buffers_are_read_only(self, forest, rows):
+        # the native stub binds the walker over these same read-only views
         predictor = compile_model(forest)
         handle = export_shared(predictor)
         try:

@@ -19,6 +19,14 @@ SMALL_SPACE = TuningSpace(
 )
 
 
+#: the registration-time schedule: NumPy's scalar baseline, which every grid
+#: candidate — measured on the same backend, the base schedule's — beats by a
+#: margin no timing noise closes. (The native walker runs the scalar baseline
+#: about as fast as any candidate, so under the default backend the
+#: measure-before-swap guard would rightly keep it.)
+SCALAR = Schedule.scalar_baseline().with_(backend="numpy_jit")
+
+
 def fast_config(**overrides) -> ServerConfig:
     """Tuning-enabled config that never touches the user-level cache file."""
     defaults = dict(
@@ -40,7 +48,7 @@ class TestHotSwap:
         rows = test_rows[:32]
         with ModelServer(fast_config()) as server:
             session = server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=rows, tune_space=SMALL_SPACE,
             )
             # The request path is live before the background tune settles.
@@ -53,7 +61,7 @@ class TestHotSwap:
             assert snap["last"]["swapped"] is True
             assert snap["last"]["explored"] == 4
             # The session now runs a grid schedule, not the scalar baseline.
-            assert session.schedule != Schedule.scalar_baseline()
+            assert session.schedule != SCALAR
             assert session.schedule.loop_order == "one-tree"
             # Numerics are unchanged across the swap.
             assert np.allclose(server.predict("m", rows), first, rtol=1e-12)
@@ -61,7 +69,7 @@ class TestHotSwap:
     def test_synthetic_rows_when_sample_omitted(self, trained_forest):
         with ModelServer(fast_config()) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_space=SMALL_SPACE,
             )
             assert server.wait_for_tunes(timeout=120.0)
@@ -81,7 +89,7 @@ class TestHotSwap:
         monkeypatch.setattr(server_mod, "autotune", gated)
         with ModelServer(fast_config()) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=test_rows[:16], tune_space=SMALL_SPACE,
             )
             server.unregister("m")
@@ -101,7 +109,7 @@ class TestHotSwap:
         monkeypatch.setattr(server_mod, "autotune", boom)
         with ModelServer(fast_config()) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=test_rows[:16],
             )
             assert server.wait_for_tunes(timeout=120.0)
@@ -127,7 +135,7 @@ class TestConcurrentLoad:
 
         with ModelServer(fast_config()) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=rows, tune_space=SMALL_SPACE,
             )
 
@@ -171,7 +179,7 @@ class TestWarmRestart:
 
         with ModelServer(fast_config(tune_cache_path=cache_path)) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=rows, tune_space=SMALL_SPACE,
             )
             assert server.wait_for_tunes(timeout=120.0)
@@ -183,7 +191,7 @@ class TestWarmRestart:
         # "Restart": a fresh server over the same persisted cache file.
         with ModelServer(fast_config(tune_cache_path=cache_path)) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=rows, tune_space=SMALL_SPACE,
             )
             assert server.wait_for_tunes(timeout=120.0)
@@ -200,13 +208,13 @@ class TestWarmRestart:
         cache_path = str(tmp_path / "schedules.json")
         with ModelServer(fast_config(tune_cache_path=cache_path)) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=test_rows[:32], tune_space=SMALL_SPACE,
             )
             assert server.wait_for_tunes(timeout=120.0)
         with ModelServer(fast_config(tune_cache_path=cache_path)) as server:
             server.register(
-                "m", trained_forest, Schedule.scalar_baseline(),
+                "m", trained_forest, SCALAR,
                 tune=True, tune_rows=test_rows[:16], tune_space=SMALL_SPACE,
             )
             assert server.wait_for_tunes(timeout=120.0)
@@ -218,7 +226,7 @@ class TestLifecycle:
     def test_close_waits_out_pending_tunes(self, trained_forest, test_rows):
         server = ModelServer(fast_config())
         server.register(
-            "m", trained_forest, Schedule.scalar_baseline(),
+            "m", trained_forest, SCALAR,
             tune=True, tune_rows=test_rows[:16], tune_space=SMALL_SPACE,
         )
         server.close()  # must not leave a tune running against a dead server
