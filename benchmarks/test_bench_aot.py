@@ -1,8 +1,9 @@
 """PR6 bench: AOT artifact load vs cold compile.
 
-The point of the ``aot_export`` backend is cold-start elimination: a warm
-worker should reconstitute a ready executor from an artifact directory in a
-small fraction of the time a full HIR→MIR→LIR→codegen compile costs.
+The point of AOT artifacts is cold-start elimination: any compiled
+predictor exports, and a warm worker should reconstitute a ready executor
+from the artifact directory in a small fraction of the time a full
+HIR→MIR→LIR→codegen compile costs.
 
 This bench compiles one trained benchmark model cold (JIT code cache
 cleared before every round, so each round pays the whole pipeline), then

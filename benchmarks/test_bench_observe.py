@@ -104,7 +104,7 @@ def test_tracing_overhead(benchmark):
     # one shared kernel instance and only the request wrapper differs.
     off = sessions["off"]
     for name in ("off_control", "sampled", "full"):
-        servers[name].cache.put(off.cache_key, off.predictor)
+        servers[name].cache.put(off.fingerprint, off.predictor)
         sessions[name] = servers[name].register("m", forest, SCHEDULE)
     try:
         # Zero-overhead-when-off, structural half: tracing never touches

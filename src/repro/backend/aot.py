@@ -1,8 +1,8 @@
 """Ahead-of-time artifact export: compile once, load anywhere, free.
 
-The ``aot_export`` backend compiles the NumPy kernel, and this module
-knows how to *serialize* any in-process compiled model — NumPy or native —
-into a self-contained artifact directory::
+This module *serializes* any in-process compiled model — whichever
+backend emitted its kernel, NumPy or native — into a self-contained
+artifact directory::
 
     artifact/
       MANIFEST.json        format version, content fingerprint, model facts,
@@ -34,8 +34,10 @@ and every listed file must hash to its recorded sha256 — corruption,
 truncation and partial copies all fail with
 :class:`~repro.errors.ArtifactError` instead of mispredicting. The
 manifest's ``fingerprint`` is the :func:`~repro.backend.jit.model_fingerprint`
-of the exporting (forest, schedule), so the serving cache can coalesce a
-loaded artifact with an in-process compile of the same model.
+of the exporting (forest, schedule) — the serving cache's one key — so a
+loaded artifact and an in-process compile of the same model share one
+cache slot, and the loaded executor reports the manifest's
+``kernel_backend`` as its ``backend_name``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import numpy as np
 from repro.backend.codegen import build_namespace
 from repro.backend.jit import compile_source
 from repro.backend.predictor import KernelExecutor, Predictor
-from repro.backend.registry import Backend, register_backend
 from repro.config import Schedule
 from repro.errors import ArtifactError, BackendError, ScheduleError
 from repro.lir.memory import ArenaSpec, ScratchArena
@@ -164,7 +165,6 @@ def export_artifact(
              [KERNEL_NAME, SCHEDULE_NAME] + [b["file"] for b in buffers.values()]}
     manifest = {
         "format_version": ARTIFACT_FORMAT_VERSION,
-        "backend": AotExportBackend.name,
         "kernel_backend": predictor.backend_name,
         "fingerprint": predictor.fingerprint,
         "model": {
@@ -185,7 +185,7 @@ def export_artifact(
     tmp = out / (MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     os.replace(tmp, out / MANIFEST_NAME)
-    observe_registry.record_backend_event(AotExportBackend.name, "artifact_exports")
+    observe_registry.record_backend_event(predictor.backend_name, "artifact_exports")
     return out
 
 
@@ -202,7 +202,6 @@ class ArtifactPredictor(KernelExecutor):
     manifest recorded.
     """
 
-    backend_name = "aot_export"
     #: marks executors that skipped compilation entirely
     is_artifact = True
 
@@ -232,6 +231,9 @@ class ArtifactPredictor(KernelExecutor):
         )
         self.manifest = manifest
         self.artifact_path = path
+        #: the backend that emitted the kernel (artifacts exported before
+        #: the manifest recorded it hold NumPy kernels)
+        self.backend_name: str = manifest.get("kernel_backend", "numpy_jit")
         #: content hash of the exporting (forest, schedule) — lets the
         #: serving cache coalesce this executor with an in-process compile
         self.fingerprint: str = manifest["fingerprint"]
@@ -323,7 +325,7 @@ def load_artifact(
 
     try:
         schedule = Schedule.from_dict(json.loads((out / SCHEDULE_NAME).read_text()))
-    except ScheduleError as exc:
+    except (ScheduleError, BackendError) as exc:
         raise ArtifactError(
             f"artifact {out} was compiled under a schedule this build does "
             f"not read ({exc}) — re-export the model with this version"
@@ -360,15 +362,7 @@ def load_artifact(
         # a native stub that found no walker library, or whose bind-time
         # range checks refused the buffers
         raise ArtifactError(f"artifact {out} cannot be bound: {exc}") from exc
-    observe_registry.record_backend_event(AotExportBackend.name, "artifact_loads")
-    if code_hit:
-        # The stored source was already byte-compiled in this process
-        # (repeated loads of the same artifact, or a load next to the
-        # in-process compile that produced it).
-        observe_registry.record_backend_event(
-            AotExportBackend.name, "artifact_code_cache_hits"
-        )
-    return ArtifactPredictor(
+    predictor = ArtifactPredictor(
         kernel,
         schedule,
         manifest,
@@ -379,30 +373,12 @@ def load_artifact(
         validate_inputs=validate_inputs,
         profile_recorder=recorder,
     )
-
-
-# ----------------------------------------------------------------------
-# The registered backend
-# ----------------------------------------------------------------------
-
-@register_backend
-class AotExportBackend(Backend):
-    """Compile the NumPy kernel and support artifact export/load."""
-
-    name = "aot_export"
-    capabilities = ("jit", "export")
-
-    def build(self, forest, lir, *, validate_inputs=True, trace=None) -> Predictor:
-        predictor = Predictor(
-            forest, lir, validate_inputs=validate_inputs, trace=trace
+    observe_registry.record_backend_event(predictor.backend_name, "artifact_loads")
+    if code_hit:
+        # The stored source was already byte-compiled in this process
+        # (repeated loads of the same artifact, or a load next to the
+        # in-process compile that produced it).
+        observe_registry.record_backend_event(
+            predictor.backend_name, "artifact_code_cache_hits"
         )
-        predictor.backend_name = self.name
-        return predictor
-
-    # The export surface, reachable from the resolved backend object so
-    # callers can stay generic over `get_backend(name)`.
-    def export(self, model, path, schedule=None, *, overwrite=False) -> Path:
-        return export_artifact(model, path, schedule, overwrite=overwrite)
-
-    def load(self, path, *, validate_inputs=True) -> ArtifactPredictor:
-        return load_artifact(path, validate_inputs=validate_inputs)
+    return predictor

@@ -23,6 +23,8 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.backend.codegen import build_namespace, emit_module_source
 from repro.errors import CodegenError
 from repro.lir.ir import LIRModule
@@ -139,58 +141,44 @@ def clear_cache() -> None:
         _CODE_CACHE.clear()
 
 
+#: the per-node arrays of a tree, in hashing order
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "node_probability")
+
+
 def model_fingerprint(forest: "Forest", schedule: "Schedule | None" = None) -> str:
-    """Stable content hash of ``forest`` (and optionally ``schedule``).
+    """Stable content hash of ``forest`` (and optionally ``schedule``): the
+    one identity of a compiled executor.
 
     Two forests with identical structure and parameters — e.g. one
     serialized and re-loaded, or re-trained deterministically — produce the
     same fingerprint, so a predictor cache keyed on it turns re-registration
-    into a cache hit without lowering anything. The hash covers everything
-    ``Forest.to_dict`` serializes (splits, thresholds, leaf values, node
-    probabilities, objective, base score) plus the schedule's repr, which
-    for a frozen dataclass enumerates every optimization knob.
+    into a cache hit without lowering anything. The hash covers the
+    forest's scalars (feature/class counts, objective, base score) and, per
+    tree, its ``class_id`` and the dtype, shape and bytes of every node
+    array (an absent ``node_probability`` hashes as absent). Nothing is
+    memoised, so a tree mutated in place (``populate_node_probabilities``)
+    hashes afresh. ``schedule`` contributes the canonical JSON of its whole
+    :meth:`~repro.config.Schedule.to_dict` — ``backend`` and ``pgo``
+    included — so every cache that holds executors (compiled, loaded from
+    an artifact, or attached from shared memory) keys on this value as is.
     """
-    payload = json.dumps(forest.to_dict(), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode())
+    digest = hashlib.sha256(
+        json.dumps(
+            [forest.num_features, forest.num_classes, forest.objective, forest.base_score]
+        ).encode()
+    )
+    for tree in forest.trees:
+        digest.update(b"tree:%d" % tree.class_id)
+        for name in _TREE_ARRAYS:
+            array = getattr(tree, name)
+            if array is None:
+                digest.update(f"|{name}:none".encode())
+            else:
+                digest.update(f"|{name}:{array.dtype.str}{array.shape}".encode())
+                digest.update(np.ascontiguousarray(array))
     if schedule is not None:
-        digest.update(repr(schedule).encode())
+        digest.update(b"|schedule:")
+        digest.update(
+            json.dumps(schedule.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        )
     return digest.hexdigest()
-
-
-def predictor_cache_key(
-    forest: "Forest", schedule: "Schedule", fingerprint: str | None = None
-) -> str:
-    """Backend-qualified key for caches that hold compiled *executors*.
-
-    ``fingerprint`` is ``model_fingerprint(forest, schedule)`` when the
-    caller already holds it — hashing a forest costs tens of milliseconds.
-
-    :func:`model_fingerprint` deliberately excludes the backend name (the
-    backend choice never changes compiled semantics, and the schedule's
-    ``backend`` field is ``repr``-suppressed), but a cache of executors
-    must not: the same (forest, schedule) compiled under two backends are
-    distinct objects with different capabilities. Namespacing the
-    fingerprint by ``schedule.backend`` keeps them from colliding.
-
-    The repr-suppressed ``pgo`` knob gets the same treatment: a
-    profile-guided split never changes outputs (so the fingerprint may
-    ignore it) but does change the compiled kernel, so executors built
-    with different cutoffs must occupy different cache slots. The default
-    (``pgo=None``) key shape is unchanged — pinned key hashes stay valid.
-    """
-    if fingerprint is None:
-        fingerprint = model_fingerprint(forest, schedule)
-    key = f"{schedule.backend}:{fingerprint}"
-    if schedule.pgo is not None:
-        key += f":pgo={schedule.pgo}"
-    return key
-
-
-def artifact_cache_key(backend_name: str, fingerprint: str) -> str:
-    """Cache key for an executor loaded from an AOT artifact.
-
-    Mirrors :func:`predictor_cache_key`'s ``backend:fingerprint`` shape so
-    a loaded artifact and an in-process compile of the same (forest,
-    schedule) under the same backend share one cache slot.
-    """
-    return f"{backend_name}:{fingerprint}"

@@ -594,7 +594,6 @@ class NativeBackend(Backend):
     """Walk the tiles in C: one foreign call per ``predict_block``."""
 
     name = "native"
-    capabilities = ("jit", "native")
 
     def unavailable(self, schedule, stats: dict | None = None) -> str | None:
         reason = uncovered(schedule)

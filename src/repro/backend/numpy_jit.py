@@ -5,9 +5,9 @@ This is the pre-registry code path verbatim, packaged behind the
 statement per LIR walk op (:mod:`repro.backend.codegen`), compile the
 source through the bounded code cache (:mod:`repro.backend.jit`), and wrap
 the kernel in a :class:`~repro.backend.predictor.Predictor`. Registering it
-changes nothing observable — generated source, fingerprints, and runtime
-behavior are byte-identical to the hardwired pipeline it replaced (the
-registry tests pin this).
+changes nothing observable — generated source and runtime behavior are
+byte-identical to the hardwired pipeline it replaced (the registry tests
+pin this).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class NumpyJitBackend(Backend):
     """Emit NumPy source for the LIR and JIT it with ``compile()``."""
 
     name = "numpy_jit"
-    capabilities = ("jit",)
 
     def build(self, forest, lir, *, validate_inputs=True, trace=None) -> Predictor:
         return Predictor(forest, lir, validate_inputs=validate_inputs, trace=trace)

@@ -17,14 +17,13 @@ Built-in backends:
   float32.
 * ``"numpy_jit"`` (:mod:`repro.backend.numpy_jit`) — emit NumPy source,
   ``compile()`` it in-process. Covers every schedule; needs no toolchain.
-* ``"aot_export"`` (:mod:`repro.backend.aot`) — the NumPy kernel, plus
-  ahead-of-time serialization: ``export_artifact`` writes a self-contained
-  artifact directory that ``load_artifact`` reconstitutes into a ready
-  executor in a fresh process without running the compiler.
 * ``"auto"`` (:data:`DEFAULT_BACKEND`, what ``Schedule()`` carries) — not a
   code generator: :func:`resolve_backend` picks ``native`` when this
   machine can build it and the walker covers the schedule, ``numpy_jit``
   otherwise, and records every such fallback with its reason.
+
+Whichever backend built it, a compiled predictor exports to an AOT
+artifact (:mod:`repro.backend.aot`).
 
 Third parties register their own with the decorator idiom::
 
@@ -72,10 +71,6 @@ class Backend:
     #: unique registry name; subclasses must override.
     name: str = ""
 
-    #: coarse capability flags (``"export"`` = supports AOT artifact
-    #: serialization via ``export`` / ``load``), for discovery/UIs.
-    capabilities: tuple[str, ...] = ()
-
     def build(
         self,
         forest: "Forest",
@@ -95,10 +90,9 @@ class Backend:
         return None
 
     def describe(self) -> dict:
-        """Registry metadata (stable keys: name, capabilities, class)."""
+        """Registry metadata (stable keys: name, class)."""
         return {
             "name": self.name,
-            "capabilities": list(self.capabilities),
             "class": f"{type(self).__module__}.{type(self).__qualname__}",
         }
 
@@ -128,7 +122,6 @@ def _ensure_builtins() -> None:
         # docstring-free module scope only, but predictors built during
         # registration of *future* builtins must not recurse here.
         _builtins_loaded = True
-    import repro.backend.aot  # noqa: F401  (registers "aot_export")
     import repro.backend.native  # noqa: F401  (registers "native")
     import repro.backend.numpy_jit  # noqa: F401  (registers "numpy_jit")
 

@@ -11,7 +11,7 @@ compiled (the paper's "annotation" mechanism).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.errors import ScheduleError
 
@@ -25,6 +25,12 @@ _RETIRED_FIELDS = {
     # every kernel now writes its walk-step temporaries into a preallocated
     # per-thread scratch arena
     "scratch": ("arena", "the fresh-temporary (alloc) emitter was retired"),
+}
+#: (field, retired value) -> the value a persisted schedule loads as
+_RETIRED_VALUES = {
+    # the artifact backend built exactly the NumPy kernel; every compiled
+    # predictor now exports
+    ("backend", "aot_export"): "numpy_jit",
 }
 
 
@@ -186,19 +192,15 @@ class Schedule:
     #: which registered code-generation backend turns the lowered LIR into
     #: an executable (:mod:`repro.backend.registry`): ``"native"`` walks
     #: the tiles in a C function built once per machine; ``"numpy_jit"`` is
-    #: the in-process NumPy source + ``compile()`` path; ``"aot_export"``
-    #: builds the NumPy kernel and supports serializing it to a
-    #: self-contained artifact (:mod:`repro.backend.aot`). The default,
+    #: the in-process NumPy source + ``compile()`` path. The default,
     #: ``"auto"``, is resolved per compile by
     #: :func:`~repro.backend.registry.resolve_backend`: ``native`` where
     #: this machine can build it and the walker covers the schedule,
-    #: ``numpy_jit`` otherwise. Excluded from
-    #: ``repr`` on purpose: :func:`~repro.backend.jit.model_fingerprint`
-    #: hashes the schedule repr, and the backend choice never changes the
-    #: compiled semantics — executors compiled under different backends are
-    #: distinguished one level up by the backend-qualified predictor cache
-    #: key (:func:`~repro.backend.jit.predictor_cache_key`).
-    backend: str = field(default="auto", repr=False)
+    #: ``numpy_jit`` otherwise. Any compiled predictor exports to an AOT
+    #: artifact (:mod:`repro.backend.aot`). Like every field, part of
+    #: :func:`~repro.backend.jit.model_fingerprint`, the one cache key of a
+    #: compiled executor.
+    backend: str = "auto"
     #: profile-guided hot/cold tree splitting (:mod:`repro.pgo`): ``None``
     #: disables it; ``"auto"`` derives a per-group hot-depth cutoff from
     #: static leaf statistics; an int ``>= 1`` pins the cutoff explicitly
@@ -207,12 +209,10 @@ class Schedule:
     #: check-free over compact contiguous prefix buffers before the cold
     #: tail runs the ordinary walk; the split is output-invariant by
     #: construction (same comparisons, same routing, same accumulation
-    #: order). Excluded from ``repr`` like ``backend`` so default model
-    #: fingerprints stay byte-identical; predictors compiled with
-    #: different pgo values are distinguished by the qualified cache key
-    #: (:func:`~repro.backend.jit.predictor_cache_key`). Only the
-    #: ``"tiled"`` traversal honours it; quickscorer ignores it.
-    pgo: int | str | None = field(default=None, repr=False)
+    #: order), but it is a different kernel, so it has its own
+    #: fingerprint. Only the ``"tiled"`` traversal honours it; quickscorer
+    #: ignores it.
+    pgo: int | str | None = None
 
     def __post_init__(self) -> None:
         if not (1 <= self.tile_size <= 16):
@@ -293,7 +293,9 @@ class Schedule:
         written by a different version of the knob set must be discarded,
         not silently reinterpreted. A retired field (``_RETIRED_FIELDS``)
         is dropped when it carries its one surviving value — that names the
-        behaviour every schedule now has — and rejected otherwise.
+        behaviour every schedule now has — and rejected otherwise. A retired
+        value (``_RETIRED_VALUES``) loads as the value that builds the same
+        kernel.
         """
         data = dict(data)
         for name, (accepted, why) in _RETIRED_FIELDS.items():
@@ -301,6 +303,9 @@ class Schedule:
                 raise ScheduleError(
                     f"schedule field {name!r} only loads as {accepted!r}: {why}"
                 )
+        for (name, retired), value in _RETIRED_VALUES.items():
+            if data.get(name) == retired:
+                data[name] = value
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

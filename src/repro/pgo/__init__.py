@@ -16,8 +16,8 @@ compiled as the hot prefix. Three sources produce it:
 * ``Schedule(pgo="auto")`` — a static estimate from the tiled trees'
   expected walk length (leaf statistics when populated, structure
   otherwise);
-* ``None`` — disabled (the default; fingerprints and kernels are
-  byte-identical to pre-PGO builds).
+* ``None`` — disabled (the default; kernels are byte-identical to
+  pre-PGO builds).
 
 Whatever the source, the cutoff is clipped per group to the *legal* range
 ``[1, min_leaf_depth - 1]``: every tile at depth below the shallowest leaf

@@ -3,13 +3,13 @@
 The JIT already shares *code objects* across models that lower to identical
 source (:mod:`repro.backend.jit`); this cache extends sharing one level up:
 whole compiled executors are keyed by
-:func:`~repro.backend.jit.predictor_cache_key` (the backend name plus a
-stable hash of forest structure + schedule), so re-registering an
+:func:`~repro.backend.jit.model_fingerprint` (a hash of the forest's node
+arrays plus the whole schedule, backend included), so re-registering an
 isomorphic model skips the entire HIR→MIR→LIR pipeline, while the same
-model compiled under two backends keeps two distinct slots. Executors
-loaded from AOT artifacts share the same keyspace via
-:func:`~repro.backend.jit.artifact_cache_key`, so a warm worker that both
-compiled a model and loaded its artifact holds one copy, not two.
+model compiled under two backends keeps two distinct slots. An AOT
+artifact's manifest records the fingerprint of the compile it came from,
+so a warm worker that both compiled a model and loaded its artifact holds
+one copy, not two.
 
 Concurrency contract: the cache is safe to use from many threads, and a
 compile for a given key runs at most once — concurrent requesters for the

@@ -20,7 +20,6 @@ import numpy as np
 from repro.autotune.persist import ScheduleCache, default_cache_path
 from repro.autotune.search import autotune
 from repro.autotune.space import TuningSpace
-from repro.backend.jit import predictor_cache_key
 from repro.backend.parallel import get_pool, pool_stats, set_task_timing
 from repro.config import Schedule
 from repro.errors import ServingError
@@ -147,7 +146,7 @@ class ModelServer:
         # Sharded (multi-process) predictors own live resources — worker
         # processes and shared-memory segments — so the server tracks them
         # by name and closes them on unregister/re-register/close; the
-        # predictor cache never holds them (cacheable=False).
+        # predictor cache never holds them.
         self._sharded: dict[str, object] = {}
         self._slos: dict[str, object] = {}
         self._lock = threading.Lock()
@@ -399,10 +398,21 @@ class ModelServer:
                     "pgo=True recompiles from the forest structure; "
                     "artifacts carry only the compiled kernel"
                 )
-            predictor = self._load_artifact(artifact)
+            from repro.backend.aot import artifact_fingerprint, load_artifact
+
+            # Only the manifest is read before the lookup: a resident
+            # executor of this fingerprint, compiled or loaded, is served
+            # without touching the buffers.
+            predictor, hit = self.cache.get_or_compile(
+                artifact_fingerprint(artifact),
+                lambda: load_artifact(
+                    artifact, validate_inputs=self.config.validate_inputs
+                ),
+            )
             session = InferenceSession(
                 None,
                 predictor=predictor,
+                cache_hit=hit,
                 cache=self.cache,
                 metrics=self.metrics,
                 batching=self.config.batching if batching == "inherit" else batching,
@@ -465,21 +475,6 @@ class ModelServer:
                 tune_rows = np.ascontiguousarray(tune_rows, dtype=np.float64)
             self._start_tune(name, session, tune_rows, tune_space)
         return session
-
-    def _load_artifact(self, path: str):
-        """Load an AOT artifact, serving from the predictor cache when a
-        fingerprint-identical executor is already resident."""
-        from repro.backend.aot import artifact_fingerprint, load_artifact
-        from repro.backend.jit import artifact_cache_key
-
-        key = artifact_cache_key("aot_export", artifact_fingerprint(path))
-        cached = self.cache.get(key)
-        if cached is not None:
-            observe_registry.record_backend_event(
-                "aot_export", "artifact_cache_hits"
-            )
-            return cached
-        return load_artifact(path, validate_inputs=self.config.validate_inputs)
 
     # ------------------------------------------------------------------
     # Background tuning
@@ -563,16 +558,11 @@ class ModelServer:
         }
         if tuned_us >= baseline_us * SWAP_THRESHOLD:
             return info
-        # Currency check and swap under ONE lock hold: checking then
-        # swapping after release lets a concurrent unregister/close slip
-        # between them and receive a swap onto a session it already closed.
-        with self._lock:
-            if self._sessions.get(name) is not session or self._closed:
-                return info
-            key = predictor_cache_key(session.forest, result.best_schedule)
-            self.cache.put(key, result.best_predictor)
-            session.swap_predictor(result.best_predictor, result.best_schedule)
-            info["swapped"] = True
+        if not self._swap_in(
+            name, session, result.best_predictor, result.best_schedule
+        ):
+            return info
+        info["swapped"] = True
         flight.record(
             "hot_swap",
             model=name,
@@ -581,6 +571,23 @@ class ModelServer:
             schedule=result.best_schedule.to_dict(),
         )
         return info
+
+    def _swap_in(self, name, session, candidate, schedule) -> bool:
+        """Serve ``name`` from ``candidate`` (compiled under ``schedule``)
+        if ``session`` is still current; returns whether it swapped.
+
+        The candidate enters the cache under its own fingerprint. The
+        currency check and the swap share ONE lock hold: checking, then
+        swapping after release, lets a concurrent unregister/close slip
+        between them and receive a swap onto a session it already closed.
+        """
+        fingerprint = candidate.fingerprint  # hashed outside the lock
+        with self._lock:
+            if self._sessions.get(name) is not session or self._closed:
+                return False
+            self.cache.put(fingerprint, candidate)
+            session.swap_predictor(candidate, schedule)
+            return True
 
     # ------------------------------------------------------------------
     # Profile-guided recompilation
@@ -674,17 +681,10 @@ class ModelServer:
             if not (faster or force):
                 info["reason"] = "slower"
                 return info
-            # Currency check and swap under ONE lock hold (see _maybe_swap):
-            # otherwise a concurrent unregister/close can take the session
-            # down between the check and the swap.
-            with self._lock:
-                if self._sessions.get(name) is not session or self._closed:
-                    info["reason"] = "superseded"
-                    return info
-                key = predictor_cache_key(session.forest, tuned_schedule)
-                self.cache.put(key, tuned)
-                session.swap_predictor(tuned, tuned_schedule)
-                info["swapped"] = True
+            if not self._swap_in(name, session, tuned, tuned_schedule):
+                info["reason"] = "superseded"
+                return info
+            info["swapped"] = True
             info["prefix"] = prefix_bytes(tuned.lir)
             flight.record(
                 "pgo_swap",

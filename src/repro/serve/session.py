@@ -16,11 +16,7 @@ import time
 import numpy as np
 
 from repro.api import compile_model
-from repro.backend.jit import (
-    artifact_cache_key,
-    model_fingerprint,
-    predictor_cache_key,
-)
+from repro.backend.jit import model_fingerprint
 from repro.config import Schedule
 from repro.errors import CompilerError, ServingError
 from repro.forest.ensemble import Forest, sigmoid, softmax
@@ -49,6 +45,9 @@ class InferenceSession:
     ----------
     forest, schedule:
         The model and its compilation schedule (``None`` = paper default).
+    predictor, cache_hit:
+        A pre-built executor to serve instead of compiling ``forest``, and
+        whether the caller found it resident in ``cache``.
     cache:
         Shared predictor cache; a private one is created when omitted.
     metrics:
@@ -82,6 +81,7 @@ class InferenceSession:
         schedule: Schedule | None = None,
         *,
         predictor=None,
+        cache_hit: bool = False,
         cache: PredictorCache | None = None,
         metrics: ServingMetrics | None = None,
         batching: BatchingPolicy | None = None,
@@ -106,36 +106,20 @@ class InferenceSession:
         self.validate_inputs = validate_inputs
         self.fallback_error: CompilerError | None = None
         if predictor is not None:
-            # Pre-built executor (an AOT artifact load, typically): serve
-            # it through the shared cache so a fingerprint-identical
-            # registration — loaded or compiled — shares one slot, but
-            # never invoke the compiler.
+            # Never invoke the compiler: the server resolved this executor
+            # already — an AOT artifact it looked up in (or loaded into) the
+            # shared cache, or a sharded predictor, whose worker processes
+            # belong to exactly one registration and never enter the cache.
             self.schedule = predictor.schedule
             self.objective = getattr(predictor, "objective", "regression")
             self.fingerprint = predictor.fingerprint
-            self.cache_key = artifact_cache_key(
-                getattr(predictor, "backend_name", self.schedule.backend),
-                predictor.fingerprint,
-            )
-            if getattr(predictor, "cacheable", True):
-                self.predictor, self.cache_hit = self.cache.get_or_compile(
-                    self.cache_key, lambda: predictor
-                )
-            else:
-                # Executors that own live resources (worker pools, shared
-                # memory) must not be coalesced across registrations or
-                # evicted/revived by the LRU — their lifecycle belongs to
-                # exactly one owner.
-                self.predictor, self.cache_hit = predictor, False
+            self.predictor, self.cache_hit = predictor, cache_hit
         else:
             self.schedule = schedule or Schedule()
             self.objective = forest.objective
             self.fingerprint = model_fingerprint(forest, self.schedule)
-            # Backend-qualified: the same (forest, schedule) compiled under
-            # two backends must not collide on one cache slot.
-            self.cache_key = predictor_cache_key(forest, self.schedule, self.fingerprint)
             self.predictor, self.cache_hit = self.cache.get_or_compile(
-                self.cache_key, self._compile
+                self.fingerprint, self._compile
             )
         if self.name is None:
             self.name = self.fingerprint[:12]
@@ -200,9 +184,9 @@ class InferenceSession:
         The swap is one attribute rebind: requests already inside
         ``raw_predict`` finish on the predictor they captured, later
         requests see the new one — no request is dropped or served by a
-        half-updated session. ``schedule`` (when given) updates the
-        session's schedule and fingerprint to match, and the swap is
-        counted in metrics.
+        half-updated session. ``schedule`` (when given) is the one
+        ``predictor`` was compiled under: the session's schedule and
+        fingerprint follow it. The swap is counted in metrics.
         """
         old = self.predictor
         if schedule is not None:
@@ -211,8 +195,7 @@ class InferenceSession:
                     "cannot re-schedule an artifact-backed session (no forest)"
                 )
             self.schedule = schedule
-            self.fingerprint = model_fingerprint(self.forest, schedule)
-            self.cache_key = predictor_cache_key(self.forest, schedule, self.fingerprint)
+            self.fingerprint = predictor.fingerprint
         self.predictor = predictor
         self.fallback_error = None
         self.metrics.record_hot_swap()

@@ -572,14 +572,13 @@ class ShardedPredictor:
     ``num_workers == 0`` is the degenerate in-process mode: the same
     compiled shard executors run sequentially on the caller's thread —
     the bitwise reference every multi-worker configuration must match.
-    Owns live resources (processes, shared memory), so it is marked
-    ``cacheable = False``: the predictor cache must never coalesce or
-    evict it, and exactly one owner calls :meth:`close`.
+    Owns live resources (processes, shared memory), so it never enters the
+    predictor cache: nothing may coalesce or evict it, and exactly one
+    owner calls :meth:`close`.
     """
 
     backend_name = "sharded"
     is_artifact = False
-    cacheable = False
 
     def __init__(
         self,

@@ -147,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backends",
         action="store_true",
         help="also cross-check every registered code-generation backend "
-        "against the interpreter (with an artifact round-trip for "
-        "export-capable backends)",
+        "against the interpreter, each with an artifact round-trip",
     )
     parser.add_argument(
         "--precision",

@@ -12,13 +12,12 @@ backend reports :meth:`~repro.backend.registry.Backend.unavailable` — the
 native walker under a quantized precision, or on a machine without a C
 compiler — is skipped and counted, not failed.
 
-Backends that advertise the ``"export"`` capability (the ``aot_export``
-backend) are additionally round-tripped through a temporary artifact
-directory: the compiled predictor is exported, reloaded via
+Every compiled predictor is additionally round-tripped through a temporary
+artifact directory: it is exported, reloaded via
 :func:`repro.backend.aot.load_artifact`, and the loaded executor's raw
 margins must be **bitwise equal** to the in-process kernel's — the loader
-re-runs the same byte-compiled source against the same buffers, so any
-difference at all is a serialization bug, not noise.
+binds the same source (NumPy kernel or native stub) to the same buffers,
+so any difference at all is a serialization bug, not noise.
 
 ``BACKEND_SWEEP_CONFIG`` is the checked-in configuration of the PR6
 campaign; the same parameters re-run via ``python -m repro.verify
@@ -43,8 +42,8 @@ from repro.verify.fuzz import (
 )
 
 #: the PR6 sweep campaign: three seeds x three forest shapes x six schedule
-#: points x every registered backend x the full adversarial corpus, with
-#: an artifact round-trip for export-capable backends
+#: points x every registered backend x the full adversarial corpus, each
+#: with an artifact round-trip
 BACKEND_SWEEP_CONFIG = {
     "seeds": (0, 1, 2),
     "backends": None,  # None = every registered backend at run time
@@ -81,19 +80,14 @@ def compare_backend_case(forest, schedule: Schedule, rows: np.ndarray):
     """Cross-check one (forest, schedule, rows) triple under its backend.
 
     Runs :func:`~repro.verify.fuzz.compare_case` (kernel vs interpreter vs
-    reference forest) and, for export-capable backends, an artifact
-    round-trip requiring bitwise-equal margins. Returns ``None`` on
-    agreement, else ``(stage, max_abs_err)`` with stage ``"compile"``,
-    ``"interpreter"``, ``"forest"`` or ``"artifact"``.
+    reference forest) and an artifact round-trip requiring bitwise-equal
+    margins. Returns ``None`` on agreement, else ``(stage, max_abs_err)``
+    with stage ``"compile"``, ``"interpreter"``, ``"forest"`` or
+    ``"artifact"``.
     """
     outcome = compare_case(forest, schedule, rows)
     if outcome is not None:
         return outcome
-    from repro.backend.registry import get_backend
-
-    backend = get_backend(schedule.backend)
-    if "export" not in backend.capabilities:
-        return None
     from repro.api import compile_model
     from repro.backend.aot import export_artifact, load_artifact
 

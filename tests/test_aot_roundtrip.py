@@ -93,7 +93,7 @@ def test_roundtrip_in_process(tmp_path, forest, rows):
         assert loaded.manifest["kernel_backend"] == backend
         assert loaded.fingerprint == predictor.fingerprint
         assert loaded.is_artifact
-        assert loaded.backend_name == "aot_export"
+        assert loaded.backend_name == backend
         assert loaded.memory_bytes() > 0
         assert artifact_fingerprint(out) == predictor.fingerprint
 
@@ -124,8 +124,12 @@ def test_artifact_exported_before_lean_emission_still_loads(forest, rows):
     forest (the fixture of this module, int8 with a guarded loop). Its
     ``schedule.json`` still carries the retired ``"scratch": "arena"``
     entry, and its manifest fingerprint hashed that token: the schedule
-    must come back equal, the fingerprint is no longer comparable."""
+    must come back equal, the fingerprint is no longer comparable. Its
+    manifest names the retired export backend and no ``kernel_backend``:
+    it serves as the NumPy kernel it is."""
     loaded = load_artifact(Path(__file__).parent / "data" / "aot_pr14")
+    assert loaded.manifest["backend"] == "aot_export"
+    assert loaded.backend_name == "numpy_jit"
     assert "_A.f0[:" in loaded.source and "_np.take(" in loaded.source
     assert loaded.schedule == Schedule(
         precision="int8", pad_and_unroll=False, pgo=2, backend="numpy_jit"
@@ -267,6 +271,23 @@ def test_unreadable_schedule_is_version_skew(artifact):
         load_artifact(artifact)
 
 
+def test_schedule_naming_an_unregistered_backend_is_version_skew(artifact):
+    _rewrite_schedule(artifact, backend="llvm")
+    with pytest.raises(ArtifactError, match="llvm.*re-export"):
+        load_artifact(artifact)
+
+
+def test_schedule_naming_the_retired_export_backend_loads(tmp_path, forest, rows):
+    """Earlier builds exported NumPy kernels under ``backend="aot_export"``;
+    such an artifact loads as ``numpy_jit`` and predicts bitwise."""
+    predictor = compile_model(forest, Schedule(backend="numpy_jit"))
+    out = export_artifact(predictor, tmp_path / "a")
+    _rewrite_schedule(out, backend="aot_export")
+    loaded = load_artifact(out)
+    assert loaded.schedule == predictor.schedule
+    np.testing.assert_array_equal(loaded.raw_predict(rows), predictor.raw_predict(rows))
+
+
 def test_manifest_without_arena_spec_rejected(artifact):
     manifest = json.loads((artifact / "MANIFEST.json").read_text())
     manifest["arena"] = None  # what an alloc-mode export used to record
@@ -302,12 +323,36 @@ def test_server_artifact_coalesces_with_compiled_registration(tmp_path, forest, 
     with ModelServer() as server:
         compiled = server.register("jit", forest, Schedule())
         loaded = server.register("aot", artifact=str(out))
-        # Same fingerprint, different backend: two distinct cache slots.
+        # One (forest, schedule), one fingerprint, one resident executor.
         assert compiled.fingerprint == loaded.fingerprint
-        assert compiled.cache_key != loaded.cache_key
+        assert loaded.cache_hit
+        assert loaded.predictor is compiled.predictor
+        snapshot = server.metrics_snapshot()
+        assert snapshot["predictors_resident"] == 1
+        assert snapshot["compiles"] == 1
         np.testing.assert_array_equal(
             server.predict("jit", rows), server.predict("aot", rows)
         )
+
+
+def test_server_artifact_of_a_resident_fingerprint_is_never_loaded(
+    tmp_path, forest, monkeypatch
+):
+    import repro.backend.aot as aot
+    from repro.serve import ModelServer
+
+    out = export_artifact(forest, tmp_path / "a", Schedule(backend="numpy_jit"))
+    with ModelServer() as server:
+        first = server.register("first", artifact=str(out))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_artifact called for a resident fingerprint")
+
+        monkeypatch.setattr(aot, "load_artifact", refuse)
+        again = server.register("again", artifact=str(out))
+        compiled = server.register("compiled", forest, Schedule(backend="numpy_jit"))
+        assert again.predictor is first.predictor is compiled.predictor
+        assert server.metrics_snapshot()["compiles"] == 0
 
 
 def test_server_register_argument_validation(tmp_path, forest):
@@ -339,11 +384,19 @@ def test_server_rejects_corrupted_artifact(tmp_path, forest):
 # The cross-backend differential checker
 # ----------------------------------------------------------------------
 
-def test_compare_backend_case_roundtrips_export_backend(forest, rows):
+def test_compare_backend_case_roundtrips_every_backend(forest, rows, monkeypatch):
+    import repro.backend.aot as aot
     from repro.verify.backends import compare_backend_case
 
-    schedule = Schedule(backend="aot_export", verify=True)
-    assert compare_backend_case(forest, schedule, rows) is None
+    loaded = []
+    real = aot.load_artifact
+    monkeypatch.setattr(
+        aot, "load_artifact", lambda path: loaded.append(real(path)) or loaded[-1]
+    )
+    for backend in KERNEL_BACKENDS:
+        schedule = Schedule(backend=backend, verify=True)
+        assert compare_backend_case(forest, schedule, rows) is None
+    assert [p.backend_name for p in loaded] == list(KERNEL_BACKENDS)
 
 
 def test_manifest_missing_key_rejected(artifact):

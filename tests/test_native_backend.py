@@ -171,8 +171,7 @@ def test_no_toolchain_serves_on_numpy(forest, rows, no_compiler):
 
 
 def test_named_backends_resolve_to_themselves():
-    for name in ("numpy_jit", "aot_export"):
-        assert resolve_backend(Schedule(backend=name, precision="int8")).name == name
+    assert resolve_backend(Schedule(backend="numpy_jit", precision="int8")).name == "numpy_jit"
 
 
 def test_schedule_gained_no_field():
@@ -526,6 +525,7 @@ def test_concurrent_callers_share_one_bound_model(forest, rows):
 
 def test_session_fingerprints_its_forest_once(forest, monkeypatch):
     import repro.backend.jit as jit
+    import repro.backend.predictor as predictor_module
     import repro.serve.session as session_module
 
     calls = []
@@ -535,15 +535,17 @@ def test_session_fingerprints_its_forest_once(forest, monkeypatch):
         calls.append(schedule)
         return real(model, schedule)
 
-    monkeypatch.setattr(jit, "model_fingerprint", counting)
-    monkeypatch.setattr(session_module, "model_fingerprint", counting)
+    for module in (jit, predictor_module, session_module):
+        monkeypatch.setattr(module, "model_fingerprint", counting)
     session = InferenceSession(forest, Schedule(backend="numpy_jit"))
     assert len(calls) == 1
-    assert session.cache_key == f"numpy_jit:{session.fingerprint}"
+    assert session.cache.keys() == [session.fingerprint]
     assert session.fingerprint == real(forest, session.schedule)
-    session.swap_predictor(session.predictor, Schedule(tile_size=4, backend="numpy_jit"))
+    # a swap adopts the candidate's own fingerprint: one hash per compile
+    tuned = Schedule(tile_size=4, backend="numpy_jit")
+    session.swap_predictor(compile_model(forest, tuned), tuned)
     assert len(calls) == 2
-    assert session.cache_key == f"numpy_jit:{real(forest, session.schedule)}"
+    assert session.fingerprint == real(forest, tuned)
     session.close()
 
 

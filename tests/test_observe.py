@@ -404,11 +404,11 @@ class TestRegistry:
         reg = Registry()
         reg.record_backend_event("numpy_jit", "compiles")
         reg.record_backend_event("numpy_jit", "compiles", 2)
-        reg.record_backend_event("aot_export", "artifact_loads")
+        reg.record_backend_event("native", "artifact_loads")
         snap = reg.snapshot()
         assert snap["backends"] == {
             "numpy_jit": {"compiles": 3},
-            "aot_export": {"artifact_loads": 1},
+            "native": {"artifact_loads": 1},
         }
         reg.clear()
         assert reg.snapshot()["backends"] == {}

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import random_forest_model
 from repro import Schedule, compile_model
-from repro.backend.jit import predictor_cache_key
+from repro.backend.jit import model_fingerprint
 from repro.errors import ScheduleError, ServingError, VerificationError
 from repro.pgo import (
     legal_hot_depth,
@@ -51,18 +51,16 @@ class TestScheduleKnob:
         assert Schedule(pgo="auto").pgo == "auto"
         assert Schedule(pgo=3).pgo == 3
 
-    def test_default_repr_is_unchanged(self):
-        # repr-suppressed: pgo never appears, so pinned schedule reprs
-        # (and the fingerprints derived from them) are stable.
-        assert "pgo" not in repr(Schedule(pgo=2))
-        assert "pgo" not in repr(Schedule())
-
     def test_cache_key_qualified_only_when_set(self, pgo_forest):
-        base = predictor_cache_key(pgo_forest, Schedule())
-        split = predictor_cache_key(pgo_forest, Schedule(pgo=2))
-        assert split == f"{base}:pgo=2"
-        assert predictor_cache_key(pgo_forest, Schedule(pgo="auto")) == (
-            f"{base}:pgo=auto"
+        # the fingerprint is the cache key: split and unsplit kernels of one
+        # forest occupy distinct slots, and pgo=None is the default's slot
+        keys = {
+            model_fingerprint(pgo_forest, Schedule(pgo=pgo))
+            for pgo in (None, 2, 3, "auto")
+        }
+        assert len(keys) == 4
+        assert model_fingerprint(pgo_forest, Schedule(pgo=None)) == (
+            model_fingerprint(pgo_forest, Schedule())
         )
 
 
