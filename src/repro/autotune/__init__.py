@@ -25,11 +25,7 @@ from repro.autotune.persist import (
     machine_id,
 )
 from repro.autotune.search import DEFAULT_MIN_TIME_S, TuneResult, autotune
-from repro.autotune.shards import (
-    MIN_BYTES_PER_SHARD,
-    MIN_NODES_PER_SHARD,
-    recommend_shard_count,
-)
+from repro.autotune.shards import MIN_NODES_PER_SHARD, recommend_shard_count
 from repro.autotune.space import TuningSpace, default_space, schedule_grid
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "default_cache_path",
     "default_space",
     "machine_id",
-    "MIN_BYTES_PER_SHARD",
     "MIN_NODES_PER_SHARD",
     "predict_cost",
     "recommend_shard_count",

@@ -11,14 +11,11 @@ ways spends more on transport than on trees.
 The heuristic mirrors the cost model's structure-over-measurement
 approach (:mod:`repro.autotune.cost`): per-shard work is proxied by node
 count, and a shard is worth creating only while its share of the model
-stays above both a node floor and a byte floor (precision-aware via
-``_BYTES_PER_NODE`` — a quantized int8 model packs ~3x the trees per byte,
-so it shards wider at equal footprint).
+stays above a node floor.
 """
 
 from __future__ import annotations
 
-from repro.autotune.cost import _BYTES_PER_NODE, ForestProfile
 from repro.errors import ScheduleError
 from repro.forest.ensemble import Forest
 
@@ -26,36 +23,22 @@ from repro.forest.ensemble import Forest
 #: IPC round trip costs on the order of visiting thousands of nodes.
 MIN_NODES_PER_SHARD = 2000
 
-#: a shard whose buffers fall below this has no memory reason to exist
-#: either — it would fit any cache next to its siblings.
-MIN_BYTES_PER_SHARD = 16 * 1024
-
 
 def recommend_shard_count(
-    forest: Forest | ForestProfile,
+    forest: Forest,
     num_workers: int,
     *,
-    precision: str = "float64",
     min_nodes_per_shard: int = MIN_NODES_PER_SHARD,
-    min_bytes_per_shard: int = MIN_BYTES_PER_SHARD,
 ) -> int:
     """How many tree shards to split ``forest`` into for ``num_workers``.
 
     At most one shard per worker (the pool never benefits from more) and
     never more shards than trees; beyond that, the count is capped so
-    every shard keeps at least ``min_nodes_per_shard`` nodes *and*
-    ``min_bytes_per_shard`` model bytes — small models collapse to one
-    shard (the degenerate single-process-equivalent case) instead of
-    paying scatter/gather for trivial partials.
+    every shard keeps at least ``min_nodes_per_shard`` nodes — small models
+    collapse to one shard (the degenerate single-process-equivalent case)
+    instead of paying scatter/gather for trivial partials.
     """
     if num_workers < 1:
         raise ScheduleError("num_workers must be >= 1")
-    profile = (
-        forest if isinstance(forest, ForestProfile) else ForestProfile.from_forest(forest)
-    )
-    bytes_per_node = _BYTES_PER_NODE.get(precision, _BYTES_PER_NODE["float64"])
-    total_nodes = profile.total_nodes
-    total_bytes = total_nodes * bytes_per_node
-    by_nodes = max(1, total_nodes // max(1, min_nodes_per_shard))
-    by_bytes = max(1, total_bytes // max(1, min_bytes_per_shard))
-    return max(1, min(num_workers, profile.num_trees, by_nodes, by_bytes))
+    by_nodes = forest.total_nodes // max(1, min_nodes_per_shard)
+    return max(1, min(num_workers, forest.num_trees, by_nodes))

@@ -1,43 +1,50 @@
-"""Ahead-of-time artifact export: compile once, load anywhere, free.
+"""Compiled-model images: one description, two stores, one rebuild.
 
-This module *serializes* any in-process compiled model — whichever
-backend emitted its kernel, NumPy or native — into a self-contained
-artifact directory::
+A compiled model is its kernel source plus the arrays
+:func:`~repro.backend.codegen.model_buffers` builds from its LIR. Its *image*
+is that pair with the facts an executor needs besides: the backend that
+emitted the kernel, the :func:`~repro.backend.jit.model_fingerprint` of the
+exporting (forest, schedule), the model's scalars, the arena spec, the
+quantization summary and each buffer's dtype and shape. :func:`image_of`
+describes it, and two stores hold it:
+
+* an AOT artifact directory, on disk (:func:`export_artifact` /
+  :func:`load_artifact`, below)::
 
     artifact/
-      MANIFEST.json        format version, content fingerprint, model facts,
-                           arena spec, per-file sha256 hashes, and
-                           ``kernel_backend``: which backend emitted the
-                           kernel (absent in older artifacts: ``numpy_jit``)
+      MANIFEST.json        the image description, ``format_version`` and
+                           per-file sha256 hashes (``kernel_backend`` is
+                           absent in older artifacts: ``numpy_jit``)
       kernel.py            the generated ``predict_block`` source — for a
                            native kernel the stub that binds the walker
       schedule.json        ``Schedule.to_dict()`` of the compiling schedule
-      buffers/<name>.npy   every model buffer of the JIT namespace
-                           (thresholds, feature indices, LUT, leaf values,
-                           one-hot class matrices, ...)
+      buffers/<name>.npy   every model buffer
 
-:func:`load_artifact` reconstitutes a ready executor from that directory in
-a fresh process **without invoking the compiler**: no HIR/MIR/LIR lowering
-runs, no tiling is computed — the loader reads buffers, rebuilds the
-namespace, byte-compiles the stored source and wraps it in an
-:class:`ArtifactPredictor` (a :class:`~repro.backend.predictor.KernelExecutor`).
-That is the cold-start-free deploy path: warm workers load artifacts in
-milliseconds where a compile costs hundreds (``benchmarks/test_bench_aot.py``).
-A native kernel's stub finds the walker library in this machine's cache, or
-builds it there (:mod:`repro.backend.native`); on a machine that cannot, and
-for buffers that fail the stub's bind-time range checks, the load is an
-:class:`~repro.errors.ArtifactError`.
+* named shared-memory segments, for the worker processes of one machine
+  (:func:`repro.backend.shm.export_shared` /
+  :func:`~repro.backend.shm.attach_shared`).
+
+Each store adds only what it owns to the description — ``file`` here,
+``segment`` and ``nbytes`` in shared memory — and both loaders finish through
+:func:`rebuild_executor`: parse the schedule, check each array against its
+manifest entry, bind the kernel with :func:`~repro.backend.jit.bind_kernel`
+(the function an in-process compile binds with) and wrap it in an
+:class:`ArtifactPredictor`. **No compiler stage runs**: no HIR/MIR/LIR
+lowering, no tiling. That is the cold-start-free deploy path: warm workers
+load artifacts in milliseconds where a compile costs hundreds. A native
+kernel's stub finds the walker library in this machine's cache, or builds it
+there (:mod:`repro.backend.native`); on a machine that cannot, and for
+buffers that fail the stub's bind-time range checks, the rebuild is an
+:class:`~repro.errors.ArtifactError`, as is a schedule this build cannot read.
 
 Artifacts are validated whole before anything is trusted: the manifest's
 ``format_version`` must match this build (:data:`ARTIFACT_FORMAT_VERSION`),
 and every listed file must hash to its recorded sha256 — corruption,
 truncation and partial copies all fail with
-:class:`~repro.errors.ArtifactError` instead of mispredicting. The
-manifest's ``fingerprint`` is the :func:`~repro.backend.jit.model_fingerprint`
-of the exporting (forest, schedule) — the serving cache's one key — so a
-loaded artifact and an in-process compile of the same model share one
-cache slot, and the loaded executor reports the manifest's
-``kernel_backend`` as its ``backend_name``.
+:class:`~repro.errors.ArtifactError` instead of mispredicting. A rebuilt
+executor reports the image's fingerprint — the serving cache's one key — so
+it shares one cache slot with an in-process compile of the same model, and
+the image's ``kernel_backend`` as its ``backend_name``.
 """
 
 from __future__ import annotations
@@ -45,18 +52,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import weakref
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from repro.backend.codegen import build_namespace
-from repro.backend.jit import compile_source
+from repro.backend.codegen import model_buffers
+from repro.backend.jit import bind_kernel
 from repro.backend.predictor import KernelExecutor, Predictor
 from repro.config import Schedule
 from repro.errors import ArtifactError, BackendError, ScheduleError
-from repro.lir.memory import ArenaSpec, ScratchArena
+from repro.lir.memory import ArenaSpec
 from repro.observe import registry as observe_registry
 from repro.observe.profile import ProfileRecorder
 
@@ -72,10 +79,6 @@ KERNEL_NAME = "kernel.py"
 SCHEDULE_NAME = "schedule.json"
 BUFFER_DIR = "buffers"
 
-#: namespace entries that are runtime objects, not model buffers — they are
-#: reconstructed at load time instead of serialized.
-_RUNTIME_KEYS = ("_np", "_new_arena", "_P")
-
 
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
@@ -83,6 +86,43 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def image_of(predictor) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(manifest, buffers)`` of a compiled predictor's image.
+
+    The manifest holds what every store records: ``kernel_backend``,
+    ``fingerprint``, the model's scalars, the arena spec, the quantization
+    summary and, under ``buffers``, each buffer's dtype and shape. Only
+    in-process :class:`~repro.backend.predictor.Predictor` instances have
+    an image (their buffers are rebuilt from their LIR); anything else is
+    an :class:`~repro.errors.ArtifactError`.
+    """
+    if not isinstance(predictor, Predictor):
+        raise ArtifactError(
+            f"only in-process compiled predictors can be exported, "
+            f"got {type(predictor).__name__}"
+        )
+    lir = predictor.lir
+    buffers = model_buffers(lir)
+    manifest = {
+        "kernel_backend": predictor.backend_name,
+        "fingerprint": predictor.fingerprint,
+        "model": {
+            "num_features": lir.num_features,
+            "num_classes": lir.num_classes,
+            "num_trees": predictor.forest.num_trees,
+            "base_score": lir.base_score,
+            "objective": predictor.forest.objective,
+        },
+        "arena": asdict(predictor.arena_spec),
+        "quantization": lir.quant.describe() if lir.quant is not None else None,
+        "buffers": {
+            name: {"dtype": str(array.dtype), "shape": list(array.shape)}
+            for name, array in buffers.items()
+        },
+    }
+    return manifest, buffers
 
 
 # ----------------------------------------------------------------------
@@ -114,17 +154,13 @@ def export_artifact(
 
     Returns the artifact directory as a :class:`~pathlib.Path`.
     """
-    if isinstance(model, Predictor):
+    if isinstance(model, KernelExecutor):
         predictor = model
     else:
         from repro.api import compile_model  # lazy: api imports this package
 
         predictor = compile_model(model, schedule)
-    if not isinstance(predictor, Predictor):
-        raise ArtifactError(
-            f"only in-process compiled predictors can be exported, "
-            f"got {type(predictor).__name__}"
-        )
+    manifest, buffers = image_of(predictor)
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,50 +171,19 @@ def export_artifact(
             f"pass overwrite=True to replace its contents"
         )
 
-    lir = predictor.lir
-    sched = predictor.schedule
     (out / BUFFER_DIR).mkdir(exist_ok=True)
     (out / KERNEL_NAME).write_text(predictor.source)
     (out / SCHEDULE_NAME).write_text(
-        json.dumps(sched.to_dict(), indent=2, sort_keys=True)
+        json.dumps(predictor.schedule.to_dict(), indent=2, sort_keys=True)
     )
-
-    # The exact namespace the JIT ran against, minus runtime objects: what
-    # is serialized is what executed, so the load is bit-faithful.
-    namespace = build_namespace(lir)
-    buffers: dict[str, dict] = {}
-    for name, value in namespace.items():
-        if name in _RUNTIME_KEYS:
-            continue
-        if not isinstance(value, np.ndarray):  # pragma: no cover - all
-            # non-runtime namespace entries are arrays by construction
-            raise ArtifactError(f"unserializable namespace entry {name!r}")
+    files = [KERNEL_NAME, SCHEDULE_NAME]
+    for name, array in buffers.items():
         rel = f"{BUFFER_DIR}/{name}.npy"
-        np.save(out / rel, value, allow_pickle=False)
-        buffers[name] = {
-            "file": rel,
-            "dtype": str(value.dtype),
-            "shape": list(value.shape),
-        }
-
-    files = {rel: _sha256_file(out / rel) for rel in
-             [KERNEL_NAME, SCHEDULE_NAME] + [b["file"] for b in buffers.values()]}
-    manifest = {
-        "format_version": ARTIFACT_FORMAT_VERSION,
-        "kernel_backend": predictor.backend_name,
-        "fingerprint": predictor.fingerprint,
-        "model": {
-            "num_features": lir.num_features,
-            "num_classes": lir.num_classes,
-            "num_trees": predictor.forest.num_trees,
-            "base_score": lir.base_score,
-            "objective": predictor.forest.objective,
-        },
-        "arena": asdict(predictor.arena_spec),
-        "quantization": lir.quant.describe() if lir.quant is not None else None,
-        "buffers": buffers,
-        "files": files,
-    }
+        np.save(out / rel, array, allow_pickle=False)
+        manifest["buffers"][name]["file"] = rel
+        files.append(rel)
+    manifest["files"] = {rel: _sha256_file(out / rel) for rel in files}
+    manifest["format_version"] = ARTIFACT_FORMAT_VERSION
     # Manifest last, atomically: a crashed export leaves a directory with
     # no manifest (cleanly rejected) rather than a manifest describing
     # files that were never written.
@@ -190,16 +195,18 @@ def export_artifact(
 
 
 # ----------------------------------------------------------------------
-# Load
+# Rebuild
 # ----------------------------------------------------------------------
 
 class ArtifactPredictor(KernelExecutor):
-    """A compiled model reconstituted from an AOT artifact directory.
+    """A compiled model rebuilt from its image, on disk or in shared memory.
 
     Executes identically to the in-process :class:`Predictor` it was
     exported from (same source, same buffers, same arena policy), but owns
     neither the forest nor the lowered module — only the facts the
-    manifest recorded.
+    manifest recorded. An executor attached from shared memory maps its
+    buffers from segments another process created: :meth:`close` drops
+    those attachments, and never unlinks them.
     """
 
     #: marks executors that skipped compilation entirely
@@ -211,9 +218,11 @@ class ArtifactPredictor(KernelExecutor):
         schedule: Schedule,
         manifest: dict,
         arena: ArenaSpec,
-        path: Path,
         source: str,
         nbytes: int,
+        *,
+        path: Path | None = None,
+        attachments: list | None = None,
         validate_inputs: bool = True,
         profile_recorder: ProfileRecorder | None = None,
     ) -> None:
@@ -230,6 +239,7 @@ class ArtifactPredictor(KernelExecutor):
             source=source,
         )
         self.manifest = manifest
+        #: the artifact directory (``None``: attached from shared memory)
         self.artifact_path = path
         #: the backend that emitted the kernel (artifacts exported before
         #: the manifest recorded it hold NumPy kernels)
@@ -239,9 +249,10 @@ class ArtifactPredictor(KernelExecutor):
         self.fingerprint: str = manifest["fingerprint"]
         self.profile_recorder = profile_recorder
         self._nbytes = nbytes
+        self._attachments = attachments or []
 
     def memory_bytes(self) -> int:
-        """Model-buffer footprint of the loaded artifact buffers."""
+        """Bytes of the model buffers the kernel is bound to."""
         return self._nbytes
 
     def profile_counters(self) -> dict:
@@ -249,11 +260,93 @@ class ArtifactPredictor(KernelExecutor):
             return {}
         return self.profile_recorder.aggregate()
 
+    def close(self) -> None:
+        """Drop shared-memory attachments (idempotent; the buffer views
+        become invalid). A no-op for an executor loaded from disk."""
+        attachments, self._attachments = self._attachments, []
+        for segment in attachments:
+            try:
+                segment.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
+
     def __repr__(self) -> str:
         return (
             f"ArtifactPredictor(trees={self.manifest['model']['num_trees']}, "
             f"fingerprint={self.fingerprint[:12]}, path={str(self.artifact_path)!r})"
         )
+
+
+def rebuild_executor(
+    manifest: dict,
+    schedule: dict,
+    source: str,
+    fetch: Callable[[str, dict], np.ndarray],
+    *,
+    origin: str,
+    validate_inputs: bool = True,
+    path: Path | None = None,
+    attachments: list | None = None,
+) -> tuple[ArtifactPredictor, bool]:
+    """Bind an image's kernel; returns ``(executor, code_cache_hit)``.
+
+    ``fetch(name, entry)`` returns the buffer a manifest entry describes —
+    read from a file, or mapped from a segment it appends to
+    ``attachments``; ``origin`` names the image in errors. Every failure
+    is an :class:`~repro.errors.ArtifactError` — a missing arena spec, a
+    schedule this build does not read, a buffer unlike its entry, a kernel
+    that cannot bind — and closes the attachments.
+    """
+    try:
+        if not manifest.get("arena"):
+            raise ArtifactError(
+                f"{origin} has no arena spec — re-export the model with this version"
+            )
+        try:
+            parsed = Schedule.from_dict(schedule)
+        except (ScheduleError, BackendError) as exc:
+            raise ArtifactError(
+                f"{origin} was compiled under a schedule this build does "
+                f"not read ({exc}) — re-export the model with this version"
+            ) from exc
+        buffers = {}
+        for name, meta in manifest["buffers"].items():
+            array = buffers[name] = fetch(name, meta)
+            if str(array.dtype) != meta["dtype"] or list(array.shape) != meta["shape"]:
+                raise ArtifactError(
+                    f"buffer {name!r} does not match its manifest entry: "
+                    f"{array.dtype}{array.shape} vs "
+                    f"{meta['dtype']}{tuple(meta['shape'])}"
+                )
+        recorder = (
+            ProfileRecorder(label=f"image-{manifest['fingerprint'][:8]}")
+            if parsed.profile
+            else None
+        )
+        arena = ArenaSpec.from_manifest(manifest["arena"])
+        try:
+            kernel, hit = bind_kernel(source, buffers, arena, recorder)
+        except BackendError as exc:
+            # a native stub that found no walker library, or whose bind-time
+            # range checks refused the buffers
+            raise ArtifactError(f"{origin} cannot be bound: {exc}") from exc
+    except BaseException:
+        for segment in attachments or ():
+            segment.close()
+        raise
+    executor = ArtifactPredictor(
+        kernel,
+        parsed,
+        manifest,
+        arena,
+        source,
+        sum(array.nbytes for array in buffers.values()),
+        path=path,
+        attachments=attachments,
+        validate_inputs=validate_inputs,
+        profile_recorder=recorder,
+    )
+    return executor, hit
 
 
 def _read_manifest(out: Path) -> dict:
@@ -276,11 +369,6 @@ def _read_manifest(out: Path) -> dict:
     for key in ("fingerprint", "model", "buffers", "files"):
         if key not in manifest:
             raise ArtifactError(f"artifact manifest {out} is missing {key!r}")
-    if not manifest.get("arena"):
-        raise ArtifactError(
-            f"artifact manifest {out} has no arena spec — re-export the "
-            f"model with this version"
-        )
     return manifest
 
 
@@ -314,64 +402,22 @@ def load_artifact(
 ) -> ArtifactPredictor:
     """Reconstitute a ready executor from an artifact directory.
 
-    No compiler stage runs: the stored source is byte-compiled directly
-    against the deserialized buffers. Validation is all-or-nothing —
-    version mismatch, missing files and content-hash mismatches raise
+    No compiler stage runs: the stored source is bound directly to the
+    deserialized buffers. Validation is all-or-nothing — version mismatch,
+    missing files and content-hash mismatches raise
     :class:`~repro.errors.ArtifactError` before any kernel is built.
     """
     out = Path(path)
     manifest = _read_manifest(out)
     _verify_files(out, manifest)
-
-    try:
-        schedule = Schedule.from_dict(json.loads((out / SCHEDULE_NAME).read_text()))
-    except (ScheduleError, BackendError) as exc:
-        raise ArtifactError(
-            f"artifact {out} was compiled under a schedule this build does "
-            f"not read ({exc}) — re-export the model with this version"
-        ) from exc
-    source = (out / KERNEL_NAME).read_text()
-
-    namespace: dict = {"_np": np}
-    nbytes = 0
-    for name, meta in manifest["buffers"].items():
-        array = np.load(out / meta["file"], allow_pickle=False)
-        if str(array.dtype) != meta["dtype"] or list(array.shape) != meta["shape"]:
-            raise ArtifactError(
-                f"buffer {name!r} does not match its manifest entry: "
-                f"{array.dtype}{array.shape} vs "
-                f"{meta['dtype']}{tuple(meta['shape'])}"
-            )
-        namespace[name] = array
-        nbytes += array.nbytes
-    arena = ArenaSpec.from_manifest(manifest["arena"])
-    namespace["_new_arena"] = lambda: ScratchArena(arena)
-    recorder = None
-    if schedule.profile:
-        recorder = ProfileRecorder(label=f"artifact-{manifest['fingerprint'][:8]}")
-        # Weak proxy, strong ref on the predictor below: exec() closes a
-        # namespace<->kernel cycle only gc can break, and a strong `_P`
-        # would keep an evicted predictor's counters in aggregate_all()
-        # until collection. The proxy lets the recorder die by refcount
-        # with its ArtifactPredictor.
-        namespace["_P"] = weakref.proxy(recorder)
-
-    try:
-        kernel, code_hit = compile_source(source, namespace)
-    except BackendError as exc:
-        # a native stub that found no walker library, or whose bind-time
-        # range checks refused the buffers
-        raise ArtifactError(f"artifact {out} cannot be bound: {exc}") from exc
-    predictor = ArtifactPredictor(
-        kernel,
-        schedule,
+    predictor, code_hit = rebuild_executor(
         manifest,
-        arena,
-        out,
-        source,
-        nbytes,
+        json.loads((out / SCHEDULE_NAME).read_text()),
+        (out / KERNEL_NAME).read_text(),
+        lambda name, meta: np.load(out / meta["file"], allow_pickle=False),
+        origin=f"artifact {out}",
         validate_inputs=validate_inputs,
-        profile_recorder=recorder,
+        path=out,
     )
     observe_registry.record_backend_event(predictor.backend_name, "artifact_loads")
     if code_hit:

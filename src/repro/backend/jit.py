@@ -1,8 +1,11 @@
 """JIT compilation of generated inference source.
 
-``compile_lir`` emits source for an LIR module, compiles it with the
-built-in :func:`compile` (our stand-in for the LLVM JIT), and executes it in
-a namespace holding the model buffers. Code objects are cached by source
+``compile_lir`` emits source for an LIR module and hands it, with the
+module's :func:`~repro.backend.codegen.model_buffers`, to :func:`bind_kernel`:
+the one place a kernel source meets its buffers and runtime globals, for an
+in-process compile, an AOT load and a shared-memory attach alike. The source
+is compiled with the built-in :func:`compile` (our stand-in for the LLVM
+JIT) and executed in that namespace. Code objects are cached by source
 text, so models that lower to identical code (e.g. the same schedule on
 isomorphic models) share compilation work — the payoff of tree reordering's
 code sharing, at the module level.
@@ -20,14 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.backend.codegen import build_namespace, emit_module_source
+from repro.backend.codegen import emit_module_source, model_buffers
 from repro.errors import CodegenError
 from repro.lir.ir import LIRModule
+from repro.lir.memory import ArenaSpec, ScratchArena, arena_spec
 from repro.observe.profile import ProfileRecorder
 from repro.observe.trace import CompilationTrace
 
@@ -80,6 +85,34 @@ def compile_source(source: str, namespace: dict) -> tuple[Callable, bool]:
     return fn, hit
 
 
+def bind_kernel(
+    source: str,
+    buffers: dict,
+    arena: ArenaSpec,
+    recorder: ProfileRecorder | None = None,
+) -> tuple[Callable, bool]:
+    """Bind ``source`` to a model's ``buffers``; returns ``(predict_block, cache_hit)``.
+
+    The namespace is the buffers plus the runtime globals a kernel reads:
+    ``_np``, ``_new_arena`` (the scratch factory for direct kernel calls,
+    sized by ``arena``) and, for a profiling kernel, ``_P``, its
+    ``recorder``.
+    """
+    namespace = dict(buffers)
+    namespace["_np"] = np
+    namespace["_new_arena"] = lambda: ScratchArena(arena)
+    if recorder is not None:
+        # The kernel's `_C = _P.local()` resolves against the recorder as a
+        # weak proxy, while the executor holds the strong reference: exec()
+        # installs predict_block into this namespace, closing a
+        # namespace<->function cycle that only gc breaks, and a strong `_P`
+        # would keep an evicted executor's counters visible in
+        # aggregate_all() until that collection ran. With the proxy, the
+        # recorder dies by refcount with its executor.
+        namespace["_P"] = weakref.proxy(recorder)
+    return compile_source(source, namespace)
+
+
 def compile_lir(
     lir: LIRModule,
     trace: CompilationTrace | None = None,
@@ -88,11 +121,11 @@ def compile_lir(
 ) -> tuple[Callable, str]:
     """Emit + compile ``lir``; returns ``(predict_block, source)``.
 
-    ``trace`` gets one span per backend stage (source emission, namespace
+    ``trace`` gets one span per backend stage (source emission, buffer
     materialization, bytecode compile); ``profile_recorder`` is bound as
-    the kernel's ``_P`` when the schedule enables profiling. ``emit`` is
-    the backend's source emitter: whatever text it returns defines
-    ``predict_block`` against the :func:`build_namespace` buffers.
+    the kernel's ``_P`` and must be given when the schedule enables
+    profiling. ``emit`` is the backend's source emitter: whatever text it
+    returns defines ``predict_block`` against the :func:`model_buffers`.
     """
     trace = trace or CompilationTrace()
     with trace.span("codegen-emit") as span:
@@ -100,10 +133,10 @@ def compile_lir(
         span.stats["source_lines"] = source.count("\n")
         span.stats["source_bytes"] = len(source)
     with trace.span("codegen-namespace") as span:
-        namespace = build_namespace(lir, profile_recorder=profile_recorder)
-        span.stats["num_globals"] = len(namespace)
+        buffers = model_buffers(lir)
+        span.stats["num_buffers"] = len(buffers)
     with trace.span("jit-compile") as span:
-        kernel, hit = compile_source(source, namespace)
+        kernel, hit = bind_kernel(source, buffers, arena_spec(lir), profile_recorder)
         span.stats["code_cache_hit"] = hit
     return kernel, source
 

@@ -11,7 +11,7 @@ This backend walks the same tiles in C. Three pieces live here:
   ``repro_walk(model, rows, num_rows, out)``. ``model`` is a packed group
   table (per group: buffer pointers, extents, class ids, layout kind) plus
   the LUT; it points into the arrays :func:`~repro.backend.codegen.
-  build_namespace` already builds — no second copy of the model exists.
+  model_buffers` already builds — no second copy of the model exists.
 * :func:`load_library` — builds that file once per machine with
   ``gcc -O3 -march=native`` (never ``-ffast-math``: NaN and ±inf must compare
   as IEEE says) into a per-user cache directory, keyed by
@@ -20,10 +20,12 @@ This backend walks the same tiles in C. Three pieces live here:
 * :func:`emit_stub_source` / :func:`bind` — the backend still *emits Python
   source*: a stub whose module level binds the group table from its own
   namespace and whose ``predict_block(rows, out, arena=None)`` is the
-  foreign call. The code cache, ``kernel.py`` of an AOT artifact and the
-  shared-memory manifest therefore carry a native kernel unchanged, and
-  every path that executes a stub — in-process build, ``load_artifact``,
-  ``attach_shared`` — runs the same bind-time validation.
+  foreign call. The code cache and both stores of a model image (an AOT
+  artifact's ``kernel.py``, the shared-memory manifest) therefore carry a
+  native kernel unchanged, and every path that executes a stub — in-process
+  build, ``load_artifact``, ``attach_shared``, all through
+  :func:`~repro.backend.jit.bind_kernel` — runs the same bind-time
+  validation.
 
 Memory safety is split the way ``take(..., 'clip')`` splits it. Indices the
 *model* supplies (feature indices, shape ids, child bases, lane offsets, LUT

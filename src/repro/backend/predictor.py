@@ -7,9 +7,10 @@ Two layers live here:
   blocking, parallel fan-out, per-thread scratch arenas, and the objective
   transform. It needs only the kernel plus a handful of scalar facts
   (feature/class counts, base score, dtypes, arena spec) — *not* the
-  forest or the lowered module — which is what lets the AOT loader
-  (:mod:`repro.backend.aot`) reconstitute a ready executor in a process
-  that never ran the compiler.
+  forest or the lowered module — which is what lets a model image, loaded
+  from an AOT artifact or attached from shared memory
+  (:func:`repro.backend.aot.rebuild_executor`), become a ready executor in
+  a process that never ran the compiler.
 * :class:`Predictor` — the in-process compile result: a
   :class:`KernelExecutor` that also owns the source forest, the lowered
   module, the compilation trace and the profiling recorder, and exposes

@@ -41,18 +41,15 @@ def layout_nbytes(forest: Forest, schedule: Schedule) -> int:
 
 def compiled_model_nbytes(lir) -> int:
     """Bytes of the model buffers the compiled kernel actually gathers
-    from — the materialized JIT namespace (thresholds, feature indices,
+    from — the materialized model buffers (thresholds, feature indices,
     shape ids, child pointers, leaf values, one-hots, LUT, and the
     quantization cut tables under int precisions), at the element widths
     ``Schedule.precision`` implies. Unlike :func:`layout_nbytes`, which
     reports the float64 layout representation, this reflects the
     narrowing that float32/int16/int8 modes buy."""
-    from repro.backend.codegen import build_namespace  # codegen imports us
+    from repro.backend.codegen import model_buffers  # codegen imports us
 
-    ns = build_namespace(lir)
-    return int(
-        sum(a.nbytes for a in ns.values() if isinstance(a, np.ndarray))
-    )
+    return int(sum(a.nbytes for a in model_buffers(lir).values()))
 
 
 def quantized_param_nbytes(lir) -> tuple[int, int]:

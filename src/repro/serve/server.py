@@ -355,32 +355,9 @@ class ModelServer:
                 validate_inputs=self.config.validate_inputs,
                 name=f"repro-shard-{name}",
             )
-            session = InferenceSession(
-                forest,
-                predictor=predictor,
-                cache=self.cache,
-                metrics=self.metrics,
-                batching=self.config.batching if batching == "inherit" else batching,
-                threads=self.config.threads if threads == "inherit" else threads,
-                allow_fallback=self.config.allow_fallback,
-                validate_inputs=self.config.validate_inputs,
-                name=name,
-                tracer=self.tracer,
-                slow_request_s=self.config.slow_request_s,
+            return self._install(
+                name, forest, batching, threads, sharded=predictor, predictor=predictor
             )
-            with self._lock:
-                old = self._sessions.get(name)
-                self._sessions[name] = session
-                old_sharded = self._sharded.pop(name, None)
-                self._sharded[name] = predictor
-                stale_timer = self._pgo_timers.pop(name, None)
-            if stale_timer is not None:
-                stale_timer.cancel()
-            if old is not None:
-                old.close()
-            if old_sharded is not None:
-                old_sharded.close()
-            return session
         if shards is not None:
             raise ServingError("shards=... requires workers=...")
         if artifact is not None:
@@ -409,62 +386,16 @@ class ModelServer:
                     artifact, validate_inputs=self.config.validate_inputs
                 ),
             )
-            session = InferenceSession(
-                None,
-                predictor=predictor,
-                cache_hit=hit,
-                cache=self.cache,
-                metrics=self.metrics,
-                batching=self.config.batching if batching == "inherit" else batching,
-                threads=self.config.threads if threads == "inherit" else threads,
-                allow_fallback=self.config.allow_fallback,
-                validate_inputs=self.config.validate_inputs,
-                name=name,
-                tracer=self.tracer,
-                slow_request_s=self.config.slow_request_s,
+            return self._install(
+                name, None, batching, threads, predictor=predictor, cache_hit=hit
             )
-            with self._lock:
-                old = self._sessions.get(name)
-                self._sessions[name] = session
-                old_sharded = self._sharded.pop(name, None)
-                stale_timer = self._pgo_timers.pop(name, None)
-            if stale_timer is not None:
-                stale_timer.cancel()
-            if old is not None:
-                old.close()
-            if old_sharded is not None:
-                old_sharded.close()
-            return session
         if forest is None:
             raise ServingError("register() needs a forest or an artifact")
         if pgo:
             # The profile recorder is what the periodic job reads; PGO
             # without it would never see a measured walk depth.
             schedule = (schedule or Schedule()).with_(profile=True)
-        session = InferenceSession(
-            forest,
-            schedule,
-            cache=self.cache,
-            metrics=self.metrics,
-            batching=self.config.batching if batching == "inherit" else batching,
-            threads=self.config.threads if threads == "inherit" else threads,
-            allow_fallback=self.config.allow_fallback,
-            validate_inputs=self.config.validate_inputs,
-            name=name,
-            tracer=self.tracer,
-            slow_request_s=self.config.slow_request_s,
-        )
-        with self._lock:
-            old = self._sessions.get(name)
-            self._sessions[name] = session
-            old_sharded = self._sharded.pop(name, None)
-            stale_timer = self._pgo_timers.pop(name, None)
-        if stale_timer is not None:
-            stale_timer.cancel()
-        if old is not None:
-            old.close()
-        if old_sharded is not None:
-            old_sharded.close()
+        session = self._install(name, forest, batching, threads, schedule=schedule)
         if pgo:
             self._arm_pgo_timer(name, session)
         if tune:
@@ -474,6 +405,43 @@ class ModelServer:
             else:
                 tune_rows = np.ascontiguousarray(tune_rows, dtype=np.float64)
             self._start_tune(name, session, tune_rows, tune_space)
+        return session
+
+    def _install(
+        self, name: str, forest, batching, threads, *, sharded=None, **session_args
+    ) -> InferenceSession:
+        """Build ``name``'s session and swap it in for whatever it replaces.
+
+        The replaced session, any sharded predictor the name owned and a
+        stale PGO timer are retired outside the lock; ``sharded`` (the new
+        session's own sharded predictor) is recorded as the name's.
+        """
+        session = InferenceSession(
+            forest,
+            cache=self.cache,
+            metrics=self.metrics,
+            batching=self.config.batching if batching == "inherit" else batching,
+            threads=self.config.threads if threads == "inherit" else threads,
+            allow_fallback=self.config.allow_fallback,
+            validate_inputs=self.config.validate_inputs,
+            name=name,
+            tracer=self.tracer,
+            slow_request_s=self.config.slow_request_s,
+            **session_args,
+        )
+        with self._lock:
+            old = self._sessions.get(name)
+            self._sessions[name] = session
+            old_sharded = self._sharded.pop(name, None)
+            if sharded is not None:
+                self._sharded[name] = sharded
+            stale_timer = self._pgo_timers.pop(name, None)
+        if stale_timer is not None:
+            stale_timer.cancel()
+        if old is not None:
+            old.close()
+        if old_sharded is not None:
+            old_sharded.close()
         return session
 
     # ------------------------------------------------------------------

@@ -246,18 +246,20 @@ def shard_forest(
 # The worker process
 # ----------------------------------------------------------------------
 
-def _worker_main(worker_id: int, manifests: dict, req_q, res_q, untrack: bool) -> None:
+def _worker_main(worker_id: int, manifests: dict, req_q, res_q) -> None:
     """Entry point of one shard worker process.
 
     Attaches every assigned shard's shared-memory manifest, reports
     readiness, then serves ``(req_id, shard_ids, rows)`` messages until a
     ``None`` sentinel. Replies never raise out of the loop: per-request
     failures travel back as ``(req_id, worker_id, None, error_string)``.
+    A worker is a child of the exporting process under every start method,
+    so it shares the exporter's resource tracker and attaches tracked.
     """
     executors = {}
     try:
         for shard_id, manifest in manifests.items():
-            executors[shard_id] = attach_shared(manifest, untrack=untrack)
+            executors[shard_id] = attach_shared(manifest)
     except BaseException as exc:  # noqa: BLE001 - report, don't traceback-spam
         res_q.put(("__init_error__", worker_id, None, f"{type(exc).__name__}: {exc}"))
         return
@@ -327,10 +329,6 @@ class WorkerPool:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self._ctx = mp.get_context(start_method)
         self.start_method = start_method
-        # Spawned workers run their own resource tracker, which must not
-        # claim (and exit-unlink) segments the parent owns; forked workers
-        # share the parent's tracker and must leave it registered.
-        self._untrack = start_method != "fork"
         self._manifests = list(shard_manifests)
         self._assignment = {
             w: [s for s in range(self.num_shards) if s % self.num_workers == w]
@@ -364,7 +362,7 @@ class WorkerPool:
         manifests = {s: self._manifests[s] for s in self._assignment[worker_id]}
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, manifests, self._req_qs[worker_id], self._res_q, self._untrack),
+            args=(worker_id, manifests, self._req_qs[worker_id], self._res_q),
             name=f"{self.name}-w{worker_id}",
             daemon=True,
         )

@@ -12,12 +12,14 @@ backend reports :meth:`~repro.backend.registry.Backend.unavailable` — the
 native walker under a quantized precision, or on a machine without a C
 compiler — is skipped and counted, not failed.
 
-Every compiled predictor is additionally round-tripped through a temporary
-artifact directory: it is exported, reloaded via
-:func:`repro.backend.aot.load_artifact`, and the loaded executor's raw
-margins must be **bitwise equal** to the in-process kernel's — the loader
-binds the same source (NumPy kernel or native stub) to the same buffers,
-so any difference at all is a serialization bug, not noise.
+Every compiled predictor is additionally round-tripped through both stores
+of its image: a temporary artifact directory
+(:func:`repro.backend.aot.load_artifact`) and shared memory
+(:func:`repro.backend.shm.attach_shared`). Each rebuilt executor's raw
+margins must be **bitwise equal** to the in-process kernel's, and its
+fingerprint and ``backend_name`` the same — the rebuild binds the same
+source (NumPy kernel or native stub) to the same buffers, so any
+difference at all is a serialization bug, not noise.
 
 ``BACKEND_SWEEP_CONFIG`` is the checked-in configuration of the PR6
 campaign; the same parameters re-run via ``python -m repro.verify
@@ -43,7 +45,7 @@ from repro.verify.fuzz import (
 
 #: the PR6 sweep campaign: three seeds x three forest shapes x six schedule
 #: points x every registered backend x the full adversarial corpus, each
-#: with an artifact round-trip
+#: round-tripped through an artifact and shared memory
 BACKEND_SWEEP_CONFIG = {
     "seeds": (0, 1, 2),
     "backends": None,  # None = every registered backend at run time
@@ -80,26 +82,46 @@ def compare_backend_case(forest, schedule: Schedule, rows: np.ndarray):
     """Cross-check one (forest, schedule, rows) triple under its backend.
 
     Runs :func:`~repro.verify.fuzz.compare_case` (kernel vs interpreter vs
-    reference forest) and an artifact round-trip requiring bitwise-equal
-    margins. Returns ``None`` on agreement, else ``(stage, max_abs_err)``
-    with stage ``"compile"``, ``"interpreter"``, ``"forest"`` or
-    ``"artifact"``.
+    reference forest), then rebuilds the compiled executor from both stores
+    of its image — an artifact directory and shared memory — requiring
+    bitwise-equal margins, the same fingerprint and the same
+    ``backend_name``. Returns ``None`` on agreement, else
+    ``(stage, max_abs_err)`` with stage ``"compile"``, ``"interpreter"``,
+    ``"forest"``, ``"artifact"`` or ``"shm"`` (``max_abs_err`` is NaN when
+    the margins agree but the identity does not).
     """
     outcome = compare_case(forest, schedule, rows)
     if outcome is not None:
         return outcome
     from repro.api import compile_model
     from repro.backend.aot import export_artifact, load_artifact
+    from repro.backend.shm import attach_shared, export_shared
 
     with np.errstate(over="ignore"):
         predictor = compile_model(forest, schedule)
+        want = predictor.raw_predict(rows)
         with tempfile.TemporaryDirectory(prefix="repro-backend-sweep-") as td:
             export_artifact(predictor, f"{td}/artifact", overwrite=True)
             loaded = load_artifact(f"{td}/artifact")
-            want = predictor.raw_predict(rows)
-            got = loaded.raw_predict(rows)
+            outcome = _rebuilt_mismatch("artifact", predictor, loaded, rows, want)
+        if outcome is not None:
+            return outcome
+        with export_shared(predictor) as handle:
+            attached = attach_shared(handle.manifest)
+            try:
+                return _rebuilt_mismatch("shm", predictor, attached, rows, want)
+            finally:
+                attached.close()
+
+
+def _rebuilt_mismatch(stage, predictor, rebuilt, rows, want):
+    got = rebuilt.raw_predict(rows)
     if not np.array_equal(want, got, equal_nan=True):
-        return ("artifact", _max_abs_err(got, want))
+        return (stage, _max_abs_err(got, want))
+    if (rebuilt.fingerprint, rebuilt.backend_name) != (
+        predictor.fingerprint, predictor.backend_name
+    ):
+        return (stage, float("nan"))
     return None
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_model, predict
-from repro.backend.codegen import build_namespace, emit_module_source
+from repro.backend.codegen import emit_module_source, model_buffers
 from repro.backend.interpreter import interpret_lir
 from repro.backend.jit import (
     cache_limit,
@@ -71,7 +71,7 @@ class TestCodegen:
 
     def test_namespace_has_buffers(self, trained_forest):
         lir = lower(trained_forest, Schedule())
-        ns = build_namespace(lir)
+        ns = model_buffers(lir)
         group_ids = [g.group_id for g in lir.groups if not g.trivial]
         assert all(f"g{gid}_th" in ns for gid in group_ids)
         assert "lut" in ns

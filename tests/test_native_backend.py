@@ -37,7 +37,7 @@ from repro.api import compile_model
 from repro.autotune.space import TuningSpace, schedule_grid
 from repro.backend import native
 from repro.backend.aot import export_artifact, load_artifact
-from repro.backend.codegen import build_namespace
+from repro.backend.codegen import model_buffers
 from repro.backend.registry import get_backend, resolve_backend
 from repro.backend.shm import attach_shared, export_shared
 from repro.config import Schedule
@@ -394,11 +394,12 @@ def test_bind_refuses_buffers_that_disagree_with_the_stub(forest):
     g = f"g{group.group_id}"
 
     def bound(**edits):
-        namespace = {**build_namespace(predictor.lir), **edits}
+        # a native stub reads no runtime global: its namespace is the buffers
+        namespace = {**model_buffers(predictor.lir), **edits}
         exec(compile(predictor.source, "<stub>", "exec"), namespace)
 
     bound()
-    good = build_namespace(predictor.lir)
+    good = model_buffers(predictor.lir)
     with pytest.raises(BackendError, match="is missing"):
         bound(**{f"{g}_cb": None})
     with pytest.raises(BackendError, match=f"{g}_th is float32"):

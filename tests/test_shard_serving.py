@@ -21,7 +21,10 @@ import asyncio
 import itertools
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ from repro.serve import (
 
 NUM_FEATURES = 6
 TOL = dict(rtol=1e-10, atol=1e-12)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +131,12 @@ class TestRecommendShardCount:
         assert recommend_shard_count(forest, 8) == 1
 
     def test_unfloored_count_caps_at_workers_and_trees(self, forest):
-        kwargs = dict(min_nodes_per_shard=1, min_bytes_per_shard=1)
-        assert recommend_shard_count(forest, 4, **kwargs) == 4
-        assert recommend_shard_count(forest, 100, **kwargs) == forest.num_trees
+        assert recommend_shard_count(forest, 4, min_nodes_per_shard=1) == 4
+        assert recommend_shard_count(forest, 100, min_nodes_per_shard=1) == forest.num_trees
+
+    def test_node_floor_sets_the_count(self, forest):
+        per_shard = forest.total_nodes // 3
+        assert recommend_shard_count(forest, 8, min_nodes_per_shard=per_shard) == 3
 
     def test_invalid_workers_rejected(self, forest):
         with pytest.raises(ScheduleError):
@@ -202,13 +209,14 @@ class TestSharedMemory:
             predictor = compile_model(forest, Schedule(tile_size=4, backend=backend))
             handle = export_shared(predictor)
             try:
-                assert handle.manifest["backend"] == backend
+                assert handle.manifest["kernel_backend"] == backend
                 attached = attach_shared(handle.manifest)
                 try:
                     assert np.array_equal(
                         attached.raw_predict(rows), predictor.raw_predict(rows)
                     )
                     assert attached.fingerprint == predictor.fingerprint
+                    assert attached.backend_name == predictor.backend_name
                 finally:
                     attached.close()
             finally:
@@ -247,6 +255,20 @@ class TestSharedMemory:
         with export_shared(compile_model(forest)) as handle:
             with pytest.raises(BackendError, match="arena spec"):
                 attach_shared({**handle.manifest, "arena": None})
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [({"from_the_future": 1}, "from_the_future"), ({"backend": "llvm"}, "llvm")],
+        ids=["unknown-field", "unregistered-backend"],
+    )
+    def test_unreadable_schedule_is_a_backend_error(self, forest, edit, match):
+        """The same version skew ``load_artifact`` reports, with the same
+        type: an ``ArtifactError`` (a ``BackendError``), never the
+        schedule parser's own ``ScheduleError``."""
+        with export_shared(compile_model(forest)) as handle:
+            manifest = {**handle.manifest, "schedule": {**handle.manifest["schedule"], **edit}}
+            with pytest.raises(BackendError, match=f"{match}.*re-export"):
+                attach_shared(manifest)
 
     def test_export_requires_compiled_predictor(self):
         with pytest.raises(BackendError):
@@ -354,6 +376,27 @@ class TestShardedDifferential:
 # ----------------------------------------------------------------------
 # Worker pool lifecycle
 # ----------------------------------------------------------------------
+
+#: a spawn-started pool must run from a file: its children import __main__
+_SPAWN_POOL = """
+import numpy as np
+from repro.api import compile_model
+from repro.backend.shm import export_shared
+from repro.serve import WorkerPool
+from repro.verify.fuzz import random_fuzz_forest
+
+if __name__ == "__main__":
+    forest = random_fuzz_forest(np.random.default_rng(0), num_trees=4, max_depth=4)
+    rows = np.random.default_rng(1).normal(size=(8, forest.num_features))
+    predictor = compile_model(forest)
+    with export_shared(predictor) as handle:
+        with WorkerPool([handle.manifest], 1, start_method="spawn") as pool:
+            got = pool.execute(rows)[0]
+    assert np.array_equal(got, predictor.raw_predict(rows))
+    print("bitwise")
+"""
+
+
 class TestWorkerPool:
     def test_dead_worker_is_respawned(self, forest, rows):
         from repro.observe import events as flight_events
@@ -393,6 +436,25 @@ class TestWorkerPool:
             if pool is not None:
                 pool.close()
             handle.unlink()
+
+    def test_spawned_workers_leave_the_segments_tracked(self, tmp_path):
+        """A spawn-started worker shares the exporter's resource tracker, so
+        it attaches tracked. An untracking worker would cancel the
+        exporter's registration — nothing would reap the segments if the
+        exporter crashed — and the tracker would log a KeyError per segment
+        at the exporter's unlink."""
+        script = tmp_path / "spawn_pool.py"
+        script.write_text(_SPAWN_POOL)
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=180,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["bitwise"]
+        assert "KeyError" not in done.stderr, done.stderr
 
     def test_closed_pool_rejects(self, forest, rows):
         with build_sharded_predictor(forest, num_workers=1, num_shards=2) as sharded:
@@ -436,8 +498,14 @@ class TestServerSharded:
         with ModelServer() as server:
             server.register("m", forest, workers=1, shards=2)
             old = server.session("m").predictor
+            pids = [w["pid"] for w in old.worker_stats()["workers"].values()]
+            assert pids
             server.register("m", forest)  # back to single-process
             assert old._closed
+            assert server.metrics_snapshot()["runtime"]["workers"] == {}
+            for pid in pids:  # joined: the worker exited and was reaped
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
             np.testing.assert_allclose(
                 server.raw_predict("m", rows), forest.raw_predict(rows), **TOL
             )
