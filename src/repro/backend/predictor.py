@@ -38,7 +38,7 @@ from repro.backend.jit import compile_lir, model_fingerprint
 from repro.backend.parallel import MulticoreSimulator, parallel_predict
 from repro.config import Schedule
 from repro.errors import ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.lir.ir import LIRModule
 from repro.lir.memory import ArenaSpec, ScratchArena, arena_spec
 from repro.observe.profile import ProfileRecorder
@@ -143,12 +143,9 @@ class KernelExecutor:
 
     def predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows, threads=threads)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(
+            self.objective, self.raw_predict(rows, threads=threads)
+        )
 
     # ------------------------------------------------------------------
     # Introspection

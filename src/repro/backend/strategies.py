@@ -15,7 +15,7 @@ import numpy as np
 from repro.baselines.quickscorer import QuickScorerPredictor
 from repro.config import QUANTIZED_PRECISIONS, Schedule
 from repro.errors import CodegenError, ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 
 
 class QuickScorerStrategyPredictor:
@@ -58,12 +58,7 @@ class QuickScorerStrategyPredictor:
         return self._impl.raw_predict(self._check(rows))
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        raw = self.raw_predict(rows)
-        if self.forest.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.forest.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.forest.objective, self.raw_predict(rows))
 
     def memory_bytes(self) -> int:
         """Footprint of the bitvector structures (masks + leaf values)."""

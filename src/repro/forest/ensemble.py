@@ -38,6 +38,16 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
+def apply_objective(objective: str, raw: np.ndarray) -> np.ndarray:
+    """Raw margins through the objective's output transform: sigmoid for
+    ``binary:logistic``, row softmax for ``multiclass``, else unchanged."""
+    if objective == "binary:logistic":
+        return sigmoid(raw)
+    if objective == "multiclass":
+        return softmax(raw)
+    return raw
+
+
 class Forest:
     """An ordered ensemble of decision trees.
 
@@ -142,12 +152,7 @@ class Forest:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.objective, self.raw_predict(rows))
 
     # ------------------------------------------------------------------
     # Serialization

@@ -6,7 +6,10 @@ reference parser, ``promtool``) can consume directly; ``python -m
 repro.observe serve --port N`` serves it over HTTP and ``python -m
 repro.observe metrics`` dumps it to stdout.
 
-Naming and label conventions (pinned by tests + the CI schema check):
+Every exported family is one row of :data:`METRICS`; the serving counters
+a :class:`repro.serve.metrics.ServingMetrics` keeps are derived from the
+same rows (:data:`SERVING_COUNTERS`). Naming and label conventions (pinned
+by tests + the CI schema check):
 
 * every metric is prefixed ``repro_`` and namespaced by subsystem:
   ``repro_serving_*`` (per-server, labelled ``server="..."``),
@@ -52,59 +55,207 @@ DEFAULT_METRICS_PORT = 9464
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: serving counters exported one-to-one from the metrics snapshot
-_SERVING_COUNTERS = (
-    ("requests", "Predict requests observed."),
-    ("rows", "Total rows predicted."),
-    ("errors", "Predict requests that raised."),
-    ("admission_rejects", "Requests turned away by SLO admission control."),
-    ("compiles", "Full pipeline compilations performed."),
-    ("cache_hits", "Predictor-cache hits."),
-    ("cache_misses", "Predictor-cache misses."),
-    ("cache_evictions", "Predictors dropped by the LRU bound."),
-    ("fallbacks", "Requests/compiles degraded to a fallback executor."),
-    ("batches", "Micro-batches executed."),
+
+# ----------------------------------------------------------------------
+# The metric table
+# ----------------------------------------------------------------------
+#: every serving family starts here: one label per registered server
+_SERVER = ("serving", "*server")
+_WORKER = (*_SERVER, "runtime", "workers", "*model", "workers", "*worker")
+_PRECISION = (*_SERVER, "runtime", "bytes_by_precision", "*precision")
+
+#: Every exported family, in exposition order: ``(name, type, help, path
+#: into the registry snapshot)``. A path step is a key; ``"*label"`` (every
+#: key of the dict reached, sorted, becomes that label); ``(label, {key:
+#: label value})`` (a fixed key set); or, last, a callable deriving the
+#: value from the dict reached. Adding a metric is adding a row.
+METRICS: tuple[tuple, ...] = (
+    ("repro_observe_schema_version", "gauge",
+     "Registry snapshot schema version.", ("schema_version",)),
+    ("repro_kernel_pool_workers", "gauge",
+     "Workers in the shared kernel pool.", ("kernel_pool", "workers")),
+    ("repro_kernel_pool_tasks", "counter",
+     "Lifetime kernel-pool tasks by state.",
+     ("kernel_pool", ("state", {
+         f"tasks_{state}": state
+         for state in ("submitted", "completed", "failed", "cancelled")
+     }))),
+    ("repro_kernel_pool_task_seconds", "counter",
+     "Total seconds spent inside timed kernel-pool tasks.",
+     ("kernel_pool", "tasks_time_total_s")),
+    ("repro_kernel_pool_task_max_seconds", "gauge",
+     "Longest timed kernel-pool task in seconds.",
+     ("kernel_pool", "tasks_time_max_s")),
+    ("repro_compile_traces", "counter",
+     "Compilation traces recorded.", ("traces", "recorded")),
+    ("repro_tune_runs", "counter",
+     "Autotune runs recorded.", ("tunes", "recorded")),
+    ("repro_request_spans", "counter",
+     "Request span trees recorded.", ("spans", "recorded")),
+    ("repro_flight_events", "counter",
+     "Flight-recorder events recorded.", ("events", "recorded")),
+    ("repro_flight_events_kept", "gauge",
+     "Flight-recorder events currently kept, by kind.",
+     ("events", "by_kind", "*kind")),
+    ("repro_backend_events", "counter",
+     "Backend registry lifetime counters (compiles, artifact ops).",
+     ("backends", "*backend", "*event")),
+    ("repro_kernel_profile", "counter",
+     "Aggregated kernel profiling counters across live recorders.",
+     ("profiles", "totals", "*counter")),
+    *(
+        (f"repro_serving_{key}", "counter", help_text, (*_SERVER, key))
+        for key, help_text in (
+            ("requests", "Predict requests observed."),
+            ("rows", "Total rows predicted."),
+            ("errors", "Predict requests that raised."),
+            ("admission_rejects",
+             "Requests turned away by SLO admission control."),
+            ("compiles", "Full pipeline compilations performed."),
+            ("cache_hits", "Predictor-cache hits."),
+            ("cache_misses", "Predictor-cache misses."),
+            ("cache_evictions", "Predictors dropped by the LRU bound."),
+            ("fallbacks", "Requests/compiles degraded to a fallback executor."),
+            ("batches", "Micro-batches executed."),
+        )
+    ),
+    ("repro_serving_models", "gauge",
+     "Models currently registered.", (*_SERVER, "models_registered")),
+    ("repro_serving_predictors_resident", "gauge",
+     "Compiled predictors resident in the cache.",
+     (*_SERVER, "predictors_resident")),
+    ("repro_serving_latency_quantile_seconds", "gauge",
+     "Nearest-rank latency percentiles over the sliding window.",
+     (*_SERVER, "latency", ("quantile", {
+         "p50": "0.5", "p90": "0.9", "p99": "0.99", "p999": "0.999"
+     }))),
+    *(
+        (f"repro_serving_{key}", "histogram", help_text,
+         (*_SERVER, "histograms", key))
+        for key, help_text in (
+            ("latency_seconds", "Request latency in seconds."),
+            ("queue_wait_seconds", "Micro-batch queue wait in seconds."),
+            ("kernel_seconds", "Kernel execution time per batch in seconds."),
+            ("batch_rows", "Rows per executed micro-batch."),
+        )
+    ),
+    ("repro_serving_tunes", "counter",
+     "Background autotune lifecycle events.",
+     (*_SERVER, "tuning", ("outcome", {
+         outcome: outcome
+         for outcome in ("started", "completed", "failed", "cache_hits")
+     }))),
+    ("repro_serving_hot_swaps", "counter",
+     "Sessions atomically switched to a tuned predictor.",
+     (*_SERVER, "tuning", "hot_swaps")),
+    *(
+        (f"repro_serving_precision_{key}", "gauge", help_text,
+         (*_PRECISION, key))
+        for key, help_text in (
+            ("predictors", "Resident predictors by schedule precision."),
+            ("model_bytes", "Total model buffer bytes by schedule precision."),
+            ("param_bytes",
+             "Threshold/leaf parameter bytes by schedule precision."),
+            ("scratch_bytes", "Scratch arena bytes by schedule precision."),
+        )
+    ),
+    ("repro_serving_shard_worker_alive", "gauge",
+     "Liveness of each shard worker process (1 = alive).",
+     (*_WORKER, lambda info: 1.0 if info.get("alive") else 0.0)),
+    ("repro_serving_shard_worker_dispatched", "counter",
+     "Requests scattered to each shard worker.", (*_WORKER, "dispatched")),
+    ("repro_serving_shard_worker_respawns", "counter",
+     "Times each shard worker was respawned after dying.",
+     (*_WORKER, "respawns")),
+    ("repro_gauge", "gauge",
+     "Ad-hoc registered gauges (numeric only).", ("gauges", "*name")),
 )
 
-#: histogram name -> (metric suffix, help) — see ServingMetrics.histograms
-_SERVING_HISTOGRAMS = {
-    "latency_seconds": "Request latency in seconds.",
-    "queue_wait_seconds": "Micro-batch queue wait in seconds.",
-    "kernel_seconds": "Kernel execution time per batch in seconds.",
-    "batch_rows": "Rows per executed micro-batch.",
-}
+
+def _serving_counter_names() -> tuple[str, ...]:
+    names = []
+    for _name, mtype, _help, path in METRICS:
+        if mtype == "counter" and path[:2] == _SERVER and "runtime" not in path:
+            *parents, leaf = path[2:]
+            keys = leaf[1] if isinstance(leaf, tuple) else (leaf,)
+            names.extend(".".join((*parents, key)) for key in keys)
+    return tuple(names)
 
 
-class MetricFamily:
-    """One exposition-format metric family under construction."""
+#: the counters one server owns, as dotted paths into its metrics
+#: snapshot: the serving counter rows of :data:`METRICS` outside
+#: ``runtime`` (whose gauges are read from live state at snapshot time)
+SERVING_COUNTERS = _serving_counter_names()
 
-    __slots__ = ("name", "type", "help", "samples")
 
-    def __init__(self, name: str, mtype: str, help_text: str) -> None:
-        self.name = name
-        self.type = mtype
-        self.help = help_text
-        #: list of (suffix, labels dict, value)
-        self.samples: list[tuple[str, dict, float]] = []
+# ----------------------------------------------------------------------
+# Rendering
+# ----------------------------------------------------------------------
+def render_openmetrics(snapshot: dict | None = None) -> str:
+    """The registry snapshot as one OpenMetrics text document."""
+    snap = snapshot if snapshot is not None else registry.snapshot()
+    snap = {"schema_version": SCHEMA_VERSION, **snap}
+    lines: list[str] = []
+    for name, mtype, help_text, path in METRICS:
+        samples = list(_family_samples(name, mtype, path, snap))
+        if samples:
+            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+            lines.append(f"# TYPE {name} {mtype}")
+            lines.extend(samples)
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"
 
-    def add(self, value, labels: dict | None = None, suffix: str = "") -> None:
-        self.samples.append((suffix, dict(labels or {}), float(value)))
 
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.type}",
-        ]
-        for suffix, labels, value in self.samples:
-            label_text = ""
-            if labels:
-                inner = ",".join(
-                    f'{key}="{_escape_label(str(val))}"'
-                    for key, val in labels.items()
-                )
-                label_text = "{" + inner + "}"
-            lines.append(f"{self.name}{suffix}{label_text} {_format_value(value)}")
-        return lines
+def _walk(node, path: tuple, labels: dict):
+    """Yield ``(labels, leaf)`` for every leaf ``path`` reaches in ``node``."""
+    if not path:
+        yield labels, node
+        return
+    if not isinstance(node, dict):  # failed providers render nothing
+        return
+    step, rest = path[0], path[1:]
+    if callable(step):
+        yield labels, step(node)
+    elif isinstance(step, tuple):
+        label, values = step
+        for key, value in values.items():
+            if key in node:
+                yield from _walk(node[key], rest, {**labels, label: value})
+    elif step.startswith("*"):
+        for key in sorted(node):
+            yield from _walk(node[key], rest, {**labels, step[1:]: key})
+    elif step in node:
+        yield from _walk(node[step], rest, labels)
+
+
+def _family_samples(name: str, mtype: str, path: tuple, snap: dict):
+    for labels, leaf in _walk(snap, path, {}):
+        if mtype == "histogram":
+            if isinstance(leaf, dict):
+                yield from _histogram_samples(name, labels, leaf)
+        elif _is_number(leaf):
+            suffix = "_total" if mtype == "counter" else ""
+            yield _sample(name + suffix, labels, leaf)
+
+
+def _histogram_samples(name: str, labels: dict, hist: dict):
+    cumulative = 0.0
+    for bound, count in hist.get("buckets", {}).items():
+        if _is_number(count):
+            cumulative = count
+            yield _sample(
+                f"{name}_bucket", {**labels, "le": _le_text(bound)}, count
+            )
+    yield _sample(f"{name}_count", labels, hist.get("count", cumulative))
+    yield _sample(f"{name}_sum", labels, hist.get("sum", 0.0))
+
+
+def _sample(name: str, labels: dict, value) -> str:
+    if labels:
+        name += "{" + ",".join(
+            f'{key}="{_escape_label(str(val))}"' for key, val in labels.items()
+        ) + "}"
+    return f"{name} {_format_value(float(value))}"
 
 
 def _escape_label(value: str) -> str:
@@ -134,350 +285,6 @@ def _le_text(bound) -> str:
     if bound == float("inf") or bound == "+Inf":
         return "+Inf"
     return _format_value(float(bound))
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def render_openmetrics(snapshot: dict | None = None) -> str:
-    """The registry snapshot as one OpenMetrics text document."""
-    snap = snapshot if snapshot is not None else registry.snapshot()
-    families: list[MetricFamily] = []
-
-    schema = MetricFamily(
-        "repro_observe_schema_version", "gauge", "Registry snapshot schema version."
-    )
-    schema.add(snap.get("schema_version", SCHEMA_VERSION))
-    families.append(schema)
-
-    families.extend(_kernel_pool_families(snap.get("kernel_pool")))
-    families.extend(_ring_families(snap))
-    families.extend(_backend_families(snap.get("backends")))
-    families.extend(_profile_families(snap.get("profiles")))
-    families.extend(_serving_families(snap.get("serving")))
-    families.extend(_gauge_families(snap.get("gauges")))
-
-    lines: list[str] = []
-    for family in families:
-        lines.extend(family.render())
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
-
-
-def _kernel_pool_families(pool) -> list[MetricFamily]:
-    if not isinstance(pool, dict):
-        return []
-    out = []
-    gauges = MetricFamily(
-        "repro_kernel_pool_workers", "gauge", "Workers in the shared kernel pool."
-    )
-    if _is_number(pool.get("workers")):
-        gauges.add(pool["workers"])
-        out.append(gauges)
-    tasks = MetricFamily(
-        "repro_kernel_pool_tasks",
-        "counter",
-        "Lifetime kernel-pool tasks by state.",
-    )
-    for state in ("submitted", "completed", "failed", "cancelled"):
-        value = pool.get(f"tasks_{state}")
-        if _is_number(value):
-            tasks.add(value, {"state": state}, suffix="_total")
-    if tasks.samples:
-        out.append(tasks)
-    if _is_number(pool.get("tasks_time_total_s")):
-        seconds = MetricFamily(
-            "repro_kernel_pool_task_seconds",
-            "counter",
-            "Total seconds spent inside timed kernel-pool tasks.",
-        )
-        seconds.add(pool["tasks_time_total_s"], suffix="_total")
-        out.append(seconds)
-    if _is_number(pool.get("tasks_time_max_s")):
-        longest = MetricFamily(
-            "repro_kernel_pool_task_max_seconds",
-            "gauge",
-            "Longest timed kernel-pool task in seconds.",
-        )
-        longest.add(pool["tasks_time_max_s"])
-        out.append(longest)
-    return out
-
-
-def _ring_families(snap: dict) -> list[MetricFamily]:
-    out = []
-    for key, name, help_text in (
-        ("traces", "repro_compile_traces", "Compilation traces recorded."),
-        ("tunes", "repro_tune_runs", "Autotune runs recorded."),
-        ("spans", "repro_request_spans", "Request span trees recorded."),
-        ("events", "repro_flight_events", "Flight-recorder events recorded."),
-    ):
-        ring = snap.get(key)
-        if isinstance(ring, dict) and _is_number(ring.get("recorded")):
-            family = MetricFamily(name, "counter", help_text)
-            family.add(ring["recorded"], suffix="_total")
-            out.append(family)
-    events_ring = snap.get("events")
-    if isinstance(events_ring, dict) and isinstance(
-        events_ring.get("by_kind"), dict
-    ):
-        kept = MetricFamily(
-            "repro_flight_events_kept",
-            "gauge",
-            "Flight-recorder events currently kept, by kind.",
-        )
-        for kind, count in sorted(events_ring["by_kind"].items()):
-            if _is_number(count):
-                kept.add(count, {"kind": kind})
-        if kept.samples:
-            out.append(kept)
-    return out
-
-
-def _backend_families(backends) -> list[MetricFamily]:
-    if not isinstance(backends, dict):
-        return []
-    family = MetricFamily(
-        "repro_backend_events",
-        "counter",
-        "Backend registry lifetime counters (compiles, artifact ops).",
-    )
-    for backend in sorted(backends):
-        counters = backends[backend]
-        if not isinstance(counters, dict):
-            continue
-        for event in sorted(counters):
-            if _is_number(counters[event]):
-                family.add(
-                    counters[event],
-                    {"backend": backend, "event": event},
-                    suffix="_total",
-                )
-    return [family] if family.samples else []
-
-
-def _profile_families(profiles) -> list[MetricFamily]:
-    if not isinstance(profiles, dict) or not isinstance(
-        profiles.get("totals"), dict
-    ):
-        return []
-    family = MetricFamily(
-        "repro_kernel_profile",
-        "counter",
-        "Aggregated kernel profiling counters across live recorders.",
-    )
-    for counter in sorted(profiles["totals"]):
-        value = profiles["totals"][counter]
-        if _is_number(value):
-            family.add(value, {"counter": counter}, suffix="_total")
-    return [family] if family.samples else []
-
-
-def _serving_families(serving) -> list[MetricFamily]:
-    if not isinstance(serving, dict):
-        return []
-    servers = {
-        name: snap
-        for name, snap in sorted(serving.items())
-        if isinstance(snap, dict)  # failed providers render nothing
-    }
-    out: list[MetricFamily] = []
-
-    for key, help_text in _SERVING_COUNTERS:
-        family = MetricFamily(f"repro_serving_{key}", "counter", help_text)
-        for name, snap in servers.items():
-            if _is_number(snap.get(key)):
-                family.add(snap[key], {"server": name}, suffix="_total")
-        if family.samples:
-            out.append(family)
-
-    resident = MetricFamily(
-        "repro_serving_models", "gauge", "Models currently registered."
-    )
-    predictors = MetricFamily(
-        "repro_serving_predictors_resident",
-        "gauge",
-        "Compiled predictors resident in the cache.",
-    )
-    for name, snap in servers.items():
-        if _is_number(snap.get("models_registered")):
-            resident.add(snap["models_registered"], {"server": name})
-        if _is_number(snap.get("predictors_resident")):
-            predictors.add(snap["predictors_resident"], {"server": name})
-    out.extend(f for f in (resident, predictors) if f.samples)
-
-    quantiles = MetricFamily(
-        "repro_serving_latency_quantile_seconds",
-        "gauge",
-        "Nearest-rank latency percentiles over the sliding window.",
-    )
-    for name, snap in servers.items():
-        latency = snap.get("latency")
-        if not isinstance(latency, dict):
-            continue
-        for key, quantile in (
-            ("p50", "0.5"),
-            ("p90", "0.9"),
-            ("p99", "0.99"),
-            ("p999", "0.999"),
-        ):
-            if _is_number(latency.get(key)):
-                quantiles.add(
-                    latency[key], {"server": name, "quantile": quantile}
-                )
-    if quantiles.samples:
-        out.append(quantiles)
-
-    for hist_key, help_text in _SERVING_HISTOGRAMS.items():
-        family = MetricFamily(
-            f"repro_serving_{hist_key}", "histogram", help_text
-        )
-        for name, snap in servers.items():
-            hists = snap.get("histograms")
-            if not isinstance(hists, dict):
-                continue
-            hist = hists.get(hist_key)
-            if not isinstance(hist, dict):
-                continue
-            labels = {"server": name}
-            cumulative = 0.0
-            for bound, count in hist.get("buckets", {}).items():
-                if not _is_number(count):
-                    continue
-                cumulative = count
-                family.add(
-                    count,
-                    {**labels, "le": _le_text(bound)},
-                    suffix="_bucket",
-                )
-            family.add(hist.get("count", cumulative), labels, suffix="_count")
-            family.add(hist.get("sum", 0.0), labels, suffix="_sum")
-        if family.samples:
-            out.append(family)
-
-    tunes = MetricFamily(
-        "repro_serving_tunes",
-        "counter",
-        "Background autotune lifecycle events.",
-    )
-    swaps = MetricFamily(
-        "repro_serving_hot_swaps",
-        "counter",
-        "Sessions atomically switched to a tuned predictor.",
-    )
-    for name, snap in servers.items():
-        tuning = snap.get("tuning")
-        if not isinstance(tuning, dict):
-            continue
-        for outcome in ("started", "completed", "failed", "cache_hits"):
-            if _is_number(tuning.get(outcome)):
-                tunes.add(
-                    tuning[outcome],
-                    {"server": name, "outcome": outcome},
-                    suffix="_total",
-                )
-        if _is_number(tuning.get("hot_swaps")):
-            swaps.add(tuning["hot_swaps"], {"server": name}, suffix="_total")
-    out.extend(f for f in (tunes, swaps) if f.samples)
-
-    precision_families = {
-        "predictors": MetricFamily(
-            "repro_serving_precision_predictors",
-            "gauge",
-            "Resident predictors by schedule precision.",
-        ),
-        "model_bytes": MetricFamily(
-            "repro_serving_precision_model_bytes",
-            "gauge",
-            "Total model buffer bytes by schedule precision.",
-        ),
-        "param_bytes": MetricFamily(
-            "repro_serving_precision_param_bytes",
-            "gauge",
-            "Threshold/leaf parameter bytes by schedule precision.",
-        ),
-        "scratch_bytes": MetricFamily(
-            "repro_serving_precision_scratch_bytes",
-            "gauge",
-            "Scratch arena bytes by schedule precision.",
-        ),
-    }
-    for name, snap in servers.items():
-        runtime = snap.get("runtime")
-        if not isinstance(runtime, dict):
-            continue
-        by_precision = runtime.get("bytes_by_precision")
-        if not isinstance(by_precision, dict):
-            continue
-        for precision, slot in sorted(by_precision.items()):
-            if not isinstance(slot, dict):
-                continue
-            for key, family in precision_families.items():
-                if _is_number(slot.get(key)):
-                    family.add(
-                        slot[key], {"server": name, "precision": precision}
-                    )
-    out.extend(f for f in precision_families.values() if f.samples)
-
-    workers_alive = MetricFamily(
-        "repro_serving_shard_worker_alive",
-        "gauge",
-        "Liveness of each shard worker process (1 = alive).",
-    )
-    workers_dispatched = MetricFamily(
-        "repro_serving_shard_worker_dispatched",
-        "counter",
-        "Requests scattered to each shard worker.",
-    )
-    workers_respawns = MetricFamily(
-        "repro_serving_shard_worker_respawns",
-        "counter",
-        "Times each shard worker was respawned after dying.",
-    )
-    for name, snap in servers.items():
-        runtime = snap.get("runtime")
-        if not isinstance(runtime, dict):
-            continue
-        sharded = runtime.get("workers")
-        if not isinstance(sharded, dict):
-            continue
-        for model, stats in sorted(sharded.items()):
-            if not isinstance(stats, dict):
-                continue
-            model_workers = stats.get("workers")
-            if not isinstance(model_workers, dict):
-                continue
-            for worker, info in sorted(model_workers.items()):
-                if not isinstance(info, dict):
-                    continue
-                labels = {"server": name, "model": model, "worker": str(worker)}
-                workers_alive.add(1.0 if info.get("alive") else 0.0, labels)
-                if _is_number(info.get("dispatched")):
-                    workers_dispatched.add(
-                        info["dispatched"], labels, suffix="_total"
-                    )
-                if _is_number(info.get("respawns")):
-                    workers_respawns.add(
-                        info["respawns"], labels, suffix="_total"
-                    )
-    out.extend(
-        f
-        for f in (workers_alive, workers_dispatched, workers_respawns)
-        if f.samples
-    )
-    return out
-
-
-def _gauge_families(gauges) -> list[MetricFamily]:
-    if not isinstance(gauges, dict):
-        return []
-    family = MetricFamily(
-        "repro_gauge", "gauge", "Ad-hoc registered gauges (numeric only)."
-    )
-    for name in sorted(gauges):
-        if _is_number(gauges[name]):
-            family.add(gauges[name], {"name": name})
-    return [family] if family.samples else []
 
 
 # ----------------------------------------------------------------------

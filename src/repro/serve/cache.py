@@ -73,7 +73,7 @@ class PredictorCache:
                 value = self._entries.get(key)
                 if value is not None:
                     self._entries.move_to_end(key)
-                    self.metrics.record_cache(hit=True)
+                    self.metrics.count("cache_hits")
                     return value, True
                 flight = self._inflight.get(key)
                 if flight is None:
@@ -93,7 +93,7 @@ class PredictorCache:
                 value = self._entries.get(key)
                 if value is not None:
                     self._entries.move_to_end(key)
-                    self.metrics.record_cache(hit=True)
+                    self.metrics.count("cache_hits")
                     return value, True
             # Entry evicted between the leader's insert and our lookup:
             # fall through and compete to compile it again.
@@ -118,9 +118,9 @@ class PredictorCache:
         # stays off the critical path so a slow (or throwing) metrics sink
         # cannot extend how long followers block on the event.
         flight.event.set()
-        self.metrics.record_cache(hit=False)
+        self.metrics.count("cache_misses")
         if evicted:
-            self.metrics.record_eviction(evicted)
+            self.metrics.count("cache_evictions", evicted)
         return value, False
 
     # ------------------------------------------------------------------
@@ -149,7 +149,7 @@ class PredictorCache:
                 self._entries.popitem(last=False)
                 evicted += 1
         if evicted:
-            self.metrics.record_eviction(evicted)
+            self.metrics.count("cache_evictions", evicted)
 
     def __len__(self) -> int:
         with self._lock:

@@ -22,7 +22,7 @@ import numpy as np
 from repro.backend.interpreter import interpret_lir
 from repro.config import Schedule
 from repro.errors import ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.lir.ir import LIRModule
 
 
@@ -54,12 +54,9 @@ class _FallbackBase:
         raise NotImplementedError
 
     def predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
-        raw = self.raw_predict(rows, threads=threads)
-        if self.forest.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.forest.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(
+            self.forest.objective, self.raw_predict(rows, threads=threads)
+        )
 
 
 class InterpreterPredictor(_FallbackBase):

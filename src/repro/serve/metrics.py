@@ -15,6 +15,8 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Callable
 
+from repro.observe.export import SERVING_COUNTERS
+
 #: default bucket upper bounds (seconds) for the latency/queue-wait/kernel
 #: histograms — Prometheus-style sub-millisecond to multi-second coverage
 TIME_BUCKETS = (
@@ -141,64 +143,24 @@ class LatencyWindow:
 class ServingMetrics:
     """Thread-safe counters + histograms for one server (or session).
 
-    Fields exposed by :meth:`snapshot`:
-
-    ``compiles``            full pipeline compilations actually performed
-    ``cache_hits``          predictor-cache hits (incl. waits that shared an
-                            in-flight compile)
-    ``cache_misses``        predictor-cache misses (a compile was triggered)
-    ``cache_evictions``     predictors dropped by the LRU bound
-    ``fallbacks``           requests/compiles that degraded to the
-                            interpreter or reference path
-    ``requests``            predict calls observed
-    ``rows``                total rows predicted
-    ``errors``              requests that raised
-    ``admission_rejects``   requests turned away by SLO admission control
-    ``batches``             micro-batches executed
-    ``batch_rows_hist``     {rows per executed batch: count}
-    ``batch_requests_hist`` {requests coalesced per batch: count}
-    ``latency``             {count, p50, p90, p99, p999, window_max,
-                            all_time_max, max} in seconds. Percentiles
-                            (nearest-rank, see
-                            :meth:`LatencyWindow.percentile`) and
-                            ``window_max`` cover the bounded sliding window
-                            only; ``all_time_max`` (and its legacy alias
-                            ``max``) covers every request since
-                            construction/reset — the two diverge once the
-                            window rotates past a spike.
-    ``histograms``          fixed-bucket histograms in the OpenMetrics
-                            cumulative convention (see :class:`Histogram`):
-                            ``latency_seconds`` (per request),
-                            ``queue_wait_seconds`` (per request, micro-batch
-                            enqueue → batch start), ``kernel_seconds`` (per
-                            executed batch), ``batch_rows`` (per executed
-                            batch).
-    ``tuning``              background-autotune lifecycle: ``started``,
-                            ``completed``, ``failed``, ``cache_hits``
-                            (persisted warm starts), ``hot_swaps``
-                            (sessions atomically switched to a faster
-                            predictor), and ``last`` — the most recent
-                            run's explored count, per-row latency and
-                            cost-model rank correlation.
-    ``runtime``             registered gauges, read at snapshot time (the
-                            server wires in kernel-pool counters and the
-                            scratch-arena / model-buffer footprints of
-                            resident predictors)
+    The counters are :data:`repro.observe.export.SERVING_COUNTERS` — the
+    serving rows of the exported metric table, each named by its dotted
+    path into :meth:`snapshot` (``"compiles"``, ``"tuning.hot_swaps"``) and
+    bumped with :meth:`count`. Beside them the snapshot carries
+    ``batch_rows_hist`` / ``batch_requests_hist`` ({rows or requests per
+    executed batch: count}), ``latency`` (nearest-rank percentiles and
+    ``window_max`` over the sliding window, see
+    :meth:`LatencyWindow.percentile`; ``all_time_max`` and its legacy alias
+    ``max`` since construction/reset), ``histograms`` (fixed buckets in the
+    OpenMetrics convention, see :class:`Histogram`), ``tuning.last`` (the
+    most recent background tune's summary) and ``runtime`` (registered
+    gauges, read at snapshot time).
     """
 
     def __init__(self, latency_window: int = 2048) -> None:
         self._lock = threading.Lock()
         self._gauges: dict[str, Callable[[], object]] = {}
-        self.compiles = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.fallbacks = 0
-        self.requests = 0
-        self.rows = 0
-        self.errors = 0
-        self.admission_rejects = 0
-        self.batches = 0
+        self._counters = dict.fromkeys(SERVING_COUNTERS, 0)
         self.batch_rows_hist: Counter[int] = Counter()
         self.batch_requests_hist: Counter[int] = Counter()
         self._latency = LatencyWindow(latency_window)
@@ -209,39 +171,21 @@ class ServingMetrics:
             "kernel_seconds": Histogram(TIME_BUCKETS),
             "batch_rows": Histogram(ROWS_BUCKETS),
         }
-        self.tunes_started = 0
-        self.tunes_completed = 0
-        self.tunes_failed = 0
-        self.tune_cache_hits = 0
-        self.hot_swaps = 0
         self._last_tune: dict | None = None
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_compile(self) -> None:
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to one declared counter; an undeclared name raises
+        ``KeyError``."""
         with self._lock:
-            self.compiles += 1
-
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
-    def record_eviction(self, count: int = 1) -> None:
-        with self._lock:
-            self.cache_evictions += count
-
-    def record_fallback(self) -> None:
-        with self._lock:
-            self.fallbacks += 1
+            self._counters[name] += n
 
     def record_request(self, num_rows: int, seconds: float) -> None:
         with self._lock:
-            self.requests += 1
-            self.rows += int(num_rows)
+            self._counters["requests"] += 1
+            self._counters["rows"] += int(num_rows)
             self._latency.record(seconds)
             self._histograms["latency_seconds"].record(seconds)
             if seconds > self._max_latency:
@@ -257,41 +201,19 @@ class ServingMetrics:
         with self._lock:
             self._histograms["kernel_seconds"].record(seconds)
 
-    def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
-
-    def record_admission_reject(self) -> None:
-        """One request turned away by SLO admission control (not an error:
-        the tier shed load on purpose to protect its latency target)."""
-        with self._lock:
-            self.admission_rejects += 1
-
-    def record_tune_started(self) -> None:
-        with self._lock:
-            self.tunes_started += 1
-
     def record_tune_completed(self, info: dict | None = None) -> None:
         """One background tune finished; ``info`` summarizes the run
         (explored count, best per-row µs, rank correlation, swap outcome)."""
         with self._lock:
-            self.tunes_completed += 1
+            self._counters["tuning.completed"] += 1
             if info is not None:
                 self._last_tune = dict(info)
                 if info.get("from_cache"):
-                    self.tune_cache_hits += 1
-
-    def record_tune_failed(self) -> None:
-        with self._lock:
-            self.tunes_failed += 1
-
-    def record_hot_swap(self) -> None:
-        with self._lock:
-            self.hot_swaps += 1
+                    self._counters["tuning.cache_hits"] += 1
 
     def record_batch(self, num_rows: int, num_requests: int) -> None:
         with self._lock:
-            self.batches += 1
+            self._counters["batches"] += 1
             self.batch_rows_hist[int(num_rows)] += 1
             self.batch_requests_hist[int(num_requests)] += 1
             self._histograms["batch_rows"].record(num_rows)
@@ -329,7 +251,7 @@ class ServingMetrics:
         # Caller holds self._lock. ``max`` is kept as an alias of
         # ``all_time_max`` for pre-existing dashboards; it is NOT the
         # window max — after the ring rotates past a spike the two differ.
-        any_seen = self.requests > 0 or len(self._latency) > 0
+        any_seen = self._counters["requests"] > 0 or len(self._latency) > 0
         return {
             "count": len(self._latency),
             "p50": self._latency.percentile(50),
@@ -348,61 +270,40 @@ class ServingMetrics:
         gauges read live state elsewhere and are left wired up.
         """
         with self._lock:
-            self.compiles = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.cache_evictions = 0
-            self.fallbacks = 0
-            self.requests = 0
-            self.rows = 0
-            self.errors = 0
-            self.admission_rejects = 0
-            self.batches = 0
+            self._counters = dict.fromkeys(self._counters, 0)
             self.batch_rows_hist.clear()
             self.batch_requests_hist.clear()
             self._latency.clear()
             self._max_latency = 0.0
             for histogram in self._histograms.values():
                 histogram.clear()
-            self.tunes_started = 0
-            self.tunes_completed = 0
-            self.tunes_failed = 0
-            self.tune_cache_hits = 0
-            self.hot_swaps = 0
             self._last_tune = None
 
     def snapshot(self) -> dict:
         """Atomic copy of every counter and histogram (plus gauge reads)."""
         runtime = self._read_gauges()
         with self._lock:
-            return {
-                "compiles": self.compiles,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_evictions": self.cache_evictions,
-                "fallbacks": self.fallbacks,
-                "requests": self.requests,
-                "rows": self.rows,
-                "errors": self.errors,
-                "admission_rejects": self.admission_rejects,
-                "batches": self.batches,
-                "batch_rows_hist": dict(self.batch_rows_hist),
-                "batch_requests_hist": dict(self.batch_requests_hist),
-                "latency": self._latency_dict(),
-                "histograms": {
+            snap: dict = {}
+            for name, value in self._counters.items():
+                *parents, leaf = name.split(".")
+                node = snap
+                for key in parents:
+                    node = node.setdefault(key, {})
+                node[leaf] = value
+            snap["tuning"]["last"] = (
+                dict(self._last_tune) if self._last_tune else None
+            )
+            snap.update(
+                batch_rows_hist=dict(self.batch_rows_hist),
+                batch_requests_hist=dict(self.batch_requests_hist),
+                latency=self._latency_dict(),
+                histograms={
                     name: hist.snapshot()
                     for name, hist in self._histograms.items()
                 },
-                "tuning": {
-                    "started": self.tunes_started,
-                    "completed": self.tunes_completed,
-                    "failed": self.tunes_failed,
-                    "cache_hits": self.tune_cache_hits,
-                    "hot_swaps": self.hot_swaps,
-                    "last": dict(self._last_tune) if self._last_tune else None,
-                },
-                "runtime": runtime,
-            }
+                runtime=runtime,
+            )
+            return snap
 
     def __repr__(self) -> str:
         s = self.snapshot()

@@ -318,16 +318,15 @@ class ModelServer:
         ``shards`` is omitted), compiled once, exported to shared memory
         and executed by forked workers whose partial sums are folded by
         ``combiner`` (``"sum"``/``"mean"``/``"max_margin"``/``"top<k>"``).
-        ``slo`` (an :class:`repro.serve.workers.SLOPolicy`) records the
-        model's admission targets for an :class:`AsyncModelFrontend`.
         Mutually exclusive with ``artifact``/``tune``/``pgo`` — the
         sharded predictor owns processes, not a recompilable kernel.
+
+        ``slo`` (an :class:`repro.serve.workers.SLOPolicy`) records the
+        model's admission targets for an :class:`AsyncModelFrontend`;
+        re-registering without it clears them.
         """
         if self._closed:
             raise ServingError("server is closed")
-        if slo is not None:
-            with self._lock:
-                self._slos[name] = slo
         if workers is not None:
             if forest is None:
                 raise ServingError("sharded serving (workers=...) needs a forest")
@@ -356,7 +355,8 @@ class ModelServer:
                 name=f"repro-shard-{name}",
             )
             return self._install(
-                name, forest, batching, threads, sharded=predictor, predictor=predictor
+                name, forest, batching, threads, slo,
+                sharded=predictor, predictor=predictor,
             )
         if shards is not None:
             raise ServingError("shards=... requires workers=...")
@@ -387,7 +387,8 @@ class ModelServer:
                 ),
             )
             return self._install(
-                name, None, batching, threads, predictor=predictor, cache_hit=hit
+                name, None, batching, threads, slo,
+                predictor=predictor, cache_hit=hit,
             )
         if forest is None:
             raise ServingError("register() needs a forest or an artifact")
@@ -395,7 +396,9 @@ class ModelServer:
             # The profile recorder is what the periodic job reads; PGO
             # without it would never see a measured walk depth.
             schedule = (schedule or Schedule()).with_(profile=True)
-        session = self._install(name, forest, batching, threads, schedule=schedule)
+        session = self._install(
+            name, forest, batching, threads, slo, schedule=schedule
+        )
         if pgo:
             self._arm_pgo_timer(name, session)
         if tune:
@@ -408,13 +411,17 @@ class ModelServer:
         return session
 
     def _install(
-        self, name: str, forest, batching, threads, *, sharded=None, **session_args
+        self, name: str, forest, batching, threads, slo, *, sharded=None,
+        **session_args,
     ) -> InferenceSession:
         """Build ``name``'s session and swap it in for whatever it replaces.
 
         The replaced session, any sharded predictor the name owned and a
         stale PGO timer are retired outside the lock; ``sharded`` (the new
-        session's own sharded predictor) is recorded as the name's.
+        session's own sharded predictor) is recorded as the name's, and
+        ``slo`` replaces (``None``: clears) the name's admission policy in
+        the same critical section, so a registration that raises changes
+        no policy.
         """
         session = InferenceSession(
             forest,
@@ -435,6 +442,10 @@ class ModelServer:
             old_sharded = self._sharded.pop(name, None)
             if sharded is not None:
                 self._sharded[name] = sharded
+            if slo is None:
+                self._slos.pop(name, None)
+            else:
+                self._slos[name] = slo
             stale_timer = self._pgo_timers.pop(name, None)
         if stale_timer is not None:
             stale_timer.cancel()
@@ -454,7 +465,7 @@ class ModelServer:
         rows: np.ndarray,
         space: TuningSpace | None,
     ) -> Future:
-        self.metrics.record_tune_started()
+        self.metrics.count("tuning.started")
         future = get_pool().submit(self._tune_job, name, session, rows, space)
         with self._lock:
             self._tunes = [f for f in self._tunes if not f.done()]
@@ -494,7 +505,7 @@ class ModelServer:
         except Exception as exc:  # noqa: BLE001 - a tune failure must never
             # poison the pool worker or take the serving path down; the
             # session keeps serving on its registration-time predictor.
-            self.metrics.record_tune_failed()
+            self.metrics.count("tuning.failed")
             flight.record("tune_failed", model=name, error=str(exc))
             return {"name": name, "error": str(exc), "swapped": False}
 

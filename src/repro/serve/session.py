@@ -19,7 +19,7 @@ from repro.api import compile_model
 from repro.backend.jit import model_fingerprint
 from repro.config import Schedule
 from repro.errors import CompilerError, ServingError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.observe import events as flight
 from repro.serve.batching import BatchingPolicy, MicroBatcher
 from repro.serve.cache import PredictorCache
@@ -134,7 +134,7 @@ class InferenceSession:
     # Compilation (invoked at most once per fingerprint via the cache)
     # ------------------------------------------------------------------
     def _compile(self):
-        self.metrics.record_compile()
+        self.metrics.count("compiles")
         label = self.name or self.fingerprint[:12]
         try:
             predictor = compile_model(
@@ -144,7 +144,7 @@ class InferenceSession:
             if not self.allow_fallback:
                 raise
             self.fallback_error = exc
-            self.metrics.record_fallback()
+            self.metrics.count("fallbacks")
             flight.record(
                 "fallback",
                 model=label,
@@ -198,7 +198,7 @@ class InferenceSession:
             self.fingerprint = predictor.fingerprint
         self.predictor = predictor
         self.fallback_error = None
-        self.metrics.record_hot_swap()
+        self.metrics.count("tuning.hot_swaps")
         return old
 
     # ------------------------------------------------------------------
@@ -228,7 +228,7 @@ class InferenceSession:
         return start, trace, rows, num_rows
 
     def _record_failure(self, exc: BaseException, trace, num_rows: int) -> None:
-        self.metrics.record_error()
+        self.metrics.count("errors")
         flight.record("error", model=self.name, rows=num_rows, error=str(exc))
         if trace is not None:
             self._tracer.record(trace.finish(error=str(exc)))
@@ -273,12 +273,7 @@ class InferenceSession:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.objective, self.raw_predict(rows))
 
     def submit(self, rows: np.ndarray):
         """Async raw-margin request; requires a batching policy.

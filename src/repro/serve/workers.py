@@ -52,7 +52,7 @@ import numpy as np
 from repro.backend.shm import SharedModelHandle, attach_shared, export_shared
 from repro.config import Schedule
 from repro.errors import ServingError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.observe import events as flight
 
 #: how long WorkerPool waits for a forked worker to attach and report ready
@@ -643,10 +643,7 @@ class ShardedPredictor:
     def predict(self, rows: np.ndarray) -> np.ndarray:
         raw = self.raw_predict(rows)
         if self.combiner.objective_transform:
-            if self.objective == "binary:logistic":
-                return sigmoid(raw)
-            if self.objective == "multiclass":
-                return softmax(raw)
+            return apply_objective(self.objective, raw)
         return raw
 
     def memory_bytes(self) -> int:
@@ -787,14 +784,16 @@ class SLOPolicy:
 
 
 class _ModelAdmission:
-    """Frontend-side view of one model: inflight count + latency window."""
+    """Frontend-side view of one model: the :meth:`AsyncModelFrontend.set_slo`
+    override (``None``: the server's policy), inflight count and latency
+    window."""
 
-    __slots__ = ("policy", "inflight", "latencies")
+    __slots__ = ("override", "inflight", "latencies")
 
-    def __init__(self, policy: SLOPolicy) -> None:
+    def __init__(self) -> None:
         from repro.serve.metrics import LatencyWindow
 
-        self.policy = policy
+        self.override: SLOPolicy | None = None
         self.inflight = 0
         self.latencies = LatencyWindow(512)
 
@@ -822,30 +821,34 @@ class AsyncModelFrontend:
         self._models: dict[str, _ModelAdmission] = {}
 
     def set_slo(self, name: str, policy: SLOPolicy | None) -> None:
-        """Set (or clear, with ``None``) one model's admission policy."""
-        with self._lock:
-            if policy is None:
-                self._models.pop(name, None)
-            else:
-                self._models[name] = _ModelAdmission(policy)
-
-    def slo_policy(self, name: str) -> SLOPolicy | None:
-        with self._lock:
-            entry = self._models.get(name)
-            return entry.policy if entry is not None else None
-
-    def _admit(self, name: str) -> _ModelAdmission | None:
-        """Admission decision under the lock; raises to shed."""
+        """Override one model's admission policy; ``None`` drops the
+        override, so the server's ``register(..., slo=...)`` policy applies
+        again."""
         with self._lock:
             entry = self._models.get(name)
             if entry is None:
-                # Fall back to the policy recorded at register(..., slo=...)
-                # time, instantiating the frontend-side window lazily.
-                policy = getattr(self.server, "slo_policy", lambda _n: None)(name)
-                if policy is None:
-                    return None
-                entry = self._models[name] = _ModelAdmission(policy)
-            policy = entry.policy
+                entry = self._models[name] = _ModelAdmission()
+            entry.override = policy
+
+    def slo_policy(self, name: str) -> SLOPolicy | None:
+        """The policy the next admission of ``name`` enforces."""
+        with self._lock:
+            entry = self._models.get(name)
+            override = entry.override if entry is not None else None
+        return override if override is not None else self.server.slo_policy(name)
+
+    def _admit(self, name: str) -> _ModelAdmission | None:
+        """Admission decision under the lock; raises to shed."""
+        server_policy = self.server.slo_policy(name)  # current, never cached
+        with self._lock:
+            entry = self._models.get(name)
+            policy = server_policy
+            if entry is not None and entry.override is not None:
+                policy = entry.override
+            if policy is None:
+                return None
+            if entry is None:
+                entry = self._models[name] = _ModelAdmission()
             reason = None
             if policy.max_inflight is not None and entry.inflight >= policy.max_inflight:
                 reason = "max_inflight"
@@ -860,7 +863,7 @@ class AsyncModelFrontend:
             if reason is None:
                 entry.inflight += 1
                 return entry
-        self.server.metrics.record_admission_reject()
+        self.server.metrics.count("admission_rejects")
         flight.record(
             "admission_reject",
             model=name,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from repro.observe.export import (
 )
 from repro.observe.spans import RING, RequestTrace, RequestTracer, SpanRing
 from repro.serve import BatchingPolicy, ModelServer, ServerConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -217,6 +220,44 @@ class TestOpenMetrics:
         assert [
             (labels["name"], value) for _suffix, labels, value in gauge_samples
         ] == [("ok", 2.0)]
+
+    def test_golden_exposition(self):
+        """Every family, failed providers, non-dict slots and missing keys:
+        the rendered document is pinned byte for byte."""
+        snap = json.loads((DATA / "openmetrics_snapshot.json").read_text())
+        text = render_openmetrics(snap)
+        assert text == (DATA / "openmetrics_golden.txt").read_text()
+        parse_openmetrics(text)
+
+    def test_serving_counters_declared_once(self):
+        """The metric table is the only list of serving counters: each one
+        is in a fresh snapshot and in a fresh server's exposition, and an
+        undeclared counter cannot be bumped."""
+        from repro.observe.export import METRICS, SERVING_COUNTERS
+        from repro.serve.metrics import ServingMetrics
+
+        snap = ServingMetrics().snapshot()
+        for name in SERVING_COUNTERS:
+            node = snap
+            for key in name.split("."):
+                node = node[key]
+            assert node == 0, name
+        serving_rows = [
+            row for row in METRICS
+            if row[0].startswith("repro_serving_") and "runtime" not in row[3]
+        ]
+        for _name, mtype, _help, path in serving_rows:
+            if mtype == "histogram":
+                assert path[-1] in snap["histograms"]
+        with ModelServer():
+            families = parse_openmetrics(render_openmetrics())
+        declared = {
+            name for name, mtype, _help, _path in serving_rows
+            if mtype in ("counter", "histogram")
+        }
+        assert declared - set(families) == set()
+        with pytest.raises(KeyError):
+            ServingMetrics().count("no_such_counter")
 
     def test_parser_rejects_malformed_documents(self):
         good = render_openmetrics({"schema_version": 5})

@@ -104,14 +104,14 @@ class TestPredictorCache:
         """Regression: the leader used to record metrics *before* setting the
         in-flight event, so a slow metrics sink stretched how long followers
         blocked. Followers must observe the result while the leader is still
-        stuck inside ``record_cache(hit=False)``."""
+        stuck inside ``count("cache_misses")``."""
         leader_in_metrics = threading.Event()
         follower_done = threading.Event()
 
         class BlockingMetrics(ServingMetrics):
-            def record_cache(self, hit: bool) -> None:
-                super().record_cache(hit)
-                if not hit:
+            def count(self, name: str, n: int = 1) -> None:
+                super().count(name, n)
+                if name == "cache_misses":
                     leader_in_metrics.set()
                     assert follower_done.wait(5.0), (
                         "follower never completed while leader sat in metrics"
@@ -489,7 +489,7 @@ class TestInferenceSession:
         assert session.metrics.snapshot()["errors"] == 1
 
     def test_submit_metrics_recorded(self, small_forest, small_rows):
-        # Regression: submit() used to bypass record_request/record_error,
+        # Regression: submit() used to bypass the request and error counters,
         # so open-loop traffic never reached the request counters, the
         # latency histogram or the SLO percentiles.
         policy = BatchingPolicy(max_batch_rows=64, max_delay_s=0.001)
@@ -669,8 +669,8 @@ class TestMetricsPrimitives:
         metrics.register_gauge("g", lambda: 7)
         metrics.record_request(4, 0.5)
         metrics.record_batch(4, 2)
-        metrics.record_cache(hit=True)
-        metrics.record_error()
+        metrics.count("cache_hits")
+        metrics.count("errors")
         metrics.reset()
         snap = metrics.snapshot()
         assert snap["requests"] == 0 and snap["rows"] == 0

@@ -527,6 +527,22 @@ class TestServerSharded:
             server.unregister("m")
             assert server.slo_policy("m") is None
 
+    def test_reregister_without_slo_clears_policy(self, forest):
+        with ModelServer() as server:
+            server.register("m", forest, slo=SLOPolicy(max_inflight=1))
+            server.register("m", forest)
+            assert server.slo_policy("m") is None
+
+    def test_failed_register_records_no_slo(self, forest, tmp_path):
+        with ModelServer() as server:
+            with pytest.raises(ServingError, match="not both"):
+                server.register(
+                    "x", forest, artifact=str(tmp_path),
+                    slo=SLOPolicy(max_inflight=1),
+                )
+            assert "x" not in server.names()
+            assert server.slo_policy("x") is None
+
 
 # ----------------------------------------------------------------------
 # SLO-aware async admission
@@ -586,6 +602,19 @@ class TestAsyncFrontend:
             with AsyncModelFrontend(server) as frontend:
                 assert frontend._admit("m") is not None  # lazily adopted
                 assert frontend.slo_policy("m").max_inflight == 2
+
+    def test_frontend_follows_server_reregister(self, forest):
+        with ModelServer() as server:
+            server.register("m", forest, slo=SLOPolicy(max_inflight=1))
+            with AsyncModelFrontend(server) as frontend:
+                held = frontend._admit("m")
+                server.register("m", forest, slo=SLOPolicy(max_inflight=7))
+                assert frontend.slo_policy("m").max_inflight == 7
+                second = frontend._admit("m")  # the old limit would shed it
+                assert second is not None and second is held  # one window
+                assert held.inflight == 2
+                frontend._finish(held, 0.01)
+                frontend._finish(second, 0.01)
 
     def test_no_policy_admits_everything(self, forest, rows):
         with ModelServer() as server:
