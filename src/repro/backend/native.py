@@ -27,17 +27,38 @@ This backend walks the same tiles in C. Three pieces live here:
   :func:`~repro.backend.jit.bind_kernel` — runs the same bind-time
   validation.
 
+The walk is the paper's, in its two mechanisms. *Interleaving* (§IV-B):
+independent sparse walks advance in lock-step, so no tile step waits on
+another walk's LUT load — rows in blocks of ``ROW_JAM`` through one tree,
+and the rows a batch leaves over (every row of a 1-row request) through
+``TREE_JAM`` trees at a time. A walk retires when its state goes negative,
+the step loop ends when none is live, and it is still bounded by the
+tree's tile count. The jams are fixed constants, chosen by a sweep on four
+Table-I forests; ``Schedule.interleave`` does not reach the walker. The
+array layout walks one (row, tree) at a time: it is what the scalar
+baseline (``Schedule.scalar_baseline()``) measures. *The vector tile
+predicate* (§V-A): a tile's comparison bits come from one gather, one
+ordered less-than compare and one movemask per vector of lanes — AVX-512
+for 8 float64 or 16 float32 lanes, AVX2 for 4 float64 or 4/8 float32 lanes,
+chosen by the preprocessor under ``-march=native`` and named by the
+exported ``repro_isa()`` (the ``native_isa`` compile stat). Other widths
+and ISAs keep the scalar loop. ``_CMP_LT_OQ`` is C's ``<`` — false on NaN —
+so every path routes every row alike.
+
 Memory safety is split the way ``take(..., 'clip')`` splits it. Indices the
 *model* supplies (feature indices, shape ids, child bases, lane offsets, LUT
-extent) are range-checked once, vectorised, in :func:`bind`. Indices the
-*input* steers (the tile index derived from the walk state, the LUT index,
-the leaf index) are clamped in the walker, and every walk is bounded by its
-tree's tile count, so a hostile row can pick a wrong leaf but cannot read
-outside a buffer or spin.
+extent) are range-checked once, vectorised, in :func:`bind`; the gathers
+read exactly those feature indices. Indices the *input* steers (the tile
+index derived from the walk state, the LUT index, the leaf index) are
+clamped in the walker, and every walk is bounded by its tree's tile count,
+so a hostile row can pick a wrong leaf but cannot read outside a buffer or
+spin.
 
 Accumulation order is fixed — groups in order, trees ascending, each leaf
-added to its row's float64 accumulator — so a row's margins are bitwise the
-same in any batch and under any ``threads=``.
+added to its row's float64 accumulator. Both jams keep it: a row jam adds
+each tree's leaves before the next tree walks, a tree jam buffers its
+leaves and adds them in ascending tree order. A row's margins are therefore
+bitwise the same in any batch, under any ``threads=`` and on every ISA.
 """
 
 from __future__ import annotations
@@ -60,6 +81,7 @@ from repro.backend.predictor import Predictor
 from repro.backend.registry import Backend, register_backend
 from repro.config import PRECISION_TABLE
 from repro.errors import BackendError, CodegenError, ExecutionError
+from repro.observe import registry as observe_registry
 
 #: compiler flags; part of the cache key
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -70,8 +92,14 @@ BUILD_TIMEOUT_S = 120.0
 #: padded lane widths the walker is specialised for
 LANE_WIDTHS = (1, 2, 4, 8, 16)
 
+#: the walker's tile-compare paths, indexed by what ``repro_isa()`` returns
+ISA_PATHS = ("scalar", "avx2", "avx512")
+
 WALKER_SOURCE = r"""
 #include <stdint.h>
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 enum { SPARSE = 0, ARRAY = 1, CONSTANT = 2 };
 
@@ -107,34 +135,117 @@ typedef struct {
 
 /* rows walked back to back through one tree while its tiles are hot */
 #define ROW_BLOCK 64
+/* sparse walks in lock-step: rows of one tree, or trees of one row (the
+   best of {8, 16, 32} rows x {4, 8} trees on four Table-I forests) */
+#define ROW_JAM 32
+#define TREE_JAM 4
 
 #define INLINE static inline __attribute__((always_inline))
 
 /* what take(..., 'clip') does to an index */
 INLINE int64_t clip(int64_t i, int64_t n) { return i < 0 ? 0 : (i >= n ? n - 1 : i); }
 
+/* The tile predicate, bit w set iff row[fi[w]] < th[w]: one gather, one
+   ordered compare (_CMP_LT_OQ is C's <, false on NaN) and one movemask per
+   vector of lanes, or the scalar loop where no vector fits. */
+#if defined(__AVX512F__)
+#define REPRO_ISA 2
+INLINE int64_t lt8_f64(const double *row, const int64_t *fi, const double *th) {
+    const __m512d x = _mm512_i64gather_pd(_mm512_loadu_si512(fi), row, 8);
+    return _mm512_cmp_pd_mask(x, _mm512_loadu_pd(th), _CMP_LT_OQ);
+}
+INLINE int64_t lt16_f32(const float *row, const int32_t *fi, const float *th) {
+    const __m512 x = _mm512_i32gather_ps(_mm512_loadu_si512(fi), row, 4);
+    return _mm512_cmp_ps_mask(x, _mm512_loadu_ps(th), _CMP_LT_OQ);
+}
+#elif defined(__AVX2__)
+#define REPRO_ISA 1
+#else
+#define REPRO_ISA 0
+#endif
+#if defined(__AVX2__)
+INLINE int64_t lt4_f64(const double *row, const int64_t *fi, const double *th) {
+    const __m256d x = _mm256_i64gather_pd(row, _mm256_loadu_si256((const __m256i *)fi), 8);
+    return _mm256_movemask_pd(_mm256_cmp_pd(x, _mm256_loadu_pd(th), _CMP_LT_OQ));
+}
+INLINE int64_t lt4_f32(const float *row, const int32_t *fi, const float *th) {
+    const __m128 x = _mm_i32gather_ps(row, _mm_loadu_si128((const __m128i *)fi), 4);
+    return _mm_movemask_ps(_mm_cmp_ps(x, _mm_loadu_ps(th), _CMP_LT_OQ));
+}
+INLINE int64_t lt8_f32(const float *row, const int32_t *fi, const float *th) {
+    const __m256 x = _mm256_i32gather_ps(row, _mm256_loadu_si256((const __m256i *)fi), 4);
+    return _mm256_movemask_ps(_mm256_cmp_ps(x, _mm256_loadu_ps(th), _CMP_LT_OQ));
+}
+#endif
+
+/* which compare the preprocessor kept: 2 AVX-512, 1 AVX2, 0 scalar */
+int repro_isa(void) { return REPRO_ISA; }
+
+/* W lanes in vectors of V: the lanes' bits, vector k's at bit k * V */
+#define LANES(V, LT)                                                           \
+    do {                                                                       \
+        int64_t bits = 0;                                                      \
+        for (int k = 0; k < W; k += V) bits |= LT(row, fi + k, th + k) << k;   \
+        return bits;                                                           \
+    } while (0)
+
+INLINE int64_t lt_f64(const double *row, const int64_t *fi, const double *th,
+                      const int W) {
+#if defined(__AVX512F__)
+    if (W >= 8) LANES(8, lt8_f64);
+#endif
+#if defined(__AVX2__)
+    if (W >= 4) LANES(4, lt4_f64);
+#endif
+    int64_t bits = 0;
+    for (int w = 0; w < W; w++) bits |= (int64_t)(row[fi[w]] < th[w]) << w;
+    return bits;
+}
+
+INLINE int64_t lt_f32(const float *row, const int32_t *fi, const float *th,
+                      const int W) {
+#if defined(__AVX512F__)
+    if (W >= 16) LANES(16, lt16_f32);
+#endif
+#if defined(__AVX2__)
+    if (W >= 8) LANES(8, lt8_f32);
+    if (W >= 4) LANES(4, lt4_f32);
+#endif
+    int64_t bits = 0;
+    for (int w = 0; w < W; w++) bits |= (int64_t)(row[fi[w]] < th[w]) << w;
+    return bits;
+}
+
 #define DEFINE_WALKERS(T, ELEM, FIDX)                                          \
 INLINE int64_t child_##T(const repro_model *m, const repro_group *g,           \
                          const ELEM *row, int64_t idx, const int W) {          \
-    const ELEM *th = (const ELEM *)g->th + idx * W;                            \
-    const FIDX *fi = (const FIDX *)g->fi + idx * W;                            \
-    int64_t bits = 0;                                                          \
-    for (int w = 0; w < W; w++)                                                \
-        bits |= (int64_t)(row[fi[w]] < th[w]) << w;                            \
+    const int64_t bits = lt_##T(row, (const FIDX *)g->fi + idx * W,            \
+                                (const ELEM *)g->th + idx * W, W);             \
     return m->lut[clip(g->sid[idx] * m->lut_cols + bits, m->lut_len)];         \
 }                                                                              \
-INLINE ELEM sparse_##T(const repro_model *m, const repro_group *g,             \
-                       const ELEM *row, int64_t t, const int W) {              \
-    const int64_t base = g->lane_tiles[t];                                     \
-    int64_t state = 0;                                                         \
-    for (int64_t step = 0; state >= 0 && step < g->tiles; step++) {            \
-        const int64_t idx = clip(base + state, g->num_tiles);                  \
-        const int64_t ci = child_##T(m, g, row, idx, W);                       \
-        const int64_t cb = g->cb[idx];                                         \
-        state = cb >= 0 ? cb + ci : cb - ci;                                   \
+/* K sparse walks in lock-step, walk k taking row[k] through tree t[k] to     \
+   leaf[k]. A walk retires when its state goes negative; each takes at most   \
+   the tree's tile count of steps, as one walk alone would. */                \
+INLINE void sparse_##T(const repro_model *m, const repro_group *g,             \
+                       const ELEM *const *row, const int64_t *t, ELEM *leaf,   \
+                       const int K, const int W) {                             \
+    int64_t base[K], state[K];                                                 \
+    for (int k = 0; k < K; k++) base[k] = g->lane_tiles[t[k]], state[k] = 0;   \
+    for (int64_t step = 0; step < g->tiles; step++) {                          \
+        int live = 0;                                                          \
+        for (int k = 0; k < K; k++) {                                          \
+            if (state[k] < 0) continue;                                        \
+            const int64_t idx = clip(base[k] + state[k], g->num_tiles);        \
+            const int64_t ci = child_##T(m, g, row[k], idx, W);                \
+            const int64_t cb = g->cb[idx];                                     \
+            state[k] = cb >= 0 ? cb + ci : cb - ci;                            \
+            live |= state[k] >= 0;                                             \
+        }                                                                      \
+        if (!live) break;                                                      \
     }                                                                          \
-    return ((const ELEM *)g->lv)[clip(g->lane_leaves[t] - state - 1,           \
-                                      g->num_leaves)];                         \
+    for (int k = 0; k < K; k++)                                                \
+        leaf[k] = ((const ELEM *)g->lv)[clip(g->lane_leaves[t[k]] - state[k] - 1, \
+                                             g->num_leaves)];                  \
 }                                                                              \
 INLINE ELEM array_##T(const repro_model *m, const repro_group *g,              \
                       const ELEM *row, int64_t t, const int W) {               \
@@ -147,17 +258,51 @@ INLINE ELEM array_##T(const repro_model *m, const repro_group *g,              \
     }                                                                          \
     return ((const ELEM *)g->lv)[idx];                                         \
 }                                                                              \
+/* Whole ROW_JAMs of rows walk each tree together; the rows left over walk    \
+   TREE_JAM trees at a time. Every row gains its leaves in ascending tree     \
+   order either way. */                                                       \
+INLINE void sparse_group_##T(const repro_model *m, const repro_group *g,       \
+                             const ELEM *rows, int64_t n, double *out,         \
+                             const int W) {                                    \
+    const int64_t F = m->num_features, C = m->num_classes;                     \
+    const int64_t jammed = n - n % ROW_JAM, trees = g->num_trees;              \
+    const ELEM *row[ROW_JAM];                                                  \
+    int64_t t[ROW_JAM];                                                        \
+    ELEM leaf[ROW_JAM];                                                        \
+    for (int64_t ti = 0; ti < trees; ti++) {                                   \
+        const int32_t c = g->cls[ti];                                          \
+        for (int k = 0; k < ROW_JAM; k++) t[k] = ti;                           \
+        for (int64_t r = 0; r < jammed; r += ROW_JAM) {                        \
+            for (int k = 0; k < ROW_JAM; k++) row[k] = rows + (r + k) * F;     \
+            sparse_##T(m, g, row, t, leaf, ROW_JAM, W);                        \
+            for (int k = 0; k < ROW_JAM; k++)                                  \
+                out[(r + k) * C + c] += (double)leaf[k];                       \
+        }                                                                      \
+    }                                                                          \
+    for (int64_t r = jammed; r < n; r++) {                                     \
+        double *acc = out + r * C;                                             \
+        for (int k = 0; k < TREE_JAM; k++) row[k] = rows + r * F;              \
+        for (int64_t ti = 0; ti < trees; ti += TREE_JAM) {                     \
+            /* past the last tree, lanes walk it again and add nothing */     \
+            for (int k = 0; k < TREE_JAM; k++)                                 \
+                t[k] = ti + k < trees ? ti + k : trees - 1;                    \
+            sparse_##T(m, g, row, t, leaf, TREE_JAM, W);                       \
+            for (int k = 0; k < TREE_JAM && ti + k < trees; k++)               \
+                acc[g->cls[ti + k]] += (double)leaf[k];                        \
+        }                                                                      \
+    }                                                                          \
+}                                                                              \
 INLINE void group_##T(const repro_model *m, const repro_group *g,              \
                       const ELEM *rows, int64_t n, double *out, const int W) { \
     const int64_t F = m->num_features, C = m->num_classes;                     \
+    if (g->kind == SPARSE) {                                                   \
+        sparse_group_##T(m, g, rows, n, out, W);                               \
+        return;                                                                \
+    }                                                                          \
     for (int64_t t = 0; t < g->num_trees; t++) {                               \
         double *acc = out + g->cls[t];                                         \
-        if (g->kind == SPARSE)                                                 \
-            for (int64_t r = 0; r < n; r++)                                    \
-                acc[r * C] += (double)sparse_##T(m, g, rows + r * F, t, W);    \
-        else                                                                   \
-            for (int64_t r = 0; r < n; r++)                                    \
-                acc[r * C] += (double)array_##T(m, g, rows + r * F, t, W);     \
+        for (int64_t r = 0; r < n; r++)                                        \
+            acc[r * C] += (double)array_##T(m, g, rows + r * F, t, W);         \
     }                                                                          \
 }                                                                              \
 static int walk_##T(const repro_model *m, const ELEM *rows, int64_t n,         \
@@ -220,6 +365,9 @@ class _Library:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
         ]
         self.walk.restype = ctypes.c_int
+        self.handle.repro_isa.restype = ctypes.c_int
+        #: the tile compare the preprocessor kept: "avx512", "avx2" or "scalar"
+        self.isa = ISA_PATHS[self.handle.repro_isa()]
 
 
 _lock = threading.Lock()
@@ -335,8 +483,9 @@ def load_library(stats: dict | None = None) -> _Library:
     Raises :class:`~repro.errors.BackendError` — and remembers why, so the
     next compile does not probe again — without a compiler, when the build
     fails, or when the cache directory cannot be trusted. ``stats`` (a
-    compile-trace span's) receives ``native_build_s`` and
-    ``native_cache_hit`` from the call that loads the library.
+    compile-trace span's) receives ``native_build_s``, ``native_cache_hit``
+    and ``native_isa`` from the call that loads the library; the registry's
+    ``backends.native.isa`` keeps the last.
     """
     global _library, _unavailable
     with _lock:
@@ -362,9 +511,11 @@ def load_library(stats: dict | None = None) -> _Library:
             _unavailable = f"native walker library failed to load: {exc}"
             raise BackendError(_unavailable) from exc
         _library = library
+    observe_registry.record_backend_info("native", "isa", library.isa)
     if stats is not None:
         stats["native_build_s"] = round(library.build_s, 6)
         stats["native_cache_hit"] = library.build_s == 0.0
+        stats["native_isa"] = library.isa
     return library
 
 

@@ -239,15 +239,19 @@ def _family_samples(name: str, mtype: str, path: tuple, snap: dict):
 
 
 def _histogram_samples(name: str, labels: dict, hist: dict):
+    """A histogram's samples; a malformed part renders as if absent, the way
+    :func:`_walk` skips what it cannot read."""
     cumulative = 0.0
-    for bound, count in hist.get("buckets", {}).items():
+    buckets = hist.get("buckets")
+    for bound, count in buckets.items() if isinstance(buckets, dict) else ():
         if _is_number(count):
             cumulative = count
             yield _sample(
                 f"{name}_bucket", {**labels, "le": _le_text(bound)}, count
             )
-    yield _sample(f"{name}_count", labels, hist.get("count", cumulative))
-    yield _sample(f"{name}_sum", labels, hist.get("sum", 0.0))
+    count, total = hist.get("count"), hist.get("sum")
+    yield _sample(f"{name}_count", labels, count if _is_number(count) else cumulative)
+    yield _sample(f"{name}_sum", labels, total if _is_number(total) else 0.0)
 
 
 def _sample(name: str, labels: dict, value) -> str:

@@ -11,7 +11,8 @@ observability surface behind a single ``snapshot()`` / ``export_json()``:
   winner schedule, budget outcome, cost-model rank correlation
 * ``backends``     — per-backend lifetime counters (compiles, artifact
   exports/loads, artifact code-cache hits) recorded by the backend
-  registry dispatch and the AOT loader
+  registry dispatch and the AOT loader, plus ``native``'s ``isa``: the
+  tile compare its loaded walker was built with
 * ``serving``      — the metrics snapshot of every live ``ModelServer``
   (servers register on construction, unregister on close)
 * ``spans``        — the most recent sampled request span trees
@@ -79,7 +80,7 @@ class Registry:
         self._traces_recorded = 0
         self._tunes: deque[dict] = deque(maxlen=TUNE_RING_CAPACITY)
         self._tunes_recorded = 0
-        self._backend_events: dict[str, dict[str, int]] = {}
+        self._backend_events: dict[str, dict[str, int | str]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -119,6 +120,12 @@ class Registry:
         with self._lock:
             counters = self._backend_events.setdefault(backend, {})
             counters[event] = counters.get(event, 0) + int(n)
+
+    def record_backend_info(self, backend: str, key: str, value: str) -> None:
+        """Set a descriptive, non-numeric entry beside one backend's counters
+        (``native``'s ``isa``); the OpenMetrics export skips it."""
+        with self._lock:
+            self._backend_events.setdefault(backend, {})[key] = value
 
     # ------------------------------------------------------------------
     # Reading

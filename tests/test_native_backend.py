@@ -12,8 +12,9 @@ pins what only the native backend has:
   by a failing compiler, a cache directory it cannot trust refused;
 * safety: model-derived indices refused at bind time on every path that
   binds (in-process, artifact, shared memory), hostile rows clamped;
-* determinism: a row's margins are bitwise independent of its batch, of
-  ``row_block`` and of the thread count.
+* determinism: a row's margins are bitwise independent of its batch (on
+  either side of the walker's jams), of ``row_block``, of the thread count
+  and of the tile compare the walker was built with (scalar, AVX2, native).
 """
 
 from __future__ import annotations
@@ -416,13 +417,22 @@ def test_bind_refuses_buffers_that_disagree_with_the_stub(forest):
 # Determinism and hostile rows
 # ----------------------------------------------------------------------
 
+#: batch sizes either side of the walker's jams (``ROW_JAM`` rows of one
+#: tree in lock-step, the rows left over ``TREE_JAM`` trees at a time) and
+#: of its ``ROW_BLOCK``
+JAM_BOUNDARY_BATCHES = (1, 2, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 2049)
+
+
 @needs_toolchain
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 @pytest.mark.parametrize("layout", ["sparse", "array"])
 def test_row_margins_are_bitwise_independent_of_batch_and_threads(
     forest, multiclass, rows, layout, precision
 ):
-    for model in (forest, multiclass):
+    # 13 trees over 3 classes, grouped 1 + 3 + 7: every tree jam has a remainder
+    uneven = random_forest_model(np.random.default_rng(35), 13, 6, NUM_FEATURES, num_classes=3)
+    many = np.random.default_rng(36).normal(size=(max(JAM_BOUNDARY_BATCHES), NUM_FEATURES))
+    for model in (forest, multiclass, uneven):
         schedule = Schedule(backend="native", layout=layout, precision=precision, tile_size=4)
         predictor = compile_model(model, schedule)
         whole = predictor.raw_predict(rows)
@@ -433,6 +443,10 @@ def test_row_margins_are_bitwise_independent_of_batch_and_threads(
         assert np.array_equal(predictor.raw_predict(rows, threads=3), whole)
         blocked = compile_model(model, schedule.with_(row_block=7, parallel=2))
         assert np.array_equal(blocked.raw_predict(rows), whole)
+    alone = np.stack([predictor.raw_predict(many[i : i + 1])[0] for i in range(len(many))])
+    for batch in JAM_BOUNDARY_BATCHES:
+        assert np.array_equal(predictor.raw_predict(many[:batch]), alone[:batch]), batch
+        assert np.array_equal(predictor.raw_predict(many[-batch:]), alone[-batch:]), batch
 
 
 def _dyadic(model):
@@ -443,33 +457,94 @@ def _dyadic(model):
     return model
 
 
+def _hostile_rows(rng, model, n: int) -> np.ndarray:
+    """``n`` rows, the first 3/8 threshold-equal, then NaN and ±inf sprinkled."""
+    thresholds = np.concatenate([t.threshold[t.internal_nodes()] for t in model.trees])
+    rows = rng.normal(size=(n, NUM_FEATURES))
+    equal = 3 * n // 8
+    rows[:equal] = rng.choice(thresholds, size=(equal, NUM_FEATURES))
+    rows[rng.uniform(size=rows.shape) < 0.2] = np.nan
+    rows[rng.uniform(size=rows.shape) < 0.1] = np.inf
+    rows[rng.uniform(size=rows.shape) < 0.1] = -np.inf
+    return rows
+
+
 @needs_toolchain
 @pytest.mark.parametrize("layout", ["sparse", "array"])
-@pytest.mark.parametrize("tile_size", [1, 3, 8])
+@pytest.mark.parametrize("tile_size", [1, 3, 8, 16])
 @pytest.mark.parametrize("opt", [False, True], ids=["guarded", "unrolled"])
 def test_hostile_rows_route_alike_on_both_backends(layout, tile_size, opt):
     """With validation off a NaN fails every predicate — padding lanes
     included — and ±inf fails or passes them all: both backends must still
-    pick the same leaves, the native one without reading outside a buffer."""
+    pick the same leaves, the native one without reading outside a buffer.
+    Tile sizes 3, 8 and 16 are the 4-, 8- and 16-lane vector compares; 64
+    rows walk in row jams, 13 in tree jams."""
     rng = np.random.default_rng(34)
     model = _dyadic(random_forest_model(rng, 16, 6, NUM_FEATURES, num_classes=2))
-    thresholds = np.concatenate([t.threshold[t.internal_nodes()] for t in model.trees])
-    rows = rng.normal(size=(64, NUM_FEATURES))
-    rows[:24] = rng.choice(thresholds, size=(24, NUM_FEATURES))  # threshold-equal
-    rows[rng.uniform(size=rows.shape) < 0.2] = np.nan
-    rows[rng.uniform(size=rows.shape) < 0.1] = np.inf
-    rows[rng.uniform(size=rows.shape) < 0.1] = -np.inf
+    rows = _hostile_rows(rng, model, 64)
     schedule = Schedule(
         layout=layout, tile_size=tile_size, interleave=4 if opt else 1,
         peel_walk=opt, pad_and_unroll=opt,
     )
     got = {
-        backend: compile_model(
-            model, schedule.with_(backend=backend), validate_inputs=False
-        ).raw_predict(rows)
+        backend: compile_model(model, schedule.with_(backend=backend), validate_inputs=False)
         for backend in ("native", "numpy_jit")
     }
-    assert np.array_equal(got["native"], got["numpy_jit"])
+    for batch in (rows, rows[:13]):
+        assert np.array_equal(
+            got["native"].raw_predict(batch), got["numpy_jit"].raw_predict(batch)
+        )
+
+
+#: ``-march=`` legs the walker is rebuilt on, instead of ``-march=native``:
+#: the compare path each keeps and the CPU flags its code may use
+ISA_LEGS = {
+    "x86-64": ("scalar", set()),
+    "haswell": ("avx2", {"avx2", "fma", "bmi1", "bmi2", "f16c", "movbe"}),
+}
+
+
+@needs_toolchain
+def test_every_isa_leg_is_bitwise_the_native_leg(private_cache, monkeypatch):
+    """The scalar and AVX2 compares route exactly as the ``-march=native``
+    build does, on both layouts, every lane width and both precisions —
+    threshold-equal, NaN and ±inf rows included — and agree with the NumPy
+    kernels."""
+    rng = np.random.default_rng(37)
+    model = _dyadic(random_forest_model(rng, 13, 7, NUM_FEATURES))
+    rows = _hostile_rows(rng, model, 301)
+    schedules = [
+        Schedule(backend="native", layout=layout, tile_size=tile_size, precision=precision)
+        for layout in ("sparse", "array")
+        for tile_size in (1, 2, 4, 8, 16)
+        for precision in ("float64", "float32")
+    ]
+
+    def margins(backend="native"):
+        return [
+            compile_model(model, schedule.with_(backend=backend), validate_inputs=False)
+            .raw_predict(rows)
+            for schedule in schedules
+        ]
+
+    want, reference = margins(), margins("numpy_jit")
+    for schedule, got, numpy_got in zip(schedules, want, reference):
+        assert np.array_equal(got, numpy_got), schedule
+    native_flags = native.FLAGS
+    cpu = set(native._cpu_model().split())  # machine, model name, feature flags
+    legs = [leg for leg, (_isa, needs) in ISA_LEGS.items() if {"x86_64", *needs} <= cpu]
+    if not legs:
+        pytest.skip("this CPU runs no x86-64 leg")
+    for leg in legs:
+        monkeypatch.setattr(native, "FLAGS", tuple(
+            f"-march={leg}" if flag == "-march=native" else flag for flag in native_flags
+        ))
+        native.reset()
+        stats = compile_model(model, schedules[0]).trace.find("backend").stats
+        assert stats["native_isa"] == ISA_LEGS[leg][0], leg
+        assert observe_registry.snapshot()["backends"]["native"]["isa"] == stats["native_isa"]
+        for schedule, want_margins, got in zip(schedules, want, margins()):
+            assert np.array_equal(got, want_margins), (leg, schedule)
 
 
 @needs_toolchain

@@ -221,6 +221,31 @@ class TestOpenMetrics:
             (labels["name"], value) for _suffix, labels, value in gauge_samples
         ] == [("ok", 2.0)]
 
+    @pytest.mark.parametrize(
+        "hist,count,total",
+        [
+            ({"buckets": {"+Inf": 1}, "count": "n/a"}, 1.0, 0.0),
+            ({"buckets": {"+Inf": 2}, "count": 2, "sum": None}, 2.0, 0.0),
+            ({"buckets": "n/a", "count": 4, "sum": 1.5}, 4.0, 1.5),
+        ],
+    )
+    def test_malformed_provider_histogram_renders(self, hist, count, total):
+        """A custom serving provider's malformed histogram cannot take the
+        exposition down: its unreadable parts render as if absent."""
+        registry.register_serving(
+            "malformed", lambda: {"histograms": {"latency_seconds": hist}}
+        )
+        try:
+            families = parse_openmetrics(render_openmetrics())
+        finally:
+            registry.unregister("malformed")
+        samples = {
+            suffix: value
+            for suffix, labels, value in families["repro_serving_latency_seconds"]["samples"]
+            if labels.get("server") == "malformed"
+        }
+        assert samples["_count"] == count and samples["_sum"] == total
+
     def test_golden_exposition(self):
         """Every family, failed providers, non-dict slots and missing keys:
         the rendered document is pinned byte for byte."""
