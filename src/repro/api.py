@@ -57,21 +57,6 @@ def compile_model(
         label=f"trees={forest.num_trees} tile={schedule.tile_size} "
         f"{schedule.tiling}/{schedule.layout}"
     )
-    if schedule.traversal == "quickscorer":
-        # Alternative traversal strategy (Section VII): QuickScorer behind
-        # the same predictor interface.
-        from repro.backend.strategies import QuickScorerStrategyPredictor
-
-        with trace.span("quickscorer") as span:
-            # no code generator runs, but a backend asked for by name must
-            # still cover the schedule, and the default records its fallback
-            resolve_backend(schedule, span.stats)
-            predictor = QuickScorerStrategyPredictor(
-                forest, schedule, validate_inputs=validate_inputs
-            )
-        predictor.trace = trace.finish()
-        registry.record_trace(trace)
-        return predictor
     if schedule.verify:
         # Imported lazily: repro.verify pulls in the fuzzer, which imports
         # this module. Zero cost (and zero imports) when verify is off.

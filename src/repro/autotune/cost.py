@@ -154,16 +154,6 @@ def predict_cost(
     batch = max(1, int(batch_size))
     t = max(1, schedule.tile_size)
 
-    if schedule.traversal == "quickscorer":
-        # One pass over all false nodes + a bitvector AND per tree; no
-        # tiling knobs apply. Cheap on shallow forests, degrades with depth.
-        steps = profile.num_trees * (1.0 + profile.mean_depth / 4.0)
-        dispatch = steps * _DISPATCH_WEIGHT
-        lane_work = profile.total_nodes / 8.0
-        return (dispatch + lane_work + _BATCH_FIXED / batch) / max(
-            1, profile.num_trees
-        )
-
     # --- expected walk depth under this tiling ------------------------
     depth = profile.mean_depth
     if schedule.tiling in ("probability", "hybrid"):
@@ -233,7 +223,7 @@ def predict_cost(
     # so those steps skip the guard entirely; the remaining (cold) steps
     # keep the full per_step cost.
     hot_steps = 0.0
-    if schedule.pgo is not None and schedule.traversal == "tiled":
+    if schedule.pgo is not None:
         cutoff = (
             schedule.pgo
             if isinstance(schedule.pgo, int)

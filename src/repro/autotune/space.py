@@ -42,9 +42,6 @@ class TuningSpace:
     #: (quantized kernels trade bounded leaf rounding for footprint, an
     #: accuracy decision the user opts into rather than the tuner)
     precisions: tuple[str, ...] = ("float64",)
-    #: traversal strategies; add "quickscorer" to explore the Section VII
-    #: alternative (one grid point — it has no tiling knobs)
-    traversals: tuple[str, ...] = ("tiled",)
     #: code-generation backends (names from :mod:`repro.backend.registry`);
     #: empty = the base schedule's own, so candidates are measured on the
     #: backend that will serve them — name several to time them side by side
@@ -70,8 +67,6 @@ class TuningSpace:
         plain = len(self.tilings) - hybrid
         per_alpha = n // len(self.tilings)
         total = per_alpha * plain + per_alpha * hybrid * len(self.alphas)
-        if "quickscorer" in self.traversals:
-            total += 1
         return total * max(1, len(self.backends))
 
 
@@ -87,10 +82,6 @@ def schedule_grid(space: TuningSpace | None = None, base: Schedule | None = None
     space = space or default_space()
     base = base or Schedule()
     for backend in space.backends or (base.backend,):
-        if "quickscorer" in space.traversals:
-            # The bitvector strategy rejects quantized precisions, so its
-            # single grid point keeps the base precision.
-            yield base.with_(traversal="quickscorer", backend=backend)
         for precision in space.precisions or (base.precision,):
             for loop_order in space.loop_orders:
                 for layout in space.layouts:

@@ -63,6 +63,7 @@ from repro.backend.jit import bind_kernel
 from repro.backend.predictor import KernelExecutor, Predictor
 from repro.config import Schedule
 from repro.errors import ArtifactError, BackendError, ScheduleError
+from repro.forest.ensemble import Forest
 from repro.lir.memory import ArenaSpec
 from repro.observe import registry as observe_registry
 from repro.observe.profile import ProfileRecorder
@@ -144,7 +145,8 @@ def export_artifact(
         Either an already-compiled :class:`~repro.backend.predictor.Predictor`
         (its forest, schedule and kernel are exported as-is), or a
         :class:`~repro.forest.ensemble.Forest` — which is compiled first
-        under ``schedule`` (default: the paper-default schedule).
+        under ``schedule`` (default: the paper-default schedule). Anything
+        else is an :class:`~repro.errors.ArtifactError`.
     path:
         Target directory. Created (parents included) if absent; must be
         empty unless ``overwrite=True``.
@@ -156,10 +158,15 @@ def export_artifact(
     """
     if isinstance(model, KernelExecutor):
         predictor = model
-    else:
+    elif isinstance(model, Forest):
         from repro.api import compile_model  # lazy: api imports this package
 
         predictor = compile_model(model, schedule)
+    else:
+        raise ArtifactError(
+            f"only a Forest or a compiled predictor can be exported, "
+            f"got {type(model).__name__}"
+        )
     manifest, buffers = image_of(predictor)
 
     out = Path(path)

@@ -729,8 +729,6 @@ def bind(
 
 def uncovered(schedule) -> str | None:
     """Why the generic walker does not run ``schedule`` (``None``: it does)."""
-    if schedule.traversal != "tiled":
-        return f"traversal={schedule.traversal} is not a tile walk"
     if PRECISION_TABLE[schedule.precision].quantized:
         return f"precision={schedule.precision}: the integer kernels are NumPy's"
     if schedule.profile:

@@ -12,22 +12,18 @@ closed/native dependencies:
   (aggressive expansion; large instruction footprint).
 * :class:`HummingbirdGEMMPredictor` — the tensor (GEMM) strategy: inference
   as matrix products, doing O(#nodes) work per row regardless of path.
-* :class:`QuickScorerPredictor` — the bitvector algorithm of Lucchese et
-  al., which the paper cites as an integrable alternative traversal.
 
 All expose ``raw_predict(rows)`` with the same semantics as
 ``Forest.raw_predict`` and are verified against it in the tests.
 """
 
 from repro.baselines.hummingbird_like import HummingbirdGEMMPredictor
-from repro.baselines.quickscorer import QuickScorerPredictor
 from repro.baselines.scalar import ScalarReferencePredictor
 from repro.baselines.treelite_like import TreelitePredictor
 from repro.baselines.xgboost_like import XGBoostV09Predictor, XGBoostV15Predictor
 
 __all__ = [
     "HummingbirdGEMMPredictor",
-    "QuickScorerPredictor",
     "ScalarReferencePredictor",
     "TreelitePredictor",
     "XGBoostV09Predictor",

@@ -18,13 +18,13 @@ from repro.errors import ScheduleError
 TILINGS = ("basic", "probability", "hybrid", "optimal")
 LOOP_ORDERS = ("one-tree", "one-row")
 LAYOUTS = ("array", "sparse")
-TRAVERSALS = ("tiled", "quickscorer")
 #: retired field -> (the only value a persisted schedule may still carry
 #: for it, why every other value is refused); see :meth:`Schedule.from_dict`
 _RETIRED_FIELDS = {
     # every kernel now writes its walk-step temporaries into a preallocated
     # per-thread scratch arena
     "scratch": ("arena", "the fresh-temporary (alloc) emitter was retired"),
+    "traversal": ("tiled", "the QuickScorer strategy was retired"),
 }
 #: (field, retired value) -> the value a persisted schedule loads as
 _RETIRED_VALUES = {
@@ -151,12 +151,6 @@ class Schedule:
     row_block: int = 0
     reorder: bool = True
     compact_walks: bool = True
-    #: walk implementation: ``"tiled"`` is the paper's tile-walk pipeline;
-    #: ``"quickscorer"`` compiles the QuickScorer bitvector strategy instead
-    #: (Section VII names it as an integrable alternative traversal).
-    #: QuickScorer ignores the tiling-related knobs and caps trees at 64
-    #: leaves.
-    traversal: str = "tiled"
     #: element width of the compiled model buffers and input rows (the
     #: paper's element-width discussion): ``"float64"`` keeps reference
     #: numerics; ``"float32"`` halves threshold/feature/leaf buffer
@@ -210,8 +204,7 @@ class Schedule:
     #: tail runs the ordinary walk; the split is output-invariant by
     #: construction (same comparisons, same routing, same accumulation
     #: order), but it is a different kernel, so it has its own
-    #: fingerprint. Only the ``"tiled"`` traversal honours it; quickscorer
-    #: ignores it.
+    #: fingerprint.
     pgo: int | str | None = None
 
     def __post_init__(self) -> None:
@@ -233,8 +226,6 @@ class Schedule:
             raise ScheduleError("row_block must be >= 0")
         if self.pad_max_slack < 0:
             raise ScheduleError("pad_max_slack must be >= 0")
-        if self.traversal not in TRAVERSALS:
-            raise ScheduleError(f"traversal must be one of {TRAVERSALS}")
         if self.precision not in PRECISIONS:
             raise ScheduleError(f"precision must be one of {PRECISIONS}")
         if not isinstance(self.backend, str) or not self.backend:

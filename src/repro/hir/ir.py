@@ -108,10 +108,9 @@ def build_hir(
             enabled=schedule.reorder,
             merge=not schedule.pad_and_unroll,
         )
-        if schedule.pgo is not None and schedule.traversal == "tiled":
+        if schedule.pgo is not None:
             # Profile-guided hot/cold split: annotate each group with its
-            # legal hot-depth cutoff (quickscorer ignores the knob — it
-            # has no tile walk to split).
+            # legal hot-depth cutoff.
             from repro.pgo import resolve_hot_depths
 
             decision = resolve_hot_depths(schedule, groups, tiled_trees)

@@ -120,12 +120,11 @@ def static_hot_depth(tiled_trees, tree_indices) -> int:
 def resolve_hot_depths(schedule, groups, tiled_trees) -> HotDepthDecision:
     """Per-group hot depths for ``schedule.pgo`` over the HIR groups.
 
-    Only the tiled traversal participates; quickscorer schedules (and
-    ``pgo=None``) yield an all-zero decision, leaving the pipeline
+    ``pgo=None`` yields an all-zero decision, leaving the pipeline
     untouched.
     """
     pgo = schedule.pgo
-    if pgo is None or schedule.traversal != "tiled":
+    if pgo is None:
         return HotDepthDecision(
             source="disabled",
             cutoff=0,

@@ -511,19 +511,9 @@ class ModelServer:
 
     def _maybe_swap(self, name, session, rows, result) -> dict:
         """Swap the session onto the tuned predictor if it measures faster."""
-        cfg = self.config
-        baseline_us = measure(
-            lambda: session.predictor.raw_predict(rows),
-            rows=rows.shape[0],
-            repeats=cfg.tune_repeats,
-            min_time_s=cfg.tune_min_time_s,
-        ).per_row_us
-        tuned_us = measure(
-            lambda: result.best_predictor.raw_predict(rows),
-            rows=rows.shape[0],
-            repeats=cfg.tune_repeats,
-            min_time_s=cfg.tune_min_time_s,
-        ).per_row_us
+        baseline_us, tuned_us = self._measure_pair(
+            session, result.best_predictor, rows
+        )
         info = {
             "name": name,
             "explored": result.explored,
@@ -550,6 +540,21 @@ class ModelServer:
             schedule=result.best_schedule.to_dict(),
         )
         return info
+
+    def _measure_pair(self, session, candidate, rows) -> tuple[float, float]:
+        """Per-row µs of the session's current predictor, then of
+        ``candidate``, over ``rows`` — the measurement every swap decides on."""
+        cfg = self.config
+
+        def per_row_us(predictor) -> float:
+            return measure(
+                lambda: predictor.raw_predict(rows),
+                rows=rows.shape[0],
+                repeats=cfg.tune_repeats,
+                min_time_s=cfg.tune_min_time_s,
+            ).per_row_us
+
+        return per_row_us(session.predictor), per_row_us(candidate)
 
     def _swap_in(self, name, session, candidate, schedule) -> bool:
         """Serve ``name`` from ``candidate`` (compiled under ``schedule``)
@@ -642,18 +647,7 @@ class ModelServer:
             )
             rng = np.random.default_rng(0)
             rows = rng.normal(size=(256, session.forest.num_features))
-            baseline_us = measure(
-                lambda: session.predictor.raw_predict(rows),
-                rows=rows.shape[0],
-                repeats=cfg.tune_repeats,
-                min_time_s=cfg.tune_min_time_s,
-            ).per_row_us
-            tuned_us = measure(
-                lambda: tuned.raw_predict(rows),
-                rows=rows.shape[0],
-                repeats=cfg.tune_repeats,
-                min_time_s=cfg.tune_min_time_s,
-            ).per_row_us
+            baseline_us, tuned_us = self._measure_pair(session, tuned, rows)
             info["baseline_per_row_us"] = round(baseline_us, 4)
             info["tuned_per_row_us"] = round(tuned_us, 4)
             faster = tuned_us < baseline_us * SWAP_THRESHOLD

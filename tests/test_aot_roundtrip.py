@@ -34,6 +34,7 @@ from repro.backend.aot import (
 )
 from repro.config import Schedule
 from repro.errors import ArtifactError
+from repro.serve.fallback import InterpreterPredictor, ReferencePredictor
 from repro.verify.fuzz import random_fuzz_forest
 
 #: reduced Table-II grid: every axis that changes the generated kernel
@@ -107,6 +108,20 @@ def test_export_refuses_nonempty_dir(tmp_path, forest):
     load_artifact(tmp_path / "a")
 
 
+@pytest.mark.parametrize("kind", ["reference", "interpreter"])
+def test_export_refuses_fallback_executors(tmp_path, forest, kind):
+    """A degraded session's executor has no kernel image: exporting it is
+    an ``ArtifactError`` naming its type, never a compile of it."""
+    if kind == "reference":
+        fallback = ReferencePredictor(forest)
+    else:
+        lir = compile_model(forest, Schedule(backend="numpy_jit")).lir
+        fallback = InterpreterPredictor(forest, lir)
+    with pytest.raises(ArtifactError, match=type(fallback).__name__):
+        export_artifact(fallback, tmp_path / "a")
+    assert not (tmp_path / "a").exists()
+
+
 def test_profile_schedule_roundtrips_with_recorder(tmp_path, forest, rows):
     out = export_artifact(forest, tmp_path / "p", Schedule(profile=True))
     loaded = load_artifact(out)
@@ -122,8 +137,9 @@ def test_artifact_exported_before_lean_emission_still_loads(forest, rows):
     and spells its movemask constants inline. The format version did not
     move, so it must load and agree bitwise with today's compile of the same
     forest (the fixture of this module, int8 with a guarded loop). Its
-    ``schedule.json`` still carries the retired ``"scratch": "arena"``
-    entry, and its manifest fingerprint hashed that token: the schedule
+    ``schedule.json`` still carries the retired ``"scratch": "arena"`` and
+    ``"traversal": "tiled"`` entries, and its manifest fingerprint hashed
+    those tokens: the schedule
     must come back equal, the fingerprint is no longer comparable. Its
     manifest names the retired export backend and no ``kernel_backend``:
     it serves as the NumPy kernel it is."""

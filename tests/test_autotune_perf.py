@@ -219,6 +219,27 @@ class TestPersist:
         hit = ScheduleCache(str(path)).lookup("a", "m", 8)
         assert hit is not None and hit.schedule == Schedule(tile_size=4)
 
+    def test_entries_with_retired_traversal_field(self, tmp_path):
+        """A tiled entry persisted with ``"traversal"`` warm-starts; a
+        quickscorer entry is discarded alone."""
+        import json
+
+        path = tmp_path / "s.json"
+        tiled = CacheEntry(Schedule(tile_size=4), 1.0).to_dict()
+        tiled["schedule"]["traversal"] = "tiled"
+        quick = CacheEntry(Schedule(), 2.0).to_dict()
+        quick["schedule"]["traversal"] = "quickscorer"
+        doc = {
+            "version": CACHE_FORMAT_VERSION,
+            "entries": {"a|m|8": tiled, "b|m|8": quick},
+        }
+        path.write_text(json.dumps(doc))
+        cache = ScheduleCache(str(path))
+        hit = cache.lookup("a", "m", 8)
+        assert hit is not None and hit.schedule == Schedule(tile_size=4)
+        assert cache.lookup("b", "m", 8) is None
+        assert len(cache) == 1
+
     def test_invalidate_by_model_and_machine(self, tmp_path):
         cache = ScheduleCache(str(tmp_path / "s.json"))
         cache.store("fp", "m1", 8, CacheEntry(Schedule(), 1.0))

@@ -5,13 +5,11 @@ import pytest
 
 from repro.baselines import (
     HummingbirdGEMMPredictor,
-    QuickScorerPredictor,
     ScalarReferencePredictor,
     TreelitePredictor,
     XGBoostV09Predictor,
     XGBoostV15Predictor,
 )
-from repro.errors import ModelError
 from repro.training.gbdt import GBDTParams, train_gbdt
 
 ALL_BASELINES = [
@@ -20,7 +18,6 @@ ALL_BASELINES = [
     XGBoostV09Predictor,
     TreelitePredictor,
     HummingbirdGEMMPredictor,
-    QuickScorerPredictor,
 ]
 
 
@@ -40,10 +37,6 @@ class TestCorrectness:
         assert np.allclose(got, multiclass_forest.raw_predict(test_rows[:32]), rtol=1e-12)
 
     def test_deep_imbalanced(self, baseline_cls, deep_forest, test_rows):
-        if baseline_cls is QuickScorerPredictor and any(
-            t.num_leaves > 64 for t in deep_forest.trees
-        ):
-            pytest.skip("QuickScorer's documented 64-leaf cap")
         baseline = baseline_cls(deep_forest)
         got = baseline.raw_predict(test_rows[:32])
         assert np.allclose(got, deep_forest.raw_predict(test_rows[:32]), rtol=1e-12)
@@ -79,28 +72,3 @@ class TestHummingbird:
         p = HummingbirdGEMMPredictor(trained_forest)
         total_internal = sum(t.internal_nodes().size for t in trained_forest.trees)
         assert p.B.shape == (total_internal,)
-
-
-class TestQuickScorer:
-    def test_leaf_cap_enforced(self, regression_data):
-        X, y = regression_data
-        big = train_gbdt(X, y, GBDTParams(num_rounds=1, max_depth=8, reg_lambda=1e-6))
-        if max(t.num_leaves for t in big.trees) > 64:
-            with pytest.raises(ModelError, match="64"):
-                QuickScorerPredictor(big)
-        else:
-            QuickScorerPredictor(big)  # model stayed small; still valid
-
-    def test_boundary_values(self, trained_forest):
-        """Rows exactly at thresholds exercise the false-node search."""
-        p = QuickScorerPredictor(trained_forest)
-        thresholds = trained_forest.trees[0].threshold[
-            trained_forest.trees[0].internal_nodes()
-        ]
-        row = np.zeros((1, trained_forest.num_features))
-        row[0, : len(thresholds[: trained_forest.num_features])] = thresholds[
-            : trained_forest.num_features
-        ]
-        assert np.allclose(
-            p.raw_predict(row), trained_forest.raw_predict(row), rtol=1e-12
-        )

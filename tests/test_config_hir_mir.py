@@ -66,6 +66,18 @@ class TestSchedule:
         with pytest.raises(TypeError):
             Schedule(scratch="arena")
 
+    def test_retired_traversal_field(self):
+        """Schedules persisted while the QuickScorer strategy existed carry
+        ``"traversal": "tiled"``, the only walk left: it loads. A stored
+        ``"quickscorer"`` names an executor that no longer exists."""
+        stored = {**Schedule(tile_size=4).to_dict(), "traversal": "tiled"}
+        assert Schedule.from_dict(stored) == Schedule(tile_size=4)
+        with pytest.raises(ScheduleError, match="'traversal'.*retired"):
+            Schedule.from_dict({**stored, "traversal": "quickscorer"})
+        assert "traversal" not in Schedule().to_dict()
+        with pytest.raises(TypeError):
+            Schedule(traversal="tiled")
+
 
 class TestBuildHIR:
     def test_groups_cover_all_trees(self, trained_forest):

@@ -1,17 +1,12 @@
-"""Tests for the extension features: the QuickScorer traversal strategy,
-the compaction ablation flag, storage-width padding, group merging, and
+"""Tests for the extension features: the compaction ablation flag, storage-width padding, group merging, and
 the single-shape codegen specialization."""
 
 import numpy as np
 import pytest
 
 from repro.api import compile_model
-from repro.autotune import autotune
-from repro.autotune.space import TuningSpace
 from repro.backend.codegen import emit_module_source
-from repro.backend.strategies import QuickScorerStrategyPredictor
 from repro.config import Schedule
-from repro.errors import ExecutionError, ScheduleError
 from repro.experiments import ablations
 from repro.experiments.harness import ExperimentConfig
 from repro.hir.ir import build_hir
@@ -104,61 +99,6 @@ class TestSingleShapeSpecialization:
         predictor = compile_model(trained_forest, Schedule(tile_size=1))
         want = trained_forest.raw_predict(test_rows)
         assert np.allclose(predictor.raw_predict(test_rows), want, rtol=1e-12)
-
-
-class TestQuickScorerStrategy:
-    def test_selected_via_schedule(self, trained_forest, test_rows):
-        predictor = compile_model(trained_forest, Schedule(traversal="quickscorer"))
-        assert isinstance(predictor, QuickScorerStrategyPredictor)
-        want = trained_forest.raw_predict(test_rows)
-        assert np.allclose(predictor.raw_predict(test_rows), want, rtol=1e-12)
-
-    def test_predict_applies_transform(self, binary_forest, test_rows):
-        predictor = compile_model(binary_forest, Schedule(traversal="quickscorer"))
-        probs = predictor.predict(test_rows)
-        assert np.allclose(probs, binary_forest.predict(test_rows), rtol=1e-12)
-
-    def test_validation(self, trained_forest, test_rows):
-        predictor = compile_model(trained_forest, Schedule(traversal="quickscorer"))
-        bad = test_rows.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(ExecutionError):
-            predictor.raw_predict(bad)
-        with pytest.raises(ExecutionError):
-            predictor.raw_predict(test_rows[:, :3])
-
-    def test_introspection_surface(self, trained_forest):
-        predictor = compile_model(trained_forest, Schedule(traversal="quickscorer"))
-        assert predictor.memory_bytes() > 0
-        assert "quickscorer" in predictor.generated_source
-        assert "QuickScorerStrategy" in predictor.dump_ir()
-
-    def test_bad_traversal_rejected(self):
-        with pytest.raises(ScheduleError):
-            Schedule(traversal="gpu")
-
-    def test_autotune_explores_quickscorer(self, trained_forest, test_rows):
-        space = TuningSpace(
-            tile_sizes=(4,), tilings=("basic",), pad_and_unroll=(True,),
-            interleaves=(8,), layouts=("sparse",),
-            traversals=("tiled", "quickscorer"),
-        )
-        assert space.size() == 2
-        result = autotune(trained_forest, test_rows[:64], space=space, repeats=1)
-        traversals = {s.traversal for s, _ in result.log}
-        assert traversals == {"tiled", "quickscorer"}
-
-    def test_oversize_trees_fail_gracefully_in_autotune(self, deep_forest, test_rows):
-        """Models past the 64-leaf cap must be skipped, not crash the tuner."""
-        space = TuningSpace(
-            tile_sizes=(4,), tilings=("basic",), pad_and_unroll=(True,),
-            interleaves=(8,), layouts=("sparse",),
-            traversals=("tiled", "quickscorer"),
-        )
-        result = autotune(deep_forest, test_rows[:32], space=space, repeats=1)
-        assert result.best_schedule.traversal == "tiled" or all(
-            t.num_leaves <= 64 for t in deep_forest.trees
-        )
 
 
 class TestAblationsExperiment:

@@ -130,7 +130,6 @@ def test_default_resolves_to_native(forest, rows):
         ({"pgo": 2}, "pgo=2"),
         ({"pgo": "auto"}, "pgo=auto"),
         ({"compact_walks": False, "pad_and_unroll": False}, "compact_walks=False"),
-        ({"traversal": "quickscorer"}, "traversal=quickscorer"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -138,7 +137,7 @@ def test_uncovered_schedule_falls_back_with_its_reason(forest, rows, knobs, reas
     before = _fallbacks()
     predictor = compile_model(forest, Schedule(**knobs))
     assert getattr(predictor, "backend_name", "numpy_jit") == "numpy_jit"
-    span = predictor.trace.find("backend") or predictor.trace.find("quickscorer")
+    span = predictor.trace.find("backend")
     assert span.stats["backend"] == "numpy_jit"
     assert reason in span.stats["fallback"]
     assert _fallbacks() == before + 1
@@ -176,7 +175,7 @@ def test_named_backends_resolve_to_themselves():
 
 
 def test_schedule_gained_no_field():
-    assert len(fields(Schedule)) == 20
+    assert len(fields(Schedule)) == 19
 
 
 def test_tuning_space_measures_on_the_base_schedules_backend():

@@ -24,7 +24,7 @@ from repro.config import (
     QUANTIZED_PRECISIONS,
     Schedule,
 )
-from repro.errors import CodegenError, QuantizationError, ScheduleError
+from repro.errors import QuantizationError, ScheduleError
 from repro.forest.builder import TreeBuilder
 from repro.forest.ensemble import Forest
 from repro.lir.memory import arena_spec, quantized_param_nbytes
@@ -198,13 +198,6 @@ def test_int8_capacity_overflow_raises():
     assert np.abs(got - forest.raw_predict(rows)).max() <= (
         predictor.lir.quant.tolerance()
     )
-
-
-def test_quickscorer_rejects_quantized_precision(forest):
-    with pytest.raises(CodegenError, match="quickscorer"):
-        compile_model(
-            forest, Schedule(precision="int8", traversal="quickscorer")
-        )
 
 
 # ----------------------------------------------------------------------
