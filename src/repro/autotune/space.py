@@ -42,7 +42,7 @@ class TuningSpace:
     #: (quantized kernels trade bounded leaf rounding for footprint, an
     #: accuracy decision the user opts into rather than the tuner)
     precisions: tuple[str, ...] = ("float64",)
-    #: code-generation backends (names from :mod:`repro.backend.registry`);
+    #: code-generation backends (names from :data:`repro.config.BACKENDS`);
     #: empty = the base schedule's own, so candidates are measured on the
     #: backend that will serve them — name several to time them side by side
     backends: tuple[str, ...] = ()

@@ -78,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend.predictor import Predictor
-from repro.backend.registry import Backend, register_backend
+from repro.backend.registry import Backend
 from repro.config import PRECISION_TABLE
 from repro.errors import BackendError, CodegenError, ExecutionError
 from repro.observe import registry as observe_registry
@@ -740,7 +740,6 @@ def uncovered(schedule) -> str | None:
     return None
 
 
-@register_backend
 class NativeBackend(Backend):
     """Walk the tiles in C: one foreign call per ``predict_block``."""
 

@@ -1,22 +1,19 @@
-"""The default backend: NumPy source emission + in-process ``compile()``.
+"""The NumPy backend: NumPy source emission + in-process ``compile()``.
 
-This is the pre-registry code path verbatim, packaged behind the
-:class:`~repro.backend.registry.Backend` interface: emit one vector
-statement per LIR walk op (:mod:`repro.backend.codegen`), compile the
-source through the bounded code cache (:mod:`repro.backend.jit`), and wrap
-the kernel in a :class:`~repro.backend.predictor.Predictor`. Registering it
-changes nothing observable — generated source and runtime behavior are
-byte-identical to the hardwired pipeline it replaced (the registry tests
-pin this).
+Emit one vector statement per LIR walk op (:mod:`repro.backend.codegen`),
+compile it through the bounded code cache (:mod:`repro.backend.jit`) and
+wrap the kernel in a :class:`~repro.backend.predictor.Predictor`. Its source
+is byte-identical to the pipeline that predates the
+:class:`~repro.backend.registry.Backend` interface (the registry tests pin
+this); ``auto`` falls back to it wherever the native walker cannot build.
 """
 
 from __future__ import annotations
 
 from repro.backend.predictor import Predictor
-from repro.backend.registry import Backend, register_backend
+from repro.backend.registry import Backend
 
 
-@register_backend
 class NumpyJitBackend(Backend):
     """Emit NumPy source for the LIR and JIT it with ``compile()``."""
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 
-from repro.errors import ScheduleError
+from repro.errors import BackendError, ScheduleError
 
 TILINGS = ("basic", "probability", "hybrid", "optimal")
 LOOP_ORDERS = ("one-tree", "one-row")
 LAYOUTS = ("array", "sparse")
+#: the code-generation backends (:mod:`repro.backend.registry`); ``auto``
+#: resolves to one of the other two per compile
+BACKENDS = ("auto", "native", "numpy_jit")
 #: retired field -> (the only value a persisted schedule may still carry
 #: for it, why every other value is refused); see :meth:`Schedule.from_dict`
 _RETIRED_FIELDS = {
@@ -183,17 +186,13 @@ class Schedule:
     #: to an unverified build — verification never changes what is
     #: compiled, only whether the compiler double-checks itself.
     verify: bool = False
-    #: which registered code-generation backend turns the lowered LIR into
-    #: an executable (:mod:`repro.backend.registry`): ``"native"`` walks
-    #: the tiles in a C function built once per machine; ``"numpy_jit"`` is
-    #: the in-process NumPy source + ``compile()`` path. The default,
-    #: ``"auto"``, is resolved per compile by
-    #: :func:`~repro.backend.registry.resolve_backend`: ``native`` where
-    #: this machine can build it and the walker covers the schedule,
-    #: ``numpy_jit`` otherwise. Any compiled predictor exports to an AOT
-    #: artifact (:mod:`repro.backend.aot`). Like every field, part of
-    #: :func:`~repro.backend.jit.model_fingerprint`, the one cache key of a
-    #: compiled executor.
+    #: which code generator of :data:`BACKENDS` turns the lowered LIR into
+    #: an executor (:mod:`repro.backend.registry`; any other name raises
+    #: :class:`~repro.errors.BackendError`). The default, ``"auto"``, is
+    #: resolved per compile: ``native`` where this machine can build it and
+    #: the walker covers the schedule, ``numpy_jit`` otherwise. Like every
+    #: field, part of :func:`~repro.backend.jit.model_fingerprint`, the one
+    #: cache key of a compiled executor.
     backend: str = "auto"
     #: profile-guided hot/cold tree splitting (:mod:`repro.pgo`): ``None``
     #: disables it; ``"auto"`` derives a per-group hot-depth cutoff from
@@ -232,6 +231,10 @@ class Schedule:
             raise ScheduleError(
                 f"backend must be a non-empty string, got {self.backend!r}"
             )
+        if self.backend not in BACKENDS:
+            raise BackendError(
+                f"unknown backend {self.backend!r}: backends are {list(BACKENDS)}"
+            )
         if self.pgo is not None and not (
             self.pgo == "auto"
             or (
@@ -243,14 +246,6 @@ class Schedule:
             raise ScheduleError(
                 f'pgo must be None, "auto", or an int >= 1, got {self.pgo!r}'
             )
-        # Resolve the backend name against the process-wide registry now,
-        # not at compile time: a schedule naming an unregistered backend is
-        # structurally invalid, exactly like an unknown tiling. Imported
-        # lazily — config is a leaf module the whole compiler depends on,
-        # while the registry sits in repro.backend.
-        from repro.backend.registry import require_backend
-
-        require_backend(self.backend)
 
     @classmethod
     def scalar_baseline(cls) -> "Schedule":

@@ -57,13 +57,12 @@ class ScheduleError(CompilerError):
 
 
 class BackendError(CompilerError):
-    """A code-generation backend could not be resolved or registered.
+    """A code-generation backend is unknown or cannot build a schedule.
 
-    Raised by the :mod:`repro.backend.registry` for an unknown
-    ``Schedule(backend=...)`` name, a duplicate registration, or a backend
-    object that does not satisfy the :class:`~repro.backend.registry.Backend`
-    interface. The message always lists the registered backend names so a
-    typo is diagnosable from the exception alone.
+    Raised for a ``Schedule(backend=...)`` name outside
+    :data:`repro.config.BACKENDS` (the message lists them, so a typo is
+    diagnosable from the exception alone) and when a named backend cannot
+    build a schedule on this machine.
     """
 
 

@@ -9,7 +9,7 @@ so near-linear shape is expected, as the paper reports).
 from __future__ import annotations
 
 from repro.experiments.harness import ExperimentConfig, benchmark_model
-from repro.experiments.speedups import scalar_baseline_us, tuned_predictor
+from repro.experiments.speedups import best_simulated_us, scalar_baseline_us, tuned_predictor
 from repro.reporting import format_table, geomean
 
 CORE_COUNTS = (1, 2, 4, 8, 16)
@@ -31,11 +31,8 @@ def run(
         predictor, _, _ = tuned_predictor(forest, rows, config, tune=tune)
         entry = {"dataset": name, "scale": scale}
         for cores in core_counts:
-            best = float("inf")
-            for _ in range(config.repeats):
-                _, seconds = predictor.predict_simulated_parallel(rows, cores=cores)
-                best = min(best, seconds)
-            us = best / rows.shape[0] * 1e6
+            simulate = predictor.predict_simulated_parallel
+            us = best_simulated_us(simulate, rows, cores, config.repeats)
             entry[f"{cores} core"] = round(base_us / us, 1)
         out.append(entry)
     summary = {"dataset": "GEOMEAN"}

@@ -18,7 +18,7 @@ from repro.experiments.harness import (
     benchmark_model,
     record_schedule_trace,
 )
-from repro.experiments.speedups import scalar_baseline_us, tuned_predictor
+from repro.experiments.speedups import best_simulated_us, scalar_baseline_us, tuned_predictor
 from repro.perf.machine import AMD_RYZEN_LIKE, INTEL_ROCKET_LAKE_LIKE
 from repro.perf.simpipe import stall_breakdown, trace_variant
 from repro.reporting import format_table, geomean
@@ -71,8 +71,8 @@ def run(
                 _modeled_speedup(forest, name, AMD_RYZEN_LIKE), 2
             )
         if multicore:
-            _, seconds = predictor.predict_simulated_parallel(rows, cores=CORES)
-            par_us = seconds / rows.shape[0] * 1e6
+            simulate = predictor.predict_simulated_parallel
+            par_us = best_simulated_us(simulate, rows, CORES, config.repeats)
             entry[f"speedup ({CORES}-core sim)"] = round(base_us / par_us, 1)
         rows_out.append(entry)
     speedups = [r["speedup (host)"] for r in rows_out]

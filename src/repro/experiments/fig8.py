@@ -54,10 +54,10 @@ def run(
             "speedup vs treelite": round(tl_us / tb_us, 1),
         }
         if multicore:
-            tb_par = simulated_parallel_us(predictor.raw_predict, rows, CORES)
-            xgb_par = simulated_parallel_us(xgb.raw_predict, rows, CORES)
+            tb_par = simulated_parallel_us(predictor.raw_predict, rows, CORES, config.repeats)
+            xgb_par = simulated_parallel_us(xgb.raw_predict, rows, CORES, config.repeats)
             tl_par = simulated_parallel_us(
-                treelite.raw_predict, rows[:BASELINE_SAMPLE_ROWS * 4], CORES
+                treelite.raw_predict, rows[:BASELINE_SAMPLE_ROWS * 4], CORES, config.repeats
             )
             entry["speedup vs xgboost (16c)"] = round(xgb_par / tb_par, 2)
             entry["speedup vs treelite (16c)"] = round(tl_par / tb_par, 1)

@@ -7,9 +7,10 @@ repro.observe serve --port N`` serves it over HTTP and ``python -m
 repro.observe metrics`` dumps it to stdout.
 
 Every exported family is one row of :data:`METRICS`; the serving counters
-a :class:`repro.serve.metrics.ServingMetrics` keeps are derived from the
-same rows (:data:`SERVING_COUNTERS`). Naming and label conventions (pinned
-by tests + the CI schema check):
+and histograms a :class:`repro.serve.metrics.ServingMetrics` keeps are
+derived from the same rows (:data:`SERVING_COUNTERS`,
+:data:`SERVING_HISTOGRAMS`). Naming and label conventions (pinned by tests
++ the CI schema check):
 
 * every metric is prefixed ``repro_`` and namespaced by subsystem:
   ``repro_serving_*`` (per-server, labelled ``server="..."``),
@@ -186,6 +187,13 @@ def _serving_counter_names() -> tuple[str, ...]:
 #: snapshot: the serving counter rows of :data:`METRICS` outside
 #: ``runtime`` (whose gauges are read from live state at snapshot time)
 SERVING_COUNTERS = _serving_counter_names()
+
+#: the histograms one server owns, as keys of its snapshot's
+#: ``histograms``: the serving histogram rows of :data:`METRICS`
+SERVING_HISTOGRAMS = tuple(
+    path[-1] for _name, mtype, _help, path in METRICS
+    if mtype == "histogram" and path[:3] == (*_SERVER, "histograms")
+)
 
 
 # ----------------------------------------------------------------------

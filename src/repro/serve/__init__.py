@@ -51,9 +51,7 @@ from repro.serve.workers import (
     WorkerPool,
     build_sharded_predictor,
     get_combiner,
-    list_combiners,
     plan_shards,
-    register_combiner,
     shard_forest,
 )
 
@@ -77,8 +75,6 @@ __all__ = [
     "WorkerPool",
     "build_sharded_predictor",
     "get_combiner",
-    "list_combiners",
     "plan_shards",
-    "register_combiner",
     "shard_forest",
 ]

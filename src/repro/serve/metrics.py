@@ -15,16 +15,16 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Callable
 
-from repro.observe.export import SERVING_COUNTERS
+from repro.observe.export import SERVING_COUNTERS, SERVING_HISTOGRAMS
 
-#: default bucket upper bounds (seconds) for the latency/queue-wait/kernel
-#: histograms — Prometheus-style sub-millisecond to multi-second coverage
+#: bucket upper bounds (seconds) for every ``*_seconds`` histogram —
+#: Prometheus-style sub-millisecond to multi-second coverage
 TIME_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
-#: default bucket upper bounds for rows-per-batch
+#: bucket upper bounds for every other (count-valued) histogram
 ROWS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
@@ -146,7 +146,8 @@ class ServingMetrics:
     The counters are :data:`repro.observe.export.SERVING_COUNTERS` — the
     serving rows of the exported metric table, each named by its dotted
     path into :meth:`snapshot` (``"compiles"``, ``"tuning.hot_swaps"``) and
-    bumped with :meth:`count`. Beside them the snapshot carries
+    bumped with :meth:`count`; the histograms are its
+    :data:`~repro.observe.export.SERVING_HISTOGRAMS`. Beside them the snapshot carries
     ``batch_rows_hist`` / ``batch_requests_hist`` ({rows or requests per
     executed batch: count}), ``latency`` (nearest-rank percentiles and
     ``window_max`` over the sliding window, see
@@ -165,11 +166,9 @@ class ServingMetrics:
         self.batch_requests_hist: Counter[int] = Counter()
         self._latency = LatencyWindow(latency_window)
         self._max_latency = 0.0
-        self._histograms: dict[str, Histogram] = {
-            "latency_seconds": Histogram(TIME_BUCKETS),
-            "queue_wait_seconds": Histogram(TIME_BUCKETS),
-            "kernel_seconds": Histogram(TIME_BUCKETS),
-            "batch_rows": Histogram(ROWS_BUCKETS),
+        self._histograms = {
+            name: Histogram(TIME_BUCKETS if name.endswith("_seconds") else ROWS_BUCKETS)
+            for name in SERVING_HISTOGRAMS
         }
         self._last_tune: dict | None = None
 

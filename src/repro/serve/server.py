@@ -525,16 +525,9 @@ class ModelServer:
             "tuned_per_row_us": tuned_us,
             "swapped": False,
         }
-        if tuned_us >= baseline_us * SWAP_THRESHOLD:
-            return info
-        if not self._swap_in(
-            name, session, result.best_predictor, result.best_schedule
-        ):
-            return info
-        info["swapped"] = True
-        flight.record(
-            "hot_swap",
-            model=name,
+        self._swap_if_faster(
+            name, session, result.best_predictor, result.best_schedule,
+            baseline_us, tuned_us, info, "hot_swap",
             baseline_per_row_us=round(baseline_us, 4),
             tuned_per_row_us=round(tuned_us, 4),
             schedule=result.best_schedule.to_dict(),
@@ -555,6 +548,23 @@ class ModelServer:
             ).per_row_us
 
         return per_row_us(session.predictor), per_row_us(candidate)
+
+    def _swap_if_faster(
+        self, name, session, candidate, schedule, baseline_us, tuned_us,
+        info, event, /, *, force=False, **fields,
+    ) -> str | None:
+        """The swap step of the tune and PGO loops: when ``candidate``
+        beats the incumbent by :data:`SWAP_THRESHOLD` (or ``force``), swap
+        it in, set ``info["swapped"]``, record one ``event`` flight event
+        with ``fields`` and return ``None``; else return ``"slower"`` or
+        ``"superseded"``."""
+        if not (force or tuned_us < baseline_us * SWAP_THRESHOLD):
+            return "slower"
+        if not self._swap_in(name, session, candidate, schedule):
+            return "superseded"
+        info["swapped"] = True
+        flight.record(event, model=name, **fields)
+        return None
 
     def _swap_in(self, name, session, candidate, schedule) -> bool:
         """Serve ``name`` from ``candidate`` (compiled under ``schedule``)
@@ -650,25 +660,22 @@ class ModelServer:
             baseline_us, tuned_us = self._measure_pair(session, tuned, rows)
             info["baseline_per_row_us"] = round(baseline_us, 4)
             info["tuned_per_row_us"] = round(tuned_us, 4)
-            faster = tuned_us < baseline_us * SWAP_THRESHOLD
-            if not (faster or force):
-                info["reason"] = "slower"
-                return info
-            if not self._swap_in(name, session, tuned, tuned_schedule):
-                info["reason"] = "superseded"
-                return info
-            info["swapped"] = True
-            info["prefix"] = prefix_bytes(tuned.lir)
-            flight.record(
-                "pgo_swap",
-                model=name,
+            prefix = prefix_bytes(tuned.lir)
+            reason = self._swap_if_faster(
+                name, session, tuned, tuned_schedule, baseline_us, tuned_us,
+                info, "pgo_swap",
+                force=force,
                 cutoff=cutoff,
                 mean_steps=info["mean_steps"],
                 baseline_per_row_us=info["baseline_per_row_us"],
                 tuned_per_row_us=info["tuned_per_row_us"],
                 forced=force,
-                **info["prefix"],
+                **prefix,
             )
+            if reason is None:
+                info["prefix"] = prefix
+            else:
+                info["reason"] = reason
             return info
         except Exception as exc:  # noqa: BLE001 - a PGO failure must never
             # take the timer thread (or a force_pgo_recompile caller) down;

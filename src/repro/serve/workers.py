@@ -12,11 +12,11 @@ This is the scale-out tier above :class:`~repro.serve.session.InferenceSession`:
   is a *partial sum* of leaf margins. Workers each own a subset of
   shards; the parent scatters a request to every worker and combines the
   partials.
-* **Pluggable combiners** — partial aggregation is a seam
-  (:func:`register_combiner`): ``sum`` (the exact ensemble semantics,
-  applied in shard order so the result is deterministic), ``mean``,
-  ``max_margin`` and ``top{k}`` open ensemble-selection workloads on the
-  same compiled kernels.
+* **Combiners** — partial aggregation is a seam (:func:`get_combiner`):
+  ``sum`` (the exact ensemble semantics, applied in shard order so the
+  result is deterministic), ``mean``, ``max_margin`` and ``top{k}`` open
+  ensemble-selection workloads on the same compiled kernels, and any
+  :class:`Combiner` instance passes through.
 * **Async admission** — :class:`AsyncModelFrontend` fronts a
   :class:`~repro.serve.server.ModelServer` with an asyncio interface that
   sheds load against per-model :class:`SLOPolicy` targets (inflight bound
@@ -121,39 +121,30 @@ def _make_top_k(k: int) -> Combiner:
     return Combiner(f"top{k}", _combine, objective_transform=False)
 
 
-_COMBINERS: dict[str, Combiner] = {}
-
-
-def register_combiner(combiner: Combiner) -> Combiner:
-    """Add a combiner to the registry (name collisions are an error)."""
-    if combiner.name in _COMBINERS:
-        raise ServingError(f"combiner {combiner.name!r} is already registered")
-    _COMBINERS[combiner.name] = combiner
-    return combiner
-
-
-register_combiner(Combiner("sum", _combine_sum))
-register_combiner(Combiner("mean", _combine_mean))
-register_combiner(Combiner("max_margin", _combine_max_margin, objective_transform=False))
+#: the combiners :func:`get_combiner` resolves by name, beside ``top<k>``
+_COMBINERS = {
+    combiner.name: combiner
+    for combiner in (
+        Combiner("sum", _combine_sum),
+        Combiner("mean", _combine_mean),
+        Combiner("max_margin", _combine_max_margin, objective_transform=False),
+    )
+}
 
 
 def get_combiner(name: str | Combiner) -> Combiner:
-    """Resolve a combiner by name (``top{k}`` patterns are synthesized)."""
+    """Resolve a combiner by name (``top{k}`` patterns are synthesized);
+    a :class:`Combiner` instance passes through unchanged."""
     if isinstance(name, Combiner):
         return name
-    combiner = _COMBINERS.get(name)
-    if combiner is not None:
-        return combiner
+    if name in _COMBINERS:
+        return _COMBINERS[name]
     if name.startswith("top") and name[3:].isdigit() and int(name[3:]) >= 1:
         return _make_top_k(int(name[3:]))
     raise ServingError(
-        f"unknown combiner {name!r}; registered: {list_combiners()} "
-        f"(plus 'top<k>' patterns)"
+        f"unknown combiner {name!r}; combiners are {sorted(_COMBINERS)} "
+        f"(plus 'top<k>' patterns, or pass a Combiner)"
     )
-
-
-def list_combiners() -> list[str]:
-    return sorted(_COMBINERS)
 
 
 # ----------------------------------------------------------------------

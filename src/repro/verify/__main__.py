@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backends",
         action="store_true",
-        help="also cross-check every registered code-generation backend "
+        help="also cross-check both code generators (native, numpy_jit) "
         "against the interpreter, each with an artifact round-trip",
     )
     parser.add_argument(

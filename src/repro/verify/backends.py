@@ -1,11 +1,11 @@
-"""Cross-backend differential sweep: every registered backend vs the references.
+"""Cross-backend differential sweep: both code generators vs the references.
 
 The fuzzer (:mod:`repro.verify.fuzz`) and the cost-ranked sweep
-(:mod:`repro.verify.sweep`) exercise the *default* backend. This sweep
-closes the remaining gap of the backend registry: for every registered
-code-generation backend (:func:`repro.backend.registry.list_backends`) it
-compiles seeded forests across a reduced Table-II schedule set with
-``Schedule(backend=name, verify=True)`` and cross-checks the compiled
+(:mod:`repro.verify.sweep`) exercise the *default* backend, ``auto``. This
+sweep closes the remaining gap: for each code generator ``auto`` resolves
+to (``native`` and ``numpy_jit``) it compiles seeded forests across a
+reduced Table-II schedule set with ``Schedule(backend=name, verify=True)``
+and cross-checks the compiled
 kernel against the reference interpreter and (at float64) the reference
 ``Forest`` over the adversarial input corpus. A (backend, schedule) pair the
 backend reports :meth:`~repro.backend.registry.Backend.unavailable` — the
@@ -44,11 +44,12 @@ from repro.verify.fuzz import (
 )
 
 #: the PR6 sweep campaign: three seeds x three forest shapes x six schedule
-#: points x every registered backend x the full adversarial corpus, each
+#: points x both code generators x the full adversarial corpus, each
 #: round-tripped through an artifact and shared memory
 BACKEND_SWEEP_CONFIG = {
     "seeds": (0, 1, 2),
-    "backends": None,  # None = every registered backend at run time
+    # ``auto`` only resolves to one of these; the fuzz phase runs it
+    "backends": ("native", "numpy_jit"),
     "precisions": None,  # None = each schedule point's own precision
 }
 
@@ -127,7 +128,7 @@ def _rebuilt_mismatch(stage, predictor, rebuilt, rows, want):
 
 def run_backend_sweep(
     seeds: tuple[int, ...] = BACKEND_SWEEP_CONFIG["seeds"],
-    backends: tuple[str, ...] | None = BACKEND_SWEEP_CONFIG["backends"],
+    backends: tuple[str, ...] = BACKEND_SWEEP_CONFIG["backends"],
     precisions: tuple[str, ...] | None = BACKEND_SWEEP_CONFIG["precisions"],
     log=None,
 ) -> tuple[int, int]:
@@ -143,9 +144,9 @@ def run_backend_sweep(
     ``log`` (a ``print``-like callable) with enough context to rebuild the
     case deterministically from its seed.
     """
-    from repro.backend.registry import get_backend, list_backends
+    from repro.backend.registry import get_backend
 
-    names = tuple(backends) if backends else tuple(list_backends())
+    names = tuple(backends)
     comparisons = 0
     failures = 0
     skipped: dict[str, int] = {}

@@ -1,13 +1,13 @@
-"""The pluggable backend registry (PR6 tentpole).
+"""The closed backend table and the ``Schedule(backend=...)`` knob.
 
-Covers the registry's CRUD surface, duplicate-name rejection, the
-``Schedule(backend=...)`` knob (unknown names fail at construction with a
+Covers the table (:data:`repro.config.BACKENDS` is the whole set; every
+other name fails at ``Schedule`` construction with a
 :class:`~repro.errors.BackendError`), dispatch through ``compile_model``,
 ``model_fingerprint`` as the one executor identity (every forest array and
 every schedule field moves it; serialization round trips do not), and —
-the load-bearing guarantee of the refactor — that the NumPy backend's
-generated source is **byte-identical** to the pre-refactor compiler for a
-fixed seed (hashes recorded before the backend interface existed).
+the load-bearing guarantee of the backend interface — that the NumPy
+backend's generated source is **byte-identical** to the pre-interface
+compiler for a fixed seed (hashes recorded before the interface existed).
 """
 
 from __future__ import annotations
@@ -19,21 +19,17 @@ import numpy as np
 import pytest
 
 from repro.api import compile_model
+from repro.backend import registry
 from repro.backend.jit import model_fingerprint
-from repro.backend.registry import (
-    DEFAULT_BACKEND,
-    Backend,
-    describe_backends,
-    get_backend,
-    list_backends,
-    register_backend,
-    temporary_backend,
-    unregister_backend,
-)
-from repro.config import Schedule
+from repro.backend.registry import DEFAULT_BACKEND, get_backend
+from repro.config import BACKENDS, Schedule
 from repro.errors import BackendError, CompilerError, ScheduleError
 from repro.forest.ensemble import Forest
 from repro.forest.statistics import populate_node_probabilities
+from repro.hir.ir import build_hir
+from repro.lir.lowering import lower_mir_to_lir
+from repro.mir.lowering import lower_hir_to_mir
+from repro.mir.passes import run_mir_pipeline
 from repro.verify.fuzz import random_fuzz_forest
 
 
@@ -43,60 +39,19 @@ def forest():
 
 
 # ----------------------------------------------------------------------
-# Registry CRUD
+# The backend table
 # ----------------------------------------------------------------------
 
-class _Dummy(Backend):
-    name = "test_dummy"
-
-    def build(self, forest, lir, *, validate_inputs=True, trace=None):
-        return get_backend("numpy_jit").build(
-            forest, lir, validate_inputs=validate_inputs, trace=trace
-        )
-
-
 def test_builtin_backends_registered():
-    assert list_backends() == [DEFAULT_BACKEND, "native", "numpy_jit"]
+    assert BACKENDS == (DEFAULT_BACKEND, "native", "numpy_jit")
     # the default is resolved per compile (test_native_backend), not a generator
     assert DEFAULT_BACKEND == "auto"
     assert Schedule().backend == DEFAULT_BACKEND
 
 
 def test_get_backend_resolves_builtin():
-    for name in ("numpy_jit", "native"):
+    for name in BACKENDS:
         assert get_backend(name).name == name
-
-
-def test_register_and_unregister_roundtrip():
-    try:
-        register_backend(_Dummy)
-        assert "test_dummy" in list_backends()
-        assert get_backend("test_dummy").name == "test_dummy"
-    finally:
-        assert unregister_backend("test_dummy")
-    assert "test_dummy" not in list_backends()
-    assert not unregister_backend("test_dummy")  # second removal is a no-op
-
-
-def test_duplicate_name_rejected():
-    class Impostor(_Dummy):
-        name = "numpy_jit"
-
-    with pytest.raises(BackendError, match="already registered"):
-        register_backend(Impostor)
-    # The original registration survives the rejected attempt.
-    assert type(get_backend("numpy_jit")).__name__ == "NumpyJitBackend"
-
-
-def test_register_requires_a_name():
-    class Nameless(Backend):
-        name = ""
-
-        def build(self, forest, lir, **kwargs):  # pragma: no cover
-            raise NotImplementedError
-
-    with pytest.raises(BackendError):
-        register_backend(Nameless)
 
 
 def test_unknown_backend_lookup_lists_registered():
@@ -104,23 +59,35 @@ def test_unknown_backend_lookup_lists_registered():
         get_backend("llvm")
 
 
-def test_temporary_backend_scopes_registration():
-    with temporary_backend(_Dummy) as backend:
-        assert backend.name == "test_dummy"
-        assert "test_dummy" in list_backends()
-    assert "test_dummy" not in list_backends()
-
-
-def test_describe_backends_shape():
-    info = describe_backends()
-    assert set(info) == {DEFAULT_BACKEND, "native", "numpy_jit"}
-    for name, entry in info.items():
-        assert entry["name"] == name and entry["class"].startswith("repro.backend.")
+def test_auto_backend_builds_a_lowered_module(forest):
+    """``get_backend(schedule.backend).build(forest, lir)`` with the
+    default schedule is how the compile benchmark times codegen alone."""
+    schedule = Schedule()
+    hir = build_hir(forest, schedule)
+    mir = lower_hir_to_mir(hir)
+    run_mir_pipeline(mir, hir)
+    lir = lower_mir_to_lir(mir, hir)
+    predictor = get_backend(schedule.backend).build(forest, lir)
+    rows = np.random.default_rng(0).normal(size=(8, forest.num_features))
+    np.testing.assert_array_equal(
+        predictor.raw_predict(rows), compile_model(forest).raw_predict(rows)
+    )
 
 
 # ----------------------------------------------------------------------
 # The Schedule(backend=...) knob
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", [*BACKENDS, "llvm", "NATIVE", "numpy-jit"])
+def test_schedule_accepts_exactly_the_backend_table(name):
+    if name in BACKENDS:
+        assert Schedule(backend=name).backend == name
+        return
+    with pytest.raises(BackendError, match="unknown backend") as info:
+        Schedule(backend=name)
+    for known in BACKENDS:
+        assert repr(known) in str(info.value)
+
 
 def test_schedule_rejects_unknown_backend():
     with pytest.raises(BackendError, match="unknown backend"):
@@ -154,21 +121,21 @@ def test_retired_export_backend_loads_as_the_kernel_it_built():
         Schedule(backend="aot_export")
 
 
-def test_compile_dispatches_to_schedule_backend(forest):
+def test_compile_dispatches_to_schedule_backend(forest, monkeypatch):
     calls = []
+    numpy_jit = get_backend("numpy_jit")
 
-    class Spy(_Dummy):
-        name = "test_spy"
-
+    class Spy(type(numpy_jit)):
         def build(self, forest, lir, *, validate_inputs=True, trace=None):
             calls.append(forest.num_trees)
             return super().build(
                 forest, lir, validate_inputs=validate_inputs, trace=trace
             )
 
-    with temporary_backend(Spy):
-        predictor = compile_model(forest, Schedule(backend="test_spy"))
+    monkeypatch.setitem(registry._BACKENDS, "numpy_jit", Spy())
+    predictor = compile_model(forest, Schedule(backend="numpy_jit"))
     assert calls == [forest.num_trees]
+    monkeypatch.undo()
     rows = np.random.default_rng(0).normal(size=(8, forest.num_features))
     np.testing.assert_array_equal(
         predictor.raw_predict(rows),

@@ -255,10 +255,10 @@ class TestOpenMetrics:
         parse_openmetrics(text)
 
     def test_serving_counters_declared_once(self):
-        """The metric table is the only list of serving counters: each one
-        is in a fresh snapshot and in a fresh server's exposition, and an
+        """The metric table is the only list of serving counters and
+        histograms: each one is in a fresh snapshot and in a fresh server's exposition, and an
         undeclared counter cannot be bumped."""
-        from repro.observe.export import METRICS, SERVING_COUNTERS
+        from repro.observe.export import METRICS, SERVING_COUNTERS, SERVING_HISTOGRAMS
         from repro.serve.metrics import ServingMetrics
 
         snap = ServingMetrics().snapshot()
@@ -271,9 +271,11 @@ class TestOpenMetrics:
             row for row in METRICS
             if row[0].startswith("repro_serving_") and "runtime" not in row[3]
         ]
-        for _name, mtype, _help, path in serving_rows:
-            if mtype == "histogram":
-                assert path[-1] in snap["histograms"]
+        histograms = [
+            path[-1] for _name, mtype, _help, path in serving_rows
+            if mtype == "histogram"
+        ]
+        assert list(snap["histograms"]) == histograms == list(SERVING_HISTOGRAMS)
         with ModelServer():
             families = parse_openmetrics(render_openmetrics())
         declared = {

@@ -44,9 +44,7 @@ from repro.serve import (
     WorkerPool,
     build_sharded_predictor,
     get_combiner,
-    list_combiners,
     plan_shards,
-    register_combiner,
     shard_forest,
 )
 
@@ -188,12 +186,10 @@ class TestCombiners:
             get_combiner("top2").fn(self._partials(shape=(5,)), 0.0)
 
     def test_registry(self):
-        assert {"sum", "mean", "max_margin"} <= set(list_combiners())
-        assert get_combiner("top3").name == "top3"
+        for name in ("sum", "mean", "max_margin", "top3"):
+            assert get_combiner(name).name == name
         with pytest.raises(ServingError, match="unknown combiner"):
             get_combiner("median")
-        with pytest.raises(ServingError, match="already registered"):
-            register_combiner(Combiner("sum", lambda p, b: p[0]))
 
     def test_combiner_instance_passthrough(self):
         custom = Combiner("first", lambda p, b: p[0] + b)
