@@ -4,7 +4,7 @@ The sharded tier (:mod:`repro.serve.workers`) splits an ensemble into
 contiguous tree ranges executed by separate worker processes. How many
 shards is a tuning decision, not a serving one, so it lives here next to
 the cost model: sharding pays a fixed per-request scatter/gather tax (IPC,
-pickling the rows, the combiner fold), which only amortizes when each
+pickling the rows, the partial-sum fold), which only amortizes when each
 shard still carries enough traversal work — a small forest split eight
 ways spends more on transport than on trees.
 

@@ -70,10 +70,9 @@ class TuningSpace:
         return total * max(1, len(self.backends))
 
 
-def default_space(extended: bool = False, multicore: int = 1) -> TuningSpace:
+def default_space(extended: bool = False) -> TuningSpace:
     """The paper's Table-II grid (optionally extended for this backend)."""
     interleaves = (2, 4, 8, 16, 32) if extended else (2, 4, 8)
-    __ = multicore  # parallel degree is applied after tuning, not searched
     return TuningSpace(interleaves=interleaves)
 
 

@@ -60,11 +60,6 @@ def storage_width(tile_size: int) -> int:
     return width
 
 
-def shape_size(shape: ShapeKey) -> int:
-    """Number of nodes in the shape."""
-    return len(shape)
-
-
 def validate_shape(shape: ShapeKey) -> None:
     """Check that ``shape`` is a well-formed tile shape rooted at node 0.
 

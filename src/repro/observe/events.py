@@ -20,7 +20,7 @@ discrete events that explain a deployment's behaviour after the fact:
 ``slow_request``  a request exceeded the server's latency threshold
                   (``ServerConfig(slow_request_s=...)``)
 ``shard_plan``    a forest was split for the multi-process sharded tier
-                  (shard boundaries, worker count, combiner)
+                  (shard boundaries, worker count)
 ``worker_spawn``  a shard worker process started (initial spawn or
                   respawn after death)
 ``worker_exit``   a shard worker exited during pool shutdown

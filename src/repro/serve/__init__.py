@@ -16,8 +16,9 @@ amortization in a live system:
   sharing one cache and one metrics surface.
 * :mod:`repro.serve.workers` — the scale-out tier: tree-sharded
   multi-process serving over shared-memory model buffers
-  (:class:`~repro.serve.workers.ShardedPredictor`), pluggable partial-sum
-  combiners, and an SLO-aware asyncio admission front end
+  (:class:`~repro.serve.workers.ShardedPredictor`) whose per-shard
+  partial sums add in ascending shard order, and an SLO-aware asyncio
+  admission front end
   (:class:`~repro.serve.workers.AsyncModelFrontend`).
 
 Quickstart::

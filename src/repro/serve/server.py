@@ -274,7 +274,6 @@ class ModelServer:
         pgo: bool = False,
         workers: int | None = None,
         shards: int | None = None,
-        combiner: str = "sum",
         slo=None,
     ) -> InferenceSession:
         """Compile (or cache-hit) ``forest`` and serve it as ``name``.
@@ -316,8 +315,9 @@ class ModelServer:
         into ``shards`` tree ranges (default: one per worker, sized by
         :func:`repro.autotune.shards.recommend_shard_count` when
         ``shards`` is omitted), compiled once, exported to shared memory
-        and executed by forked workers whose partial sums are folded by
-        ``combiner`` (``"sum"``/``"mean"``/``"max_margin"``/``"top<k>"``).
+        and executed by forked workers whose partial sums are added in
+        ascending shard order, so ``predict`` is the unsharded model's up to
+        float reassociation.
         Mutually exclusive with ``artifact``/``tune``/``pgo`` — the
         sharded predictor owns processes, not a recompilable kernel.
 
@@ -350,7 +350,6 @@ class ModelServer:
                 schedule,
                 num_workers=workers,
                 num_shards=shards,
-                combiner=combiner,
                 validate_inputs=self.config.validate_inputs,
                 name=f"repro-shard-{name}",
             )

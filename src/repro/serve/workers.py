@@ -8,15 +8,12 @@ This is the scale-out tier above :class:`~repro.serve.session.InferenceSession`:
   views, so N workers cost one model footprint, not N.
 * **Tree sharding** — very large ensembles are split into contiguous,
   node-count-balanced tree ranges (:func:`plan_shards`); each shard is
-  compiled as its own sub-forest with ``base_score=0`` so its raw output
-  is a *partial sum* of leaf margins. Workers each own a subset of
-  shards; the parent scatters a request to every worker and combines the
-  partials.
-* **Combiners** — partial aggregation is a seam (:func:`get_combiner`):
-  ``sum`` (the exact ensemble semantics, applied in shard order so the
-  result is deterministic), ``mean``, ``max_margin`` and ``top{k}`` open
-  ensemble-selection workloads on the same compiled kernels, and any
-  :class:`Combiner` instance passes through.
+  compiled as its own sub-forest whose raw output is a *partial sum* of
+  leaf margins, and only shard 0 carries the base score. Workers each own
+  a subset of shards; the parent scatters a request to every worker and
+  adds the partials in ascending shard order — the ensemble's own sum,
+  regrouped, so ``predict`` applies the objective as for every other
+  executor.
 * **Async admission** — :class:`AsyncModelFrontend` fronts a
   :class:`~repro.serve.server.ModelServer` with an asyncio interface that
   sheds load against per-model :class:`SLOPolicy` targets (inflight bound
@@ -24,15 +21,14 @@ This is the scale-out tier above :class:`~repro.serve.session.InferenceSession`:
   rejection in metrics and the flight recorder.
 
 Determinism: each shard executes the exact bytes the parent compiled
-(same kernel source, same buffers), and the ``sum`` combiner folds the
-partials in ascending shard order onto ``base_score`` — so a sharded
-prediction is bitwise-identical to running the same shard plan
-sequentially in one process (:meth:`ShardedPredictor.local_raw_predict`),
-regardless of worker count, interleaving or which worker ran which shard.
-Relative to the *unsharded* kernel the shard boundaries reassociate the
-float tree-sum, so agreement there is to accumulation-order tolerance
-(bitwise again in the ``num_shards=1`` case, which compiles the identical
-kernel).
+(same kernel source, same buffers), and the parent folds the partials in
+ascending shard order — so a sharded prediction is bitwise-identical to
+running the same shard plan sequentially in one process
+(:meth:`ShardedPredictor.local_raw_predict`), regardless of worker count,
+interleaving or which worker ran which shard. Relative to the *unsharded*
+kernel the shard boundaries reassociate the float tree-sum, so agreement
+there is to accumulation-order tolerance (bitwise again in the
+``num_shards=1`` case, which compiles the identical kernel).
 """
 
 from __future__ import annotations
@@ -60,25 +56,8 @@ SPAWN_TIMEOUT_S = 30.0
 
 
 # ----------------------------------------------------------------------
-# Leaf combiners: how per-shard partial sums become one prediction
+# The fold: how per-shard partial sums become one raw margin
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Combiner:
-    """One way of folding per-shard partial margins into a prediction.
-
-    ``fn(partials, base_score)`` receives the shards' raw outputs in
-    ascending shard order (all the same shape — ``(n,)`` or ``(n, C)``)
-    and returns the combined array. ``objective_transform`` marks
-    combiners whose output is still an ensemble margin (so ``predict``
-    may apply sigmoid/softmax); selection-style combiners keep raw
-    margins.
-    """
-
-    name: str
-    fn: Callable[[list[np.ndarray], float], np.ndarray]
-    objective_transform: bool = True
-
 
 def _combine_sum(partials: list[np.ndarray], base_score: float) -> np.ndarray:
     # Fold in ascending shard order onto the base score: the one
@@ -90,60 +69,27 @@ def _combine_sum(partials: list[np.ndarray], base_score: float) -> np.ndarray:
     return out
 
 
-def _combine_mean(partials: list[np.ndarray], base_score: float) -> np.ndarray:
-    acc = np.zeros_like(partials[0])
-    for partial in partials:
-        np.add(acc, partial, out=acc)
-    return base_score + acc / len(partials)
+@dataclass(frozen=True)
+class Combiner:
+    """The ordered-sum fold :func:`get_combiner` resolves: ``fn(partials,
+    base_score)`` adds the shards' raw outputs (all ``(n,)`` or all
+    ``(n, C)``) onto ``base_score`` in ascending shard order."""
+
+    name: str
+    fn: Callable[[list[np.ndarray], float], np.ndarray]
 
 
-def _combine_max_margin(partials: list[np.ndarray], base_score: float) -> np.ndarray:
-    acc = partials[0].copy()
-    for partial in partials[1:]:
-        np.maximum(acc, partial, out=acc)
-    return base_score + acc
+_SUM = Combiner("sum", _combine_sum)
 
 
-def _make_top_k(k: int) -> Combiner:
-    def _combine(partials: list[np.ndarray], base_score: float) -> np.ndarray:
-        out = _combine_sum(partials, base_score)
-        if out.ndim != 2 or out.shape[1] <= k:
-            if out.ndim != 2:
-                raise ServingError(
-                    f"top{k} combiner requires multiclass output, got shape {out.shape}"
-                )
-            return out
-        # Keep each row's k largest class margins; suppress the rest to
-        # -inf so a downstream softmax concentrates on the selected set.
-        cut = np.partition(out, -k, axis=1)[:, -k][:, None]
-        return np.where(out >= cut, out, -np.inf)
-
-    return Combiner(f"top{k}", _combine, objective_transform=False)
-
-
-#: the combiners :func:`get_combiner` resolves by name, beside ``top<k>``
-_COMBINERS = {
-    combiner.name: combiner
-    for combiner in (
-        Combiner("sum", _combine_sum),
-        Combiner("mean", _combine_mean),
-        Combiner("max_margin", _combine_max_margin, objective_transform=False),
-    )
-}
-
-
-def get_combiner(name: str | Combiner) -> Combiner:
-    """Resolve a combiner by name (``top{k}`` patterns are synthesized);
-    a :class:`Combiner` instance passes through unchanged."""
-    if isinstance(name, Combiner):
-        return name
-    if name in _COMBINERS:
-        return _COMBINERS[name]
-    if name.startswith("top") and name[3:].isdigit() and int(name[3:]) >= 1:
-        return _make_top_k(int(name[3:]))
+def get_combiner(name: str) -> Combiner:
+    """Resolve ``"sum"``: an ensemble's margin is the sum of its trees,
+    so shard partials fold one way. Every other name, and a
+    :class:`Combiner` instance, raises."""
+    if name == "sum":
+        return _SUM
     raise ServingError(
-        f"unknown combiner {name!r}; combiners are {sorted(_COMBINERS)} "
-        f"(plus 'top<k>' patterns, or pass a Combiner)"
+        f"combiner {name!r} was retired; sharded partials fold only by 'sum'"
     )
 
 
@@ -207,15 +153,15 @@ def shard_forest(
 ) -> list[Forest]:
     """Materialize the plan as sub-forests whose raw output is a partial sum.
 
-    Sub-forests carry ``base_score=0`` (the combiner applies the base
+    Sub-forests carry ``base_score=0`` (the caller applies the base
     exactly once) and shallow-copied trees — the :class:`Forest`
     constructor renumbers ``tree_id`` on the objects it is given, and the
     parent forest's numbering must survive sharding.
 
-    ``embed_base=True`` (used by the ``sum`` combiner) folds the base
-    score into shard 0 instead, and the combiner folds from zero: with
-    one shard the sub-forest is then content-identical to the parent, so
-    the degenerate case compiles the *same* kernel as the unsharded
+    ``embed_base=True`` (what :func:`build_sharded_predictor` uses) folds
+    the base score into shard 0 instead, so the fold starts from zero:
+    with one shard the sub-forest is then content-identical to the parent,
+    so the degenerate case compiles the *same* kernel as the unsharded
     predictor and matches it bitwise.
     """
     shards = []
@@ -288,9 +234,9 @@ class WorkerPool:
     Scatters requests over per-worker queues, gathers per-shard partials
     through one result queue (a collector thread resolves them to waiting
     callers), and keeps the tier alive: a worker found dead at dispatch
-    time is respawned (``respawn=True``) and the event recorded in the
-    flight recorder. Requests outstanding on a dying worker fail by
-    ``request_timeout_s`` rather than hanging.
+    time is respawned once, however many callers find it dead, and the
+    event recorded in the flight recorder. Requests outstanding on a dying
+    worker fail by ``request_timeout_s`` rather than hanging.
     """
 
     def __init__(
@@ -300,7 +246,6 @@ class WorkerPool:
         *,
         start_method: str | None = None,
         request_timeout_s: float = 30.0,
-        respawn: bool = True,
         name: str = "repro-shard",
     ) -> None:
         if num_workers < 1:
@@ -309,12 +254,11 @@ class WorkerPool:
             raise ServingError("worker pool needs at least one shard manifest")
         if not (request_timeout_s > 0):
             raise ServingError("request_timeout_s must be > 0")
-        # More workers than shards would idle; replication is the
-        # combiner/shard planner's job, not the pool's.
+        # More workers than shards would idle; replication is the shard
+        # planner's job, not the pool's.
         self.num_workers = min(num_workers, len(shard_manifests))
         self.num_shards = len(shard_manifests)
         self.request_timeout_s = request_timeout_s
-        self.respawn = respawn
         self.name = name
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -332,6 +276,9 @@ class WorkerPool:
         self._respawns = [0] * self.num_workers
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
+        # Dispatch (liveness check, respawn, enqueue) is serialized apart
+        # from ``_lock``, which the collector takes per reply.
+        self._dispatch_lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._closed = False
         try:
@@ -386,21 +333,18 @@ class WorkerPool:
                 seen += 1
 
     def _ensure_alive(self, worker_id: int) -> None:
+        """Respawn ``worker_id`` if it died; the caller holds
+        ``_dispatch_lock``, so one death yields one successor."""
         proc = self._procs[worker_id]
-        if proc is not None and proc.is_alive():
+        if proc.is_alive():
             return
         flight.record(
             "worker_dead",
             pool=self.name,
             worker=worker_id,
-            pid=getattr(proc, "pid", None),
-            exitcode=getattr(proc, "exitcode", None),
+            pid=proc.pid,
+            exitcode=proc.exitcode,
         )
-        if not self.respawn:
-            raise ServingError(
-                f"shard worker {worker_id} is dead (exitcode "
-                f"{getattr(proc, 'exitcode', None)}) and respawn is disabled"
-            )
         self._respawns[worker_id] += 1
         # A worker killed while blocked in ``req_q.get()`` dies *holding*
         # the queue's reader lock, poisoning the queue for any successor —
@@ -432,17 +376,20 @@ class WorkerPool:
         self, rows: np.ndarray, timeout: float | None = None
     ) -> dict[int, np.ndarray]:
         """Run ``rows`` through every shard; returns ``{shard_id: partial}``."""
-        if self._closed:
-            raise ServingError("worker pool is closed")
         req_id = next(self._req_ids)
         pending = _Pending(set(range(self.num_shards)))
         with self._lock:
             self._pending[req_id] = pending
         try:
-            for worker_id, shard_ids in self._assignment.items():
-                self._ensure_alive(worker_id)
-                self._req_qs[worker_id].put((req_id, shard_ids, rows))
-                self._dispatched[worker_id] += 1
+            with self._dispatch_lock:
+                # Checked under the lock ``close`` takes, so no respawn
+                # can start a worker that ``close`` would not join.
+                if self._closed:
+                    raise ServingError("worker pool is closed")
+                for worker_id, shard_ids in self._assignment.items():
+                    self._ensure_alive(worker_id)
+                    self._req_qs[worker_id].put((req_id, shard_ids, rows))
+                    self._dispatched[worker_id] += 1
         except BaseException:
             with self._lock:
                 self._pending.pop(req_id, None)
@@ -496,8 +443,8 @@ class WorkerPool:
         for w in range(self.num_workers):
             proc = self._procs[w]
             workers[str(w)] = {
-                "pid": getattr(proc, "pid", None),
-                "alive": bool(proc is not None and proc.is_alive()),
+                "pid": proc.pid,
+                "alive": proc.is_alive(),
                 "shards": list(self._assignment[w]),
                 "dispatched": self._dispatched[w],
                 "respawns": self._respawns[w],
@@ -510,9 +457,10 @@ class WorkerPool:
         }
 
     def close(self, timeout: float = 5.0) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        with self._dispatch_lock:
+            if self._closed:
+                return
+            self._closed = True
         failure = ServingError("worker pool closed")
         with self._lock:
             pending, self._pending = dict(self._pending), {}
@@ -525,8 +473,6 @@ class WorkerPool:
             except (queue_mod.Full, OSError, ValueError):  # pragma: no cover
                 pass
         for worker_id, proc in enumerate(self._procs):
-            if proc is None:
-                continue
             proc.join(timeout=timeout)
             if proc.is_alive():
                 proc.terminate()
@@ -575,21 +521,15 @@ class ShardedPredictor:
         schedule: Schedule,
         plan: ShardPlan,
         shard_predictors: list,
-        combiner: Combiner,
         pool: WorkerPool | None,
         handles: list[SharedModelHandle],
-        embed_base: bool = False,
     ) -> None:
         self.forest = forest
         self.schedule = schedule
         self.plan = plan
-        self.combiner = combiner
         self.num_features = forest.num_features
         self.num_classes = forest.num_classes
         self.base_score = forest.base_score
-        # With the base embedded in shard 0 (sum combiner) the fold
-        # starts from zero; otherwise the combiner applies the base once.
-        self.combine_base = 0.0 if embed_base else forest.base_score
         self.objective = forest.objective
         self._shard_predictors = shard_predictors
         self._pool = pool
@@ -599,7 +539,6 @@ class ShardedPredictor:
         for predictor in shard_predictors:
             digest.update(predictor.fingerprint.encode())
         digest.update(repr(plan.boundaries).encode())
-        digest.update(combiner.name.encode())
         self.fingerprint = digest.hexdigest()
 
     # -- predictor protocol -------------------------------------------
@@ -616,26 +555,20 @@ class ShardedPredictor:
         compatibility; parallelism here is processes, not row blocks)."""
         if self._closed:
             raise ServingError("sharded predictor is closed")
-        rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
         if self._pool is None:
-            partials = [p.raw_predict(rows) for p in self._shard_predictors]
-        else:
-            by_shard = self._pool.execute(rows)
-            partials = [by_shard[s] for s in range(self.plan.num_shards)]
-        return self.combiner.fn(partials, self.combine_base)
+            return self.local_raw_predict(rows)
+        by_shard = self._pool.execute(np.ascontiguousarray(rows, dtype=np.float64))
+        # Shard 0 carries the base score, so the fold starts from zero.
+        return _combine_sum([by_shard[s] for s in range(self.num_shards)], 0.0)
 
     def local_raw_predict(self, rows: np.ndarray) -> np.ndarray:
         """The same shard plan executed sequentially in this process —
         the bitwise reference for every multi-worker configuration."""
         rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
-        partials = [p.raw_predict(rows) for p in self._shard_predictors]
-        return self.combiner.fn(partials, self.combine_base)
+        return _combine_sum([p.raw_predict(rows) for p in self._shard_predictors], 0.0)
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        raw = self.raw_predict(rows)
-        if self.combiner.objective_transform:
-            return apply_objective(self.objective, raw)
-        return raw
+        return apply_objective(self.objective, self.raw_predict(rows))
 
     def memory_bytes(self) -> int:
         """One shared copy of every shard's buffers (not per-worker)."""
@@ -654,7 +587,6 @@ class ShardedPredictor:
     def describe(self) -> dict:
         return {
             "backend": self.backend_name,
-            "combiner": self.combiner.name,
             "num_workers": self.num_workers,
             **self.plan.describe(),
         }
@@ -677,8 +609,7 @@ class ShardedPredictor:
     def __repr__(self) -> str:
         return (
             f"ShardedPredictor(shards={self.plan.num_shards}, "
-            f"workers={self.num_workers}, combiner={self.combiner.name!r}, "
-            f"fingerprint={self.fingerprint[:12]})"
+            f"workers={self.num_workers}, fingerprint={self.fingerprint[:12]})"
         )
 
 
@@ -688,7 +619,6 @@ def build_sharded_predictor(
     *,
     num_workers: int = 2,
     num_shards: int | None = None,
-    combiner: str | Combiner = "sum",
     validate_inputs: bool = True,
     start_method: str | None = None,
     request_timeout_s: float = 30.0,
@@ -707,14 +637,12 @@ def build_sharded_predictor(
         raise ServingError("num_workers must be >= 0")
     schedule = schedule or Schedule()
     if num_shards is None:
-        num_shards = max(1, num_workers) if num_workers else 1
+        num_shards = max(1, num_workers)
     num_shards = min(num_shards, forest.num_trees)
     plan = plan_shards(forest, num_shards)
-    resolved = get_combiner(combiner)
-    embed_base = resolved.name == "sum"
     shard_predictors = [
         compile_model(sub, schedule, validate_inputs=validate_inputs)
-        for sub in shard_forest(forest, plan, embed_base=embed_base)
+        for sub in shard_forest(forest, plan, embed_base=True)
     ]
     flight.record(
         "shard_plan",
@@ -722,7 +650,6 @@ def build_sharded_predictor(
         num_shards=plan.num_shards,
         num_workers=num_workers,
         boundaries=list(plan.boundaries),
-        combiner=resolved.name,
     )
     handles: list[SharedModelHandle] = []
     pool: WorkerPool | None = None
@@ -740,10 +667,7 @@ def build_sharded_predictor(
             for handle in handles:
                 handle.unlink()
             raise
-    return ShardedPredictor(
-        forest, schedule, plan, shard_predictors, resolved, pool, handles,
-        embed_base=embed_base,
-    )
+    return ShardedPredictor(forest, schedule, plan, shard_predictors, pool, handles)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Tests for the sharded multi-process serving tier.
 
-Covers shard planning, the combiner registry, shared-memory export/attach,
-the worker pool (including respawn), the differential contract against the
-monolithic kernel across Table-II schedule corners, server integration,
-and the SLO-aware async admission front end.
+Covers shard planning, the one ordered-sum fold, shared-memory
+export/attach, the worker pool (including respawn), the differential
+contract against the monolithic kernel across Table-II schedule corners,
+server integration, and the SLO-aware async admission front end.
 
 The determinism contract under test (see :mod:`repro.serve.workers`):
 
 * any multi-worker execution is **bitwise** identical to the same shard
   plan run sequentially in-process (``local_raw_predict``);
-* ``num_shards=1`` with the ``sum`` combiner compiles the *same* kernel
-  as the unsharded predictor and matches it **bitwise**, including a
-  nonzero base score;
+* ``num_shards=1`` compiles the *same* kernel as the unsharded predictor
+  and matches it **bitwise**, including a nonzero base score;
 * ``num_shards>1`` reassociates the float tree-sum across shard
   boundaries, so agreement with the monolithic kernel is to the repo's
   accumulation-order tolerance (rtol=1e-10, atol=1e-12).
@@ -19,10 +18,12 @@ The determinism contract under test (see :mod:`repro.serve.workers`):
 
 import asyncio
 import itertools
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.autotune import recommend_shard_count
 from repro.backend.shm import attach_shared, export_shared
 from repro.config import Schedule
 from repro.errors import BackendError, ScheduleError, ServingError
+from repro.forest.ensemble import Forest
 from repro.serve import (
     AsyncModelFrontend,
     Combiner,
@@ -142,7 +144,7 @@ class TestRecommendShardCount:
 
 
 # ----------------------------------------------------------------------
-# Combiners
+# The fold
 # ----------------------------------------------------------------------
 class TestCombiners:
     def _partials(self, shape=(5,), k=3, seed=0):
@@ -157,43 +159,12 @@ class TestCombiners:
         got = get_combiner("sum").fn(partials, 0.25)
         assert np.array_equal(got, want)
 
-    def test_mean_and_max_margin(self):
-        partials = self._partials(shape=(4, 3))
-        mean = get_combiner("mean").fn(partials, 0.5)
-        np.testing.assert_allclose(mean, 0.5 + sum(partials) / 3, **TOL)
-        mx = get_combiner("max_margin").fn(partials, 0.5)
-        np.testing.assert_allclose(
-            mx, 0.5 + np.maximum.reduce(partials), **TOL
-        )
-        assert not get_combiner("max_margin").objective_transform
-
-    def test_top_k_selects_per_row(self):
-        partials = self._partials(shape=(4, 5))
-        out = get_combiner("top2").fn(partials, 0.0)
-        dense = sum(partials)
-        for row, ref in zip(out, dense):
-            kept = np.isfinite(row)
-            assert kept.sum() == 2
-            assert set(np.flatnonzero(kept)) == set(np.argsort(ref)[-2:])
-
-    def test_top_k_wider_than_classes_is_dense(self):
-        partials = self._partials(shape=(4, 3))
-        out = get_combiner("top5").fn(partials, 0.0)
-        assert np.isfinite(out).all()
-
-    def test_top_k_requires_multiclass(self):
-        with pytest.raises(ServingError, match="multiclass"):
-            get_combiner("top2").fn(self._partials(shape=(5,)), 0.0)
-
     def test_registry(self):
-        for name in ("sum", "mean", "max_margin", "top3"):
-            assert get_combiner(name).name == name
-        with pytest.raises(ServingError, match="unknown combiner"):
-            get_combiner("median")
-
-    def test_combiner_instance_passthrough(self):
-        custom = Combiner("first", lambda p, b: p[0] + b)
-        assert get_combiner(custom) is custom
+        assert get_combiner("sum").name == "sum"
+        retired = ("mean", "max_margin", "top2", Combiner("sum", lambda p, b: p[0]))
+        for name in retired:
+            with pytest.raises(ServingError, match="retired"):
+                get_combiner(name)
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +323,10 @@ class TestShardedDifferential:
                 sharded.predict(rows), multiclass_forest.predict(rows), **TOL
             )
 
-    def test_selection_combiner_skips_objective(self, multiclass_forest, rows):
-        with build_sharded_predictor(
-            multiclass_forest, num_workers=0, num_shards=2, combiner="max_margin"
-        ) as sharded:
-            out = sharded.predict(rows)
-            # max_margin keeps raw margins: no softmax row-normalization.
-            assert not np.allclose(out.sum(axis=1), 1.0)
-
     def test_fingerprint_keys_plan_and_combiner(self, forest):
         with build_sharded_predictor(forest, num_workers=0, num_shards=2) as a, \
-             build_sharded_predictor(forest, num_workers=0, num_shards=3) as b, \
-             build_sharded_predictor(
-                 forest, num_workers=0, num_shards=2, combiner="mean"
-             ) as c:
-            assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
+             build_sharded_predictor(forest, num_workers=0, num_shards=3) as b:
+            assert a.fingerprint != b.fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -417,21 +377,41 @@ class TestWorkerPool:
         deaths = flight_events.recorder.tail(n=100, kind="worker_dead")
         assert any(e.get("pool") == "respawn-test" for e in deaths)
 
-    def test_respawn_disabled_raises(self, forest, rows):
-        predictor = compile_model(forest)
-        handle = export_shared(predictor)
-        pool = None
-        try:
-            pool = WorkerPool([handle.manifest], 1, respawn=False, name="no-respawn")
-            pool.execute(rows)
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            pool._procs[0].join(10.0)
-            with pytest.raises(ServingError, match="respawn is disabled"):
-                pool.execute(rows)
-        finally:
-            if pool is not None:
-                pool.close()
-            handle.unlink()
+    def test_concurrent_callers_respawn_a_dead_worker_once(self, forest, rows):
+        """Every caller that finds the dead worker must see one successor:
+        respawning per caller forks extras that overwrite each other's
+        slot, and ``close`` never reaps the overwritten ones."""
+        for _ in range(3):
+            with ModelServer() as server:
+                server.register("m", forest, workers=2, shards=2)
+                sharded = server.session("m").predictor
+                want = sharded.raw_predict(rows)
+                victim = sharded.worker_stats()["workers"]["0"]["pid"]
+                os.kill(victim, signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while sharded.worker_stats()["workers"]["0"]["alive"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                barrier = threading.Barrier(4)
+                results = []
+
+                def call():
+                    barrier.wait(timeout=10.0)
+                    try:
+                        results.append(sharded.raw_predict(rows))
+                    except ServingError as exc:
+                        results.append(exc)
+
+                callers = [threading.Thread(target=call) for _ in range(4)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60.0)
+                    assert not caller.is_alive()
+                assert len(results) == 4
+                assert all(np.array_equal(got, want) for got in results), results
+                assert sharded.worker_stats()["workers"]["0"]["respawns"] == 1
+            assert multiprocessing.active_children() == []
 
     def test_spawned_workers_leave_the_segments_tracked(self, tmp_path):
         """A spawn-started worker shares the exporter's resource tracker, so
@@ -489,6 +469,36 @@ class TestServerSharded:
             server.unregister("big")
             assert predictor._closed
             assert server.metrics_snapshot()["runtime"]["workers"] == {}
+
+    @pytest.mark.parametrize(
+        "shards,workers,objective",
+        [
+            *itertools.product((1, 2, 3), (0,), ("regression", "binary:logistic", "multiclass")),
+            (2, 2, "binary:logistic"),
+        ],
+    )
+    def test_sharded_predict_is_the_models(self, rows, shards, workers, objective):
+        """Sharding regroups the ensemble's sum and nothing else: the server,
+        the sharded predictor and an unsharded registration give one answer,
+        with the objective applied, at every shard count."""
+        num_classes = 3 if objective == "multiclass" else 1
+        trees = random_forest_model(
+            np.random.default_rng(17), num_trees=9, max_depth=5,
+            num_features=NUM_FEATURES, num_classes=num_classes,
+        ).trees
+        model = Forest(
+            trees, num_features=NUM_FEATURES, objective=objective,
+            base_score=0.37, num_classes=num_classes,
+        )
+        with ModelServer() as server:
+            server.register("sharded", model, workers=workers, shards=shards)
+            server.register("mono", model)
+            want = server.predict("mono", rows)
+            np.testing.assert_allclose(server.predict("sharded", rows), want, **TOL)
+            np.testing.assert_allclose(
+                server.session("sharded").predictor.predict(rows), want, **TOL
+            )
+        np.testing.assert_allclose(want, model.predict(rows), **TOL)
 
     def test_reregister_closes_old_pool(self, forest, rows):
         with ModelServer() as server:
