@@ -22,13 +22,16 @@ OBJECTIVES = ("regression", "binary:logistic", "multiclass")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function, as float64.
+
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|x|)`` so the exponential never overflows. The intermediates
+    keep ``x``'s dtype. ``minimum(x, -x)`` is ``-|x|`` except that it returns
+    a NaN as it is (``minimum`` returns its first NaN operand), where
+    ``-abs`` would flip its sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float64, copy=False)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -24,9 +24,7 @@ discrete events that explain a deployment's behaviour after the fact:
 ``worker_spawn``  a shard worker process started (initial spawn or
                   respawn after death)
 ``worker_exit``   a shard worker exited during pool shutdown
-``worker_dead``   a worker died unexpectedly — a shard worker found dead
-                  at dispatch time, or a micro-batcher thread killed by
-                  an escaped exception (its pending futures were failed)
+``worker_dead``   a shard worker was found dead at dispatch time
 ``admission_reject``  the SLO front end shed a request before queueing
                   (``max_inflight`` or live p99 over target)
 

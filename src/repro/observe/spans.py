@@ -10,8 +10,8 @@ request path:
 ``admission``
     input coercion + NaN validation on the caller thread.
 ``queue_wait``
-    from micro-batch enqueue until the batcher worker picks the request
-    up (absent on unbatched sessions).
+    from micro-batch enqueue until a holder (the submitting thread that
+    runs the batch) takes the request up (absent on unbatched sessions).
 ``assemble``
     stacking the coalesced requests into one contiguous batch (absent on
     unbatched sessions).
@@ -19,7 +19,7 @@ request path:
     the compiled kernel (or fallback executor) running the batch.
 ``aggregate``
     result scatter, future wake-up and serving bookkeeping back on the
-    caller thread (``submit``: up to its done-callback on the worker).
+    caller thread (``submit``: up to its done-callback).
 
 Stages are recorded as *marks*: each stage ends exactly where the next
 one begins, so the stage durations sum to the root span's duration by
@@ -73,9 +73,9 @@ class RequestTrace:
     the previous mark. Stage order is the order of the marks; stages are
     contiguous by construction.
 
-    A trace is touched by at most one thread at a time (caller →
-    batcher worker → caller, each hand-off synchronized by the request
-    future), so it needs no lock of its own.
+    A trace is touched by at most one thread at a time (caller → the
+    batch's holder → caller, each hand-off synchronized by the batcher's
+    lock and the request future), so it needs no lock of its own.
     """
 
     __slots__ = (

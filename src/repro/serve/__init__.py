@@ -8,8 +8,8 @@ amortization in a live system:
   a stable model+schedule fingerprint, bounded LRU, one compile per key even
   under concurrent registration.
 * :class:`~repro.serve.batching.MicroBatcher` — concurrent requests coalesce
-  into micro-batches on a bounded queue and run through the row-blocked
-  parallel path.
+  into micro-batches on a bounded deque and run through the row-blocked
+  parallel path, on the thread of whichever submitter holds the batch lock.
 * :class:`~repro.serve.session.InferenceSession` — one served model:
   compile-once, predict-many, interpreter fallback on codegen failure.
 * :class:`~repro.serve.server.ModelServer` — named multi-model registry

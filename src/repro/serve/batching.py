@@ -2,39 +2,46 @@
 
 The compiler's entire premise is that batch inference amortizes per-call
 overhead (Section II) — so the server should never run a compiled kernel on
-one row if ten requests are waiting. :class:`MicroBatcher` owns a bounded
-queue and a worker thread that is *work-conserving*: it blocks only for the
-first request of a batch, takes whatever else is already queued (up to
-``max_batch_rows``) without waiting, stacks the rows into one contiguous
-batch, runs the kernel once, and scatters the per-request slices back
-through futures. Whatever arrives while that kernel runs forms the next
-batch, so the kernel's own service time is the coalescing window: a lone
-request pays one thread hop plus the kernel, and a busy server batches as
-much as its load queues up. ``BatchingPolicy(max_delay_s=...)`` adds an
-explicit linger on top for deployments that trade latency for CPU.
+one row if ten requests are waiting. :class:`MicroBatcher` coalesces them
+by *flat combining* (Hendler, Incze, Shavit and Tzafrir, SPAA 2010) and has
+no thread of its own: ``submit`` appends its request to a bounded pending
+deque and waits for it to resolve, and whenever the batch lock is free
+during that wait, the submitter takes it and becomes the *holder*. The
+holder takes whatever is pending (up to ``max_batch_rows``, in arrival
+order) without waiting, stacks the rows into one contiguous batch, runs the
+kernel once, and scatters the per-request slices back through futures.
+Whatever arrives while that kernel runs forms the next batch, so the
+kernel's own service time is the coalescing window: a lone request runs on
+its own thread with no hand-off at all, and a busy server batches as much as
+its load queues up. ``BatchingPolicy(max_delay_s=...)`` adds an explicit
+linger inside the holder for deployments that trade latency for CPU.
+
+A holder runs the batch holding its own request plus at most one more, then
+releases the lock to a waiter whose request is still pending. Every pending
+request has a live submitter waiting on it, so none can be stranded.
 
 Requests never interleave rows: each request's rows occupy one contiguous
 slice of the batch, so per-row results are identical to a solo run (the
 kernels are row-parallel). When a coalesced batch raises, its requests are
 re-run one at a time, so each future gets exactly what it would have got
-alone — one malformed request cannot fail its batch-mates. Death of the
-worker thread itself fails every pending and future request with
-:class:`~repro.errors.ServingError` rather than stranding their futures.
+alone — one malformed request cannot fail its batch-mates. An exception
+that escapes even that fails the batch's futures with
+:class:`~repro.errors.ServingError`; the lock is released and later
+requests still serve.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.errors import ServingError
-from repro.observe import events as flight
 from repro.serve.metrics import ServingMetrics
 
 
@@ -49,15 +56,15 @@ class BatchingPolicy:
         The batch may exceed it by the final request's rows (requests are
         never split).
     max_delay_s:
-        Extra time the worker lingers for companions after the first
-        request of a batch. The default ``0.0`` is work-conserving: take
-        what is queued and run. Set it only to buy larger batches (less
-        CPU per row) with latency — every request then pays up to this
-        much even on an idle server.
+        Extra time the holder lingers for companions before it takes a
+        batch. The default ``0.0`` is work-conserving: take what is
+        pending and run. Set it only to buy larger batches (less CPU per
+        row) with latency — every request then pays up to this much even
+        on an idle server.
     queue_depth:
-        Bound on queued (not yet batched) requests; backpressure beyond it.
+        Bound on pending (not yet batched) requests; backpressure beyond it.
     submit_timeout_s:
-        How long ``submit`` blocks on a full queue before raising
+        How long ``submit`` blocks on a full deque before raising
         :class:`~repro.errors.ServingError`.
     """
 
@@ -73,8 +80,8 @@ class BatchingPolicy:
             raise ServingError("max_delay_s must be >= 0")
         if self.queue_depth < 1:
             raise ServingError("queue_depth must be >= 1")
-        # ``not (x >= 0)`` also rejects NaN, which queue.put would
-        # otherwise turn into an opaque ValueError on every submit.
+        # ``not (x >= 0)`` also rejects NaN, which a timed wait would
+        # otherwise turn into an opaque error on every submit.
         if not (self.submit_timeout_s >= 0):
             raise ServingError("submit_timeout_s must be >= 0")
 
@@ -94,15 +101,14 @@ class _Request:
         self.trace = trace
 
 
-_STOP = object()
-
-
 class MicroBatcher:
     """Coalesce concurrent predict calls into micro-batches.
 
     ``run_batch`` receives one 2-D float64 row block and returns the
-    per-row result array (1-D or 2-D); it runs only on the single worker
-    thread, so it needs no internal locking.
+    per-row result array (1-D or 2-D). It runs on whichever submitting
+    thread holds the batch lock and never concurrently with itself, so it
+    needs no internal locking; thread-local state it keeps (the
+    predictors' scratch arenas) is per holder thread.
     """
 
     def __init__(
@@ -116,113 +122,119 @@ class MicroBatcher:
         self.policy = policy or BatchingPolicy()
         self.metrics = metrics or ServingMetrics()
         self.name = name
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=self.policy.queue_depth)
-        self._closed = threading.Event()
-        # Written once by the worker thread on death, read by submitters;
-        # non-None means every pending/future request must fail with it.
-        self._death: ServingError | None = None
-        self._worker = threading.Thread(target=self._loop, name=name, daemon=True)
-        self._worker.start()
+        # One condition guards the deque and the flags below. Its waiters
+        # are submitters (for their request, or for the lock to free up,
+        # or for room in a full deque) and a lingering holder.
+        self._cond = threading.Condition(threading.Lock())
+        self._pending: deque[_Request] = deque()
+        self._holding = False
+        self._lingering = False
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
     def submit(self, rows: np.ndarray, trace=None) -> Future:
-        """Enqueue ``rows``; the future resolves to their result slice.
+        """Run ``rows`` in a micro-batch; returns their resolved future.
 
-        ``trace`` (a :class:`repro.observe.spans.RequestTrace`, when the
-        request is sampled) rides along with the request: the worker
-        records its ``queue_wait``/``assemble``/``kernel`` stages, and the
-        caller — synchronized by the future — finishes the tree.
+        The call returns once the request has resolved: in a concurrent
+        holder's batch, or in one this thread ran itself after finding the
+        batch lock free. ``trace`` (a
+        :class:`repro.observe.spans.RequestTrace`, when the request is
+        sampled) rides along with the request: the holder records its
+        ``queue_wait``/``assemble``/``kernel`` stages, and the caller —
+        synchronized by the future — finishes the tree.
         """
-        if self._closed.is_set():
-            raise ServingError("micro-batcher is closed")
-        self._check_alive()
-        future: Future = Future()
-        rows = np.asarray(rows)
-        # Empty batches go through the queue like everything else:
-        # ``run_batch`` is contractually worker-thread-only (it may touch
-        # thread-local scratch arenas and unlocked state), so resolving
-        # inline on the caller thread would violate that contract.
-        try:
-            self._queue.put(
-                _Request(rows, future, trace), timeout=self.policy.submit_timeout_s
-            )
-        except queue.Full:
-            raise ServingError(
-                f"micro-batch queue full ({self.policy.queue_depth} pending); "
-                "backpressure exceeded submit_timeout_s"
-            ) from None
-        # The worker may have died between the liveness check and the put,
-        # in which case nothing will ever drain this request — fail the
-        # stragglers (including ours) from here instead of stranding them.
-        if self._death is not None or not self._worker.is_alive():
-            self._fail_pending(self._death_error())
-        return future
+        req = _Request(np.asarray(rows), Future(), trace)
+        policy = self.policy
+        with self._cond:
+            if len(self._pending) >= policy.queue_depth and not self._cond.wait_for(
+                self._has_room, policy.submit_timeout_s
+            ):
+                raise ServingError(
+                    f"micro-batch queue full ({policy.queue_depth} pending); "
+                    "backpressure exceeded submit_timeout_s"
+                )
+            if self._closed:
+                raise ServingError("micro-batcher is closed")
+            self._pending.append(req)
+            if self._lingering:
+                self._cond.notify_all()
+            while self._holding:
+                self._cond.wait()
+                if req.future.done():
+                    return req.future
+            self._holding = True
+        self._hold(req)
+        return req.future
 
     def predict(self, rows: np.ndarray, trace=None) -> np.ndarray:
         """Blocking convenience: ``submit`` + wait."""
         return self.submit(rows, trace=trace).result()
 
-    def _check_alive(self) -> None:
-        if self._death is not None or not self._worker.is_alive():
-            raise self._death_error()
-
-    def _death_error(self) -> ServingError:
-        return self._death or ServingError(f"micro-batch worker {self.name!r} is dead")
+    def _has_room(self) -> bool:
+        return self._closed or len(self._pending) < self.policy.queue_depth
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Holder side
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        # ``inflight`` is the batch currently being assembled/executed; it
-        # must be visible to the except handler because requests already
-        # dequeued are no longer reachable through ``_fail_pending``.
-        inflight: list[_Request] = []
+    def _hold(self, own: _Request) -> None:
+        """Take and run batches until ``own`` has resolved, plus at most
+        one more, then release the batch lock to the next holder, if any."""
+        batch, last = [], False
         try:
             while True:
-                item = self._queue.get()
-                if item is _STOP:
-                    break
-                inflight = [item]
-                num_rows = item.num_rows
-                # Work-conserving: past the (default zero) linger the worker
-                # only takes what is already queued, never waits for more.
-                deadline = time.monotonic() + self.policy.max_delay_s
-                stop_after = False
-                while num_rows < self.policy.max_batch_rows:
-                    remaining = deadline - time.monotonic()
-                    try:
-                        nxt = self._queue.get(timeout=remaining) if remaining > 0 \
-                            else self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt is _STOP:
-                        stop_after = True
-                        break
-                    inflight.append(nxt)
-                    num_rows += nxt.num_rows
-                self._execute(inflight, num_rows)
-                inflight = []
-                if stop_after:
-                    break
+                with self._cond:
+                    batch, num_rows = ([], 0) if last else self._take()
+                    self._holding = bool(batch)
+                    # the last batch's submitters and, on release, the
+                    # waiters that may take the lock (and close())
+                    self._cond.notify_all()
+                    if not batch:
+                        return
+                last = own.future.done()
+                try:
+                    self._execute(batch, num_rows)
+                except Exception as exc:
+                    # _execute delivers per-batch failures through futures;
+                    # an exception escaping it must still resolve this batch.
+                    error = ServingError(f"micro-batcher {self.name!r} failed a batch: {exc!r}")
+                    error.__cause__ = exc
+                    self._fail(batch, error)
         except BaseException as exc:
-            # _execute delivers per-batch failures through futures; anything
-            # that still escapes (a raising metrics hook, a corrupted queue)
-            # would previously kill this thread silently and strand every
-            # queued and future request. Record the death and fail them all.
-            self._death = ServingError(f"micro-batch worker {self.name!r} died: {exc!r}")
-            self._death.__cause__ = exc
-            flight.record("worker_dead", component="micro_batcher", name=self.name, error=repr(exc))
-            self._fail(inflight, self._death)
-            self._fail_pending(self._death)
-            return
-        self._fail_pending(ServingError("micro-batcher closed"))
+            self._fail(batch, ServingError(f"micro-batcher {self.name!r} interrupted: {exc!r}"))
+            with self._cond:
+                self._holding = False
+                self._cond.notify_all()
+            raise
+
+    def _take(self) -> tuple[list[_Request], int]:
+        """Pop the next batch (lock held): pending requests in arrival
+        order up to ``max_batch_rows`` rows, after the policy's linger."""
+        pending, limit = self._pending, self.policy.max_batch_rows
+        if self.policy.max_delay_s > 0 and pending:
+            self._cond.notify_all()  # the last batch's submitters go first
+            deadline = time.monotonic() + self.policy.max_delay_s
+            self._lingering = True
+            while not self._closed and sum(r.num_rows for r in pending) < limit:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            self._lingering = False
+        if len(pending) >= self.policy.queue_depth:
+            self._cond.notify_all()  # submitters waiting for room
+        batch, num_rows = [], 0
+        while pending and num_rows < limit:
+            req = pending.popleft()
+            batch.append(req)
+            num_rows += req.num_rows
+        return batch, num_rows
 
     def _execute(self, batch: list[_Request], num_rows: int) -> None:
         # Everything is guarded: metrics hooks and trace stages can raise
-        # (they take locks and call user-visible code), and an escape here
-        # must fail this batch's futures, not the worker.
+        # (they take locks and call user-visible code), and each failure
+        # belongs to this batch's futures, not to the holder's caller.
         try:
             started = time.perf_counter()
             for req in batch:
@@ -269,58 +281,31 @@ class MicroBatcher:
                 req.future.set_result(part)
 
     @staticmethod
-    def _fail(batch: list[_Request], exc: BaseException) -> None:
+    def _fail(batch: Iterable[_Request], exc: BaseException) -> None:
         for req in batch:
-            if req.future.set_running_or_notify_cancel():
+            if not req.future.done():
                 req.future.set_exception(exc)
-
-    def _fail_pending(self, exc: ServingError) -> None:
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not _STOP:
-                self._fail([item], exc)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self, timeout: float | None = 5.0) -> None:
-        """Stop the worker; pending requests fail with ``ServingError``."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        # The queue is bounded, so a blocking put would hang forever if the
-        # worker is dead or wedged inside run_batch with a full queue.
-        # Alternate non-blocking puts with draining: every Full drains one
-        # pending request (failed, not dropped), so the loop always makes
-        # progress toward inserting _STOP.
-        while True:
-            try:
-                self._queue.put_nowait(_STOP)
-                break
-            except queue.Full:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    continue  # the worker drained between our two calls; retry
-                if item is not _STOP:
-                    self._fail([item], ServingError("micro-batcher closed"))
-        self._worker.join(timeout=timeout)
-        if self._worker.is_alive():
-            # Worker is wedged (e.g. run_batch never returns): requests
-            # queued behind it would strand, and its own drain will never
-            # run. Queue.get hands each item to exactly one caller, so
-            # draining from here cannot double-resolve a future.
-            self._fail_pending(ServingError("micro-batcher closed"))
-            # The drain may have consumed the _STOP sentinel; replace it so
-            # a worker that eventually unwedges exits instead of blocking
-            # forever on the now-empty queue (an extra _STOP is harmless).
-            try:
-                self._queue.put_nowait(_STOP)
-            except queue.Full:
-                pass
+        """Refuse new requests and fail pending ones with ``ServingError``.
+
+        A batch already taken by a holder still completes; ``close`` waits
+        up to ``timeout`` for it, so the caller can then release what
+        ``run_batch`` uses.
+        """
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            # No caller holds these futures yet (``submit`` returns them
+            # resolved), so failing them here runs no callbacks.
+            self._fail(self._pending, ServingError("micro-batcher closed"))
+            self._pending.clear()
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: not self._holding, timeout)
 
     def __enter__(self) -> "MicroBatcher":
         return self

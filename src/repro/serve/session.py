@@ -239,7 +239,7 @@ class InferenceSession:
         When this session has a tracer and the request is sampled, the
         whole call is covered by a span tree: ``admission`` (input
         coercion), then either ``queue_wait``/``assemble``/``kernel``
-        (batched, recorded by the batcher worker) or ``kernel`` (direct),
+        (batched, recorded by the batch's holder) or ``kernel`` (direct),
         then ``aggregate`` (scatter/wake-up/bookkeeping). The stages are
         contiguous marks, so their durations sum to the recorded request
         latency by construction.
@@ -280,9 +280,11 @@ class InferenceSession:
 
         The request is accounted — and its span tree, when sampled,
         finished with the same stages as ``raw_predict`` — when its future
-        completes (one done-callback, run by the batcher worker), so
-        open-loop traffic reaches the same counters, latency histograms,
-        SLO percentiles and trace ring as ``raw_predict``.
+        completes (one done-callback; the batcher hands back the future
+        already resolved by the batch's holder, so the callback runs on
+        this thread before ``submit`` returns), so open-loop traffic
+        reaches the same counters, latency histograms, SLO percentiles and
+        trace ring as ``raw_predict``.
         """
         if self._batcher is None:
             raise ServingError("session was created without a batching policy")

@@ -99,6 +99,42 @@ class TestTransforms:
         assert vals[1] == pytest.approx(0.5)
         assert vals[2] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bits_match_the_masked_formula(self, dtype):
+        """The mask-free sigmoid is bitwise the masked one it replaced, on
+        every special value (±0, ±inf, ±800, NaNs of either sign and other
+        payloads) at short and long lengths, with float32 intermediates
+        for float32 input and a float64 result either way."""
+
+        def masked(x):
+            out = np.empty_like(x, dtype=np.float64)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        nan_bits = {
+            np.float64: [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF8DEAD00000000],
+            np.float32: [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFC0BEEF],
+        }[dtype]
+        uint = np.uint64 if dtype is np.float64 else np.uint32
+        specials = np.concatenate([
+            np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1.0, -1.0, 36.0, -37.0],
+                     dtype=dtype),
+            np.array(nan_bits, dtype=uint).view(dtype),
+        ])
+        rng = np.random.default_rng(7)
+        pool = np.concatenate([specials, rng.normal(scale=30.0, size=64).astype(dtype)])
+        cases = [specials, pool] + [rng.choice(pool, size=n) for n in (1, 2, 7, 17, 2048)]
+        for x in cases:
+            # a signalling NaN raises exp's invalid flag in both formulas
+            with np.errstate(invalid="ignore"):
+                got, want = sigmoid(x), masked(x)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_softmax_shift_invariant(self):
         x = np.array([[1.0, 2.0, 3.0]])
         assert np.allclose(softmax(x), softmax(x + 100.0))

@@ -1,8 +1,10 @@
 """Tests for the serving layer: cache, micro-batching, fallback, metrics."""
 
 import math
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -39,6 +41,31 @@ def distinct_forest(seed: int) -> Forest:
     return random_forest_model(
         np.random.default_rng(seed), num_trees=3, max_depth=3, num_features=6
     )
+
+
+def submit_in_thread(submit, rows) -> Future:
+    """``submit(rows)`` on a helper thread. A submitter waits until its own
+    request resolves, so a test that keeps going while a request is pending
+    (or gated inside ``run_batch``) sends it from another thread. The
+    returned future resolves to the request's result or error."""
+    outer: Future = Future()
+
+    def send() -> None:
+        try:
+            outer.set_result(submit(rows).result())
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outer.set_exception(exc)
+
+    threading.Thread(target=send, daemon=True).start()
+    return outer
+
+
+def wait_pending(batcher: MicroBatcher, count: int) -> None:
+    """Block until ``count`` requests sit in ``batcher``'s pending deque."""
+    deadline = time.monotonic() + 5.0
+    while len(batcher._pending) < count:
+        assert time.monotonic() < deadline, f"{len(batcher._pending)} of {count} pending"
+        time.sleep(0.001)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +200,8 @@ class TestMicroBatcher:
         batch_sizes = []
 
         def gated(rows):
-            # Block the worker inside batch #1 so later submissions pile up
-            # in the queue and must coalesce into batch #2.
+            # Block the holder inside batch #1 so later submissions pile up
+            # in the deque and must coalesce into batch #2.
             if not first_entered.is_set():
                 first_entered.set()
                 assert release.wait(5.0)
@@ -183,9 +210,10 @@ class TestMicroBatcher:
 
         session._batcher.run_batch = gated
         chunks = [small_rows[i * 8 : (i + 1) * 8] for i in range(6)]
-        futures = [session.submit(chunks[0])]
+        futures = [submit_in_thread(session.submit, chunks[0])]
         assert first_entered.wait(5.0)
-        futures += [session.submit(chunk) for chunk in chunks[1:]]
+        futures += [submit_in_thread(session.submit, chunk) for chunk in chunks[1:]]
+        wait_pending(session._batcher, 5)
         release.set()
         results = [f.result(timeout=5.0) for f in futures]
         session.close()
@@ -206,7 +234,8 @@ class TestMicroBatcher:
         with MicroBatcher(run, BatchingPolicy(max_batch_rows=4, max_delay_s=0.2)) as b:
             gate = threading.Event()
             b.run_batch = lambda rows: (gate.wait(5.0), run(rows))[1]
-            futures = [b.submit(np.ones((2, 3))) for _ in range(4)]
+            futures = [submit_in_thread(b.submit, np.ones((2, 3))) for _ in range(4)]
+            wait_pending(b, 2)  # the rest queue behind the gated holder
             gate.set()
             for f in futures:
                 f.result(timeout=5.0)
@@ -226,9 +255,10 @@ class TestMicroBatcher:
                     f.result(timeout=5.0)
 
     def test_queue_backpressure(self):
-        release = threading.Event()
+        entered, release = threading.Event(), threading.Event()
 
         def run(rows):
+            entered.set()
             release.wait(5.0)
             return rows.sum(axis=1)
 
@@ -237,14 +267,17 @@ class TestMicroBatcher:
             BatchingPolicy(queue_depth=1, max_delay_s=0.0, submit_timeout_s=0.05),
         )
         try:
-            b.submit(np.ones((1, 2)))  # worker picks this up and blocks
-            time.sleep(0.05)
-            b.submit(np.ones((1, 2)))  # sits in the queue (depth 1)
+            held = submit_in_thread(b.submit, np.ones((1, 2)))  # holder, blocks in run
+            assert entered.wait(5.0)
+            queued = submit_in_thread(b.submit, np.ones((1, 2)))  # the deque (depth 1)
+            wait_pending(b, 1)
             with pytest.raises(ServingError, match="full"):
                 b.submit(np.ones((1, 2)))
         finally:
             release.set()
-            b.close()
+        for future in (held, queued):
+            assert np.array_equal(future.result(timeout=5.0), [2.0])
+        b.close()
 
     def test_closed_batcher_rejects(self):
         b = MicroBatcher(lambda rows: rows.sum(axis=1))
@@ -257,28 +290,44 @@ class TestMicroBatcher:
             out = b.submit(np.zeros((0, 3))).result(timeout=5.0)
             assert out.shape == (0,)
 
-    def test_empty_batch_runs_on_worker_thread(self):
-        """Regression: the empty-batch fast path used to call ``run_batch``
-        inline on the submitting thread, violating the worker-thread-only
-        contract (run_batch may touch thread-local scratch arenas)."""
-        seen_threads = []
+    def test_run_batch_never_overlaps_itself(self):
+        """``run_batch`` runs on whichever submitter holds the batch lock,
+        never two at once — empty batches included, which go through
+        ``run_batch`` like every other request (it may touch thread-local
+        scratch arenas and unlocked state)."""
+        lock, running, overlaps, seen = threading.Lock(), [0], [0], []
 
         def run(rows):
-            seen_threads.append(threading.current_thread().name)
+            with lock:
+                running[0] += 1
+                overlaps[0] += running[0] > 1
+            seen.append(rows.shape[0])
+            time.sleep(0.0002)  # widen the window an overlap would need
+            with lock:
+                running[0] -= 1
             return rows.sum(axis=1)
 
-        with MicroBatcher(run, name="assert-worker") as b:
-            out = b.submit(np.zeros((0, 3))).result(timeout=5.0)
-            assert out.shape == (0,)
-            out = b.submit(np.ones((2, 3))).result(timeout=5.0)
-            assert out.shape == (2,)
-        assert seen_threads  # empty submit still reached run_batch
-        assert all(name == "assert-worker" for name in seen_threads)
-        assert threading.current_thread().name not in seen_threads
+        with MicroBatcher(run) as b:
+            assert b.submit(np.zeros((0, 3))).result(timeout=5.0).shape == (0,)
+
+            def client(k: int) -> None:
+                for i in range(50):
+                    rows = np.ones(((k + i) % 3, 3))  # 0, 1 or 2 rows
+                    out = b.submit(rows).result(timeout=5.0)
+                    assert np.array_equal(out, rows.sum(axis=1))
+
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(10.0)
+        assert seen[0] == 0  # the empty submit reached run_batch
+        assert overlaps[0] == 0
+        assert sum(seen) == sum((k + i) % 3 for k in range(4) for i in range(50))
 
     def test_lone_request_does_not_wait_for_companions(self):
         """The default policy is work-conserving: a request on an idle
-        batcher pays a thread hop, not a coalescing window."""
+        batcher runs on its caller's thread, with no coalescing window."""
         assert BatchingPolicy().max_delay_s == 0.0
         rows = np.ones((1, 3))
         with MicroBatcher(lambda r: r.sum(axis=1)) as b:
@@ -290,7 +339,7 @@ class TestMicroBatcher:
         assert np.median(round_trips) < 1e-3
 
     def test_arrivals_during_a_kernel_form_the_next_batch(self):
-        """A request on an idle worker is dispatched alone; everything
+        """A request on an idle batcher is dispatched alone; everything
         submitted while that kernel runs comes out as exactly one batch."""
         entered, release = threading.Event(), threading.Event()
         executed = []
@@ -303,9 +352,10 @@ class TestMicroBatcher:
             return rows.sum(axis=1)
 
         with MicroBatcher(run) as b:
-            futures = [b.submit(np.ones((1, 3)))]
+            futures = [submit_in_thread(b.submit, np.ones((1, 3)))]
             assert entered.wait(5.0)
-            futures += [b.submit(np.ones((1, 3))) for _ in range(5)]
+            futures += [submit_in_thread(b.submit, np.ones((1, 3))) for _ in range(5)]
+            wait_pending(b, 5)
             release.set()
             for f in futures:
                 assert np.array_equal(f.result(timeout=5.0), [3.0])
@@ -329,7 +379,7 @@ class TestMicroBatcher:
             inner = session._batcher.run_batch
 
             def gated(rows):
-                # Block the worker inside a first batch so the three
+                # Block the holder inside a first batch so the three
                 # requests under test queue up and must share the next one.
                 if not entered.is_set():
                     entered.set()
@@ -337,12 +387,13 @@ class TestMicroBatcher:
                 return inner(rows)
 
             session._batcher.run_batch = gated
-            blocker = session.submit(small_rows[2:3])
+            blocker = submit_in_thread(session.submit, small_rows[2:3])
             assert entered.wait(5.0)
             good = [small_rows[0:1], small_rows[1:2]]
             first, offender, last = (
-                session.submit(good[0]), session.submit(bad), session.submit(good[1])
+                submit_in_thread(session.submit, rows) for rows in (good[0], bad, good[1])
             )
+            wait_pending(session._batcher, 3)
             release.set()
             blocker.result(timeout=5.0)
             with pytest.raises(ExecutionError):
@@ -351,7 +402,8 @@ class TestMicroBatcher:
                 got = future.result(timeout=5.0)
                 assert np.array_equal(got, session.predictor.raw_predict(rows))
                 assert np.allclose(got, small_forest.raw_predict(rows), rtol=1e-12)
-        # close() joined the batcher worker, which runs the done-callbacks
+        # each submit's done-callback ran on its own thread before that
+        # thread resolved the future the test waited on
         snap = session.metrics.snapshot()
         assert snap["errors"] == 1
         assert snap["requests"] == 3
@@ -369,12 +421,111 @@ class TestMicroBatcher:
                     f.result(timeout=5.0)
 
     def test_non_2d_request_does_not_kill_the_worker(self):
-        """Regression: ``rows.shape[0]`` on a 0-d request raised in the
-        worker loop, outside every guard, and killed the thread."""
+        """Regression: ``rows.shape[0]`` on a 0-d request raised outside
+        every guard of the batch loop; the batcher must keep serving."""
         with MicroBatcher(lambda rows: rows.sum(axis=1)) as b:
             with pytest.raises(Exception, match="axis"):
                 b.submit(np.float64(1.0)).result(timeout=5.0)
             assert np.array_equal(b.submit(np.ones((1, 3))).result(timeout=5.0), [3.0])
+
+
+class TestFlatCombining:
+    """The batcher has no thread: a submitter that finds the batch lock
+    free runs the batch itself, and the others wait on their requests."""
+
+    def test_many_submitters_resolve_bitwise_without_overlap(self, small_forest):
+        with InferenceSession(small_forest, batching=BatchingPolicy()) as session:
+            predictor = session.predictor
+            inner = session._batcher.run_batch
+            lock, running, overlaps = threading.Lock(), [0], [0]
+
+            def watched(rows):
+                with lock:
+                    running[0] += 1
+                    overlaps[0] += running[0] > 1
+                try:
+                    return inner(rows)
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+            session._batcher.run_batch = watched
+            mismatches = []
+
+            def client(k: int) -> None:
+                rng = np.random.default_rng(k)
+                for i in range(500):
+                    rows = rng.normal(size=(1 + i % 3, small_forest.num_features))
+                    got = session.submit(rows).result(timeout=10.0)
+                    if not np.array_equal(got, predictor.raw_predict(rows)):
+                        mismatches.append((k, i))
+
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the submitters finely
+            try:
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in clients)
+        snap = session.metrics.snapshot()
+        assert mismatches == []
+        assert overlaps[0] == 0
+        assert snap["requests"] == 8 * 500
+        assert max(snap["batch_requests_hist"]) >= 2  # some requests coalesced
+
+    def test_holder_runs_its_own_batch_plus_at_most_one_more(self):
+        entered, release = threading.Event(), threading.Event()
+        ran_on = []
+
+        def run(rows):
+            ran_on.append(threading.get_ident())
+            if len(ran_on) == 1:
+                entered.set()
+                assert release.wait(5.0)
+            return rows.sum(axis=1)
+
+        holder_ident = []
+
+        def holder_submit(rows):
+            holder_ident.append(threading.get_ident())
+            return b.submit(rows)
+
+        with MicroBatcher(run, BatchingPolicy(max_batch_rows=1)) as b:
+            held = submit_in_thread(holder_submit, np.ones((1, 3)))
+            assert entered.wait(5.0)
+            waiters = [submit_in_thread(b.submit, np.ones((1, 3))) for _ in range(5)]
+            wait_pending(b, 5)
+            release.set()
+            for future in [held, *waiters]:
+                assert np.array_equal(future.result(timeout=5.0), [3.0])
+        assert len(ran_on) == 6
+        # its own batch and one waiter's; the lock then went to a waiter
+        assert ran_on.count(holder_ident[0]) == 2
+
+    def test_server_runs_no_thread_of_its_own(self, small_forest, small_rows):
+        baseline = threading.active_count()
+        server = ModelServer(ServerConfig(batching=BatchingPolicy()))
+        server.register("m", small_forest)
+        assert threading.active_count() == baseline
+        session = server.session("m")
+
+        def client(k: int) -> None:
+            for i in range(20):
+                rows = small_rows[(k + i) % 40 : (k + i) % 40 + 2]
+                session.submit(rows).result(timeout=5.0)
+                server.predict("m", rows)
+
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(10.0)
+        server.close()
+        assert threading.active_count() == baseline
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +651,7 @@ class TestInferenceSession:
             bad = session.submit(np.zeros((1, 99)))
             with pytest.raises(ExecutionError):
                 bad.result(timeout=5)
-        # close() joined the batcher worker, which runs the done-callbacks
+        # submit returns a resolved future, so its done-callback has run
         snap = session.metrics.snapshot()
         assert snap["requests"] == 10
         assert snap["rows"] == 10
@@ -730,18 +881,21 @@ class TestMetricsPrimitives:
 
 
 # ----------------------------------------------------------------------
-# Worker-death regressions (the stranded-future failure modes)
+# Escape regressions (the stranded-future failure modes)
 # ----------------------------------------------------------------------
 class TestWorkerDeath:
     def test_raising_metrics_hook_fails_batch_not_worker(self):
         """Regression: a metrics hook raising inside the batch loop used to
-        escape ``_execute``'s try block and kill the worker thread silently,
-        stranding every queued future. Now the batch fails and the worker
-        survives."""
+        escape ``_execute``'s try block and strand every queued future.
+        Now the batch fails, the lock is released, and the batcher keeps
+        serving once the hook recovers."""
+        broken = [True]
 
         class RaisingMetrics(ServingMetrics):
             def record_queue_wait(self, seconds):
-                raise RuntimeError("metrics sink exploded")
+                if broken[0]:
+                    raise RuntimeError("metrics sink exploded")
+                super().record_queue_wait(seconds)
 
         b = MicroBatcher(
             lambda rows: rows.sum(axis=1),
@@ -749,52 +903,57 @@ class TestWorkerDeath:
             metrics=RaisingMetrics(),
         )
         try:
-            for _ in range(2):  # repeatable: the worker outlives each failure
+            for _ in range(2):  # repeatable: the batcher outlives each failure
                 with pytest.raises(RuntimeError, match="exploded"):
                     b.submit(np.ones((1, 2))).result(timeout=5.0)
-                assert b._worker.is_alive()
+                assert not b._holding
+            broken[0] = False
+            assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
         finally:
             b.close()
 
-    def test_worker_death_fails_inflight_queued_and_future_submits(self):
-        """If the worker thread itself dies, the in-flight batch, every
-        queued request, and every later ``submit`` must fail with
-        ``ServingError`` instead of hanging."""
-        from repro.observe import events as flight_events
-
+    def test_escaped_exception_fails_its_batch_and_later_submits_serve(self):
+        """An exception escaping ``_execute`` fails that batch's futures
+        with ``ServingError`` instead of stranding them, releases the
+        batch lock, and the requests queued behind it, and later submits,
+        still serve."""
         entered = threading.Event()
         release = threading.Event()
         b = MicroBatcher(
             lambda rows: rows.sum(axis=1),
             BatchingPolicy(max_delay_s=0.0, queue_depth=8, submit_timeout_s=0.2),
-            name="death-test",
+            name="escape-test",
         )
+        execute, calls = b._execute, []
 
-        def dying(batch, num_rows):
+        def escaping(batch, num_rows):
+            calls.append(len(batch))
+            if len(calls) > 1:
+                return execute(batch, num_rows)
             entered.set()
             assert release.wait(5.0)
             raise RuntimeError("escaped the guard")
 
-        b._execute = dying
-        first = b.submit(np.ones((1, 2)))
+        b._execute = escaping
+        first = submit_in_thread(b.submit, np.ones((1, 2)))
         assert entered.wait(5.0)
-        queued = [b.submit(np.ones((1, 2))) for _ in range(3)]
+        queued = [submit_in_thread(b.submit, np.ones((1, 2))) for _ in range(3)]
+        wait_pending(b, 3)
         release.set()
-        for f in [first, *queued]:
-            with pytest.raises(ServingError, match="died"):
-                f.result(timeout=5.0)
-        b._worker.join(5.0)
-        assert not b._worker.is_alive()
-        with pytest.raises(ServingError, match="died"):
-            b.submit(np.ones((1, 2)))
-        deaths = flight_events.recorder.tail(n=50, kind="worker_dead")
-        assert any(e.get("name") == "death-test" for e in deaths)
-        b.close()  # still a clean no-op after death
+        with pytest.raises(ServingError, match="escape-test.*escaped the guard") as info:
+            first.result(timeout=5.0)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        for f in queued:
+            assert np.array_equal(f.result(timeout=5.0), [2.0])
+        assert calls == [1, 3]
+        assert not b._holding
+        assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
+        b.close()
 
-    def test_dead_worker_fails_within_submit_timeout(self):
-        """Acceptance: a dead worker fails pending requests within
-        ``submit_timeout_s`` rather than waiting for a future that will
-        never resolve."""
+    def test_escaped_exception_fails_promptly(self):
+        """Acceptance: an escaping exception fails its request at once
+        (well within ``submit_timeout_s``) rather than leaving a future
+        that never resolves."""
         b = MicroBatcher(
             lambda rows: rows.sum(axis=1),
             BatchingPolicy(max_delay_s=0.0, submit_timeout_s=0.5),
@@ -811,11 +970,31 @@ class TestWorkerDeath:
         b.close()
 
 
+    def test_interrupt_in_a_holder_fails_its_batch_and_propagates(self):
+        """A ``BaseException`` (an interrupt) escaping a holder's batch
+        fails that batch's futures, releases the lock, and is re-raised
+        to the holder's caller; the batcher keeps serving."""
+        b = MicroBatcher(lambda rows: rows.sum(axis=1))
+        execute = b._execute
+
+        def interrupted(batch, num_rows):
+            b._execute = execute
+            raise KeyboardInterrupt
+
+        b._execute = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            b.submit(np.ones((1, 2)))
+        assert not b._holding
+        assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
+        b.close()
+
+
 class TestCloseBackpressure:
     def test_close_returns_promptly_with_wedged_worker_and_full_queue(self):
-        """Regression: ``close()`` used a blocking put of the stop sentinel
-        onto the bounded queue — with the worker wedged inside ``run_batch``
-        and the queue full, shutdown hung forever."""
+        """Regression: ``close()`` used a blocking put of a stop sentinel
+        onto the bounded queue, so with the batch wedged inside
+        ``run_batch`` and the queue full, shutdown hung forever. A wedged
+        holder plus a full deque must still let ``close()`` return."""
         entered = threading.Event()
         release = threading.Event()
 
@@ -829,14 +1008,17 @@ class TestCloseBackpressure:
             BatchingPolicy(queue_depth=2, max_delay_s=0.0, submit_timeout_s=0.05),
         )
         try:
-            first = b.submit(np.ones((1, 2)))
+            first = submit_in_thread(b.submit, np.ones((1, 2)))
             assert entered.wait(5.0)
-            queued = [b.submit(np.ones((1, 2))) for _ in range(2)]  # fills the queue
+            queued = [submit_in_thread(b.submit, np.ones((1, 2))) for _ in range(2)]
+            wait_pending(b, 2)  # the deque is full
+            with pytest.raises(ServingError, match="full"):
+                b.submit(np.ones((1, 2)))
             closer = threading.Thread(target=b.close, kwargs={"timeout": 0.5})
             start = time.perf_counter()
             closer.start()
             closer.join(5.0)
-            assert not closer.is_alive()  # pre-fix: blocked forever on queue.put
+            assert not closer.is_alive()
             assert time.perf_counter() - start < 4.0
             for f in queued:
                 with pytest.raises(ServingError, match="closed"):
@@ -844,10 +1026,28 @@ class TestCloseBackpressure:
         finally:
             release.set()
         # The wedged batch still completes (its result was already owed),
-        # and the unwedged worker finds a stop sentinel instead of blocking.
+        # its holder releases the lock, and the batcher stays closed.
         assert np.allclose(first.result(timeout=5.0), 2.0)
-        b._worker.join(5.0)
-        assert not b._worker.is_alive()
+        assert not b._holding
+        with pytest.raises(ServingError, match="closed"):
+            b.submit(np.ones((1, 2)))
+
+
+    def test_close_during_a_linger_releases_the_lock(self):
+        """A holder lingering for companions wakes on ``close()``, finds
+        its request failed and releases the lock at once."""
+        b = MicroBatcher(lambda rows: rows.sum(axis=1), BatchingPolicy(max_delay_s=30.0))
+        lingering = submit_in_thread(b.submit, np.ones((1, 2)))
+        deadline = time.monotonic() + 5.0
+        while not b._lingering:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        start = time.perf_counter()
+        b.close(timeout=5.0)
+        assert time.perf_counter() - start < 4.0
+        with pytest.raises(ServingError, match="closed"):
+            lingering.result(timeout=5.0)
+        assert not b._holding
 
 
 class TestPolicyValidation:
