@@ -47,11 +47,12 @@ lookup on the arena.
 ``Schedule.precision`` specializes element widths: under ``"float32"`` the
 threshold/feature/leaf/one-hot buffers (and the input rows) are float32 and
 the feature-index buffer is int32, halving model-buffer memory traffic
-(the paper's element-width discussion). The output accumulator stays
-float64 regardless. Under the integer modes ``"int16"``/``"int8"``
-(:mod:`repro.lir.quantize`) the kernel grows a prologue that rank-codes
-the incoming batch once per feature (``searchsorted`` against the
-compiled cut tables), the walk compares/gathers int16/int8 codes, leaf
+(the paper's element-width discussion). Thresholds narrow upward
+(:func:`narrow_thresholds`), so routing a float32 row is exact. The
+output accumulator stays float64 regardless. Under the integer modes
+``"int16"``/``"int8"`` (:mod:`repro.lir.quantize`) the kernel grows a
+prologue that rank-codes the incoming batch once per feature
+(``searchsorted`` against the compiled cut tables), the walk compares/gathers int16/int8 codes, leaf
 codes accumulate into a float64 ``qacc`` (integer sums below 2**53 are
 exact in a double, and carrying the codes in float buffers lets the chunk
 matmul use BLAS instead of NumPy's slow integer loop — see
@@ -686,6 +687,24 @@ def emit_module_source(lir: LIRModule) -> str:
     return e.source()
 
 
+def narrow_thresholds(thresholds: np.ndarray, dtype) -> np.ndarray:
+    """``thresholds`` in the element type ``dtype``, each rounded *up* to
+    the smallest representable value >= it.
+
+    A kernel compares ``x < t``. Rounding to nearest would move a
+    threshold below its float64 value about half the time, and a float32
+    row equal to the rounded value would then go right where the model
+    sends it left. Rounding up keeps ``x < t_narrow`` exactly ``x < t``
+    for every ``x`` of the narrow type (``+inf`` padding stays ``+inf``).
+    """
+    wide = np.asarray(thresholds, dtype=np.float64)
+    narrow = wide.astype(dtype)
+    low = narrow < wide
+    if low.any():
+        narrow[low] = np.nextafter(narrow[low], narrow.dtype.type(np.inf))
+    return narrow
+
+
 def model_buffers(lir: LIRModule) -> dict[str, np.ndarray]:
     """The model's buffers, by the global name its kernel reads them under.
 
@@ -698,9 +717,10 @@ def model_buffers(lir: LIRModule) -> dict[str, np.ndarray]:
     all index-bearing arrays widened to int64 (NumPy's fast path for
     ``take``). The LUT is flattened to one int64 vector indexed by
     ``shape_id * row_length + bits``. Under ``precision="float32"`` the
-    threshold/leaf/one-hot buffers narrow to float32 and feature indices to
-    int32, halving their footprint and memory traffic; index math that
-    feeds ``np.take`` stays int64 (its fast path).
+    threshold/leaf/one-hot buffers narrow to float32 (thresholds upward,
+    see :func:`narrow_thresholds`) and feature indices to int32, halving
+    their footprint and memory traffic; index math that feeds ``np.take``
+    stays int64 (its fast path).
     """
     info = PRECISION_TABLE[lir.schedule.precision]
     fdt = np.dtype(info.element_dtype)
@@ -762,7 +782,7 @@ def model_buffers(lir: LIRModule) -> dict[str, np.ndarray]:
             )
         else:
             ns[f"{g}_th"] = np.ascontiguousarray(
-                layout.thresholds.reshape(k * tiles, width), dtype=fdt
+                narrow_thresholds(layout.thresholds.reshape(k * tiles, width), fdt)
             )
         ns[f"{g}_fi"] = np.ascontiguousarray(
             layout.features.reshape(k * tiles, width), dtype=idt

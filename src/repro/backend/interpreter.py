@@ -7,9 +7,11 @@ reassociation), so the pair {interpreter, codegen} cross-checks both the
 layouts and the generated code. Deliberately unoptimized.
 
 Precision: the interpreter honours ``lir.schedule.precision`` the same way
-the backend does — under ``"float32"`` rows, thresholds and leaf values are
-rounded to float32 before comparing/accumulating, so a feature that lands
-exactly on a threshold routes identically in both executors. The
+the backend does — under ``"float32"`` rows and leaf values are rounded to
+float32 and thresholds narrowed upward
+(:func:`~repro.backend.codegen.narrow_thresholds`) before
+comparing/accumulating, so a feature that lands exactly on a threshold
+routes identically in both executors. The
 accumulator stays float64, as in the kernel. Under the quantized modes
 (``"int16"``/``"int8"``) routing runs at float64 — rank-coded thresholds
 preserve every comparison exactly, so the float64 walk visits the same
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend.codegen import narrow_thresholds
 from repro.errors import ExecutionError
 from repro.lir.ir import LIRGroup, LIRModule
 
@@ -38,7 +41,12 @@ def _tile_bits(
 
 
 def _walk_sparse(
-    group: LIRGroup, lut: np.ndarray, lane: int, row: np.ndarray, fdt: np.dtype
+    group: LIRGroup,
+    thresholds: np.ndarray,
+    lut: np.ndarray,
+    lane: int,
+    row: np.ndarray,
+    fdt: np.dtype,
 ) -> float:
     layout = group.layout
     if layout.root_leaf[lane]:
@@ -46,7 +54,7 @@ def _walk_sparse(
     tile = 0
     for _ in range(10_000):
         bits = _tile_bits(
-            layout.thresholds[lane, tile].astype(fdt), layout.features[lane, tile], row
+            thresholds[lane, tile], layout.features[lane, tile], row
         )
         child = int(lut[layout.shape_ids[lane, tile], bits])
         base = int(layout.child_base[lane, tile])
@@ -57,7 +65,12 @@ def _walk_sparse(
 
 
 def _walk_array(
-    group: LIRGroup, lut: np.ndarray, lane: int, row: np.ndarray, fdt: np.dtype
+    group: LIRGroup,
+    thresholds: np.ndarray,
+    lut: np.ndarray,
+    lane: int,
+    row: np.ndarray,
+    fdt: np.dtype,
 ) -> float:
     layout = group.layout
     arity = layout.tile_size + 1
@@ -69,7 +82,7 @@ def _walk_array(
         if sid < -1:
             raise ExecutionError(f"walk reached empty slot {slot}")
         bits = _tile_bits(
-            layout.thresholds[lane, slot].astype(fdt), layout.features[lane, slot], row
+            thresholds[lane, slot], layout.features[lane, slot], row
         )
         child = int(lut[sid, bits])
         slot = slot * arity + child + 1
@@ -96,6 +109,7 @@ def interpret_lir(lir: LIRModule, rows: np.ndarray) -> np.ndarray:
     for group in lir.groups:
         layout = group.layout
         step = walk[layout.kind]
+        thresholds = narrow_thresholds(layout.thresholds, fdt)
         for i, row in enumerate(rows):
             for lane in range(layout.num_trees):
                 if group.trivial:
@@ -104,7 +118,7 @@ def interpret_lir(lir: LIRModule, rows: np.ndarray) -> np.ndarray:
                     else:
                         value = float(layout.leaf_values[lane, 0].astype(fdt))
                 else:
-                    value = step(group, lir.lut, lane, row, fdt)
+                    value = step(group, thresholds, lir.lut, lane, row, fdt)
                 if quant is not None:
                     qacc[i, int(group.class_ids[lane])] += int(
                         quant.quantize_leaves(value)

@@ -158,7 +158,9 @@ class Schedule:
     #: paper's element-width discussion): ``"float64"`` keeps reference
     #: numerics; ``"float32"`` halves threshold/feature/leaf buffer
     #: footprint and memory traffic and narrows the feature-index buffer to
-    #: int32, at ~1e-7 relative rounding of the emitted margins.
+    #: int32. Rows are rounded to float32, and each threshold is rounded up
+    #: to the smallest float32 >= it, so a float32 row routes exactly as the
+    #: float64 model routes it; only leaf rounding (~1e-7 relative) remains.
     #: ``"int16"`` / ``"int8"`` are the integer-only quantized modes
     #: (InTreeger direction): thresholds become per-feature rank codes —
     #: routing is *exactly* the float64 routing, see

@@ -10,7 +10,7 @@ request path:
 ``admission``
     input coercion + NaN validation on the caller thread.
 ``queue_wait``
-    from micro-batch enqueue until a holder (the submitting thread that
+    from micro-batch enqueue until a holder (the calling thread that
     runs the batch) takes the request up (absent on unbatched sessions).
 ``assemble``
     stacking the coalesced requests into one contiguous batch (absent on
@@ -18,8 +18,8 @@ request path:
 ``kernel``
     the compiled kernel (or fallback executor) running the batch.
 ``aggregate``
-    result scatter, future wake-up and serving bookkeeping back on the
-    caller thread (``submit``: up to its done-callback).
+    wake-up and serving bookkeeping back on the caller thread, up to
+    the clock read that also records the request's latency.
 
 Stages are recorded as *marks*: each stage ends exactly where the next
 one begins, so the stage durations sum to the root span's duration by

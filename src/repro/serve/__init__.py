@@ -9,7 +9,7 @@ amortization in a live system:
   under concurrent registration.
 * :class:`~repro.serve.batching.MicroBatcher` — concurrent requests coalesce
   into micro-batches on a bounded deque and run through the row-blocked
-  parallel path, on the thread of whichever submitter holds the batch lock.
+  parallel path, on the thread of whichever caller holds the batch lock.
 * :class:`~repro.serve.session.InferenceSession` — one served model:
   compile-once, predict-many, interpreter fallback on codegen failure.
 * :class:`~repro.serve.server.ModelServer` — named multi-model registry

@@ -4,12 +4,13 @@ The compiler's entire premise is that batch inference amortizes per-call
 overhead (Section II) — so the server should never run a compiled kernel on
 one row if ten requests are waiting. :class:`MicroBatcher` coalesces them
 by *flat combining* (Hendler, Incze, Shavit and Tzafrir, SPAA 2010) and has
-no thread of its own: ``submit`` appends its request to a bounded pending
+no thread of its own: ``predict`` appends its request to a bounded pending
 deque and waits for it to resolve, and whenever the batch lock is free
-during that wait, the submitter takes it and becomes the *holder*. The
-holder takes whatever is pending (up to ``max_batch_rows``, in arrival
-order) without waiting, stacks the rows into one contiguous batch, runs the
-kernel once, and scatters the per-request slices back through futures.
+during that wait, the caller takes it and becomes the *holder*. The holder
+takes whatever is pending (up to ``max_batch_rows``, in arrival order)
+without waiting, stacks the rows into one contiguous batch, runs the kernel
+once, and stores each request's slice (or error) on the request itself;
+each caller returns its own slice or raises its own error.
 Whatever arrives while that kernel runs forms the next batch, so the
 kernel's own service time is the coalescing window: a lone request runs on
 its own thread with no hand-off at all, and a busy server batches as much as
@@ -18,16 +19,18 @@ linger inside the holder for deployments that trade latency for CPU.
 
 A holder runs the batch holding its own request plus at most one more, then
 releases the lock to a waiter whose request is still pending. Every pending
-request has a live submitter waiting on it, so none can be stranded.
+request has a live caller waiting on it, so none can be stranded.
 
 Requests never interleave rows: each request's rows occupy one contiguous
 slice of the batch, so per-row results are identical to a solo run (the
 kernels are row-parallel). When a coalesced batch raises, its requests are
-re-run one at a time, so each future gets exactly what it would have got
+re-run one at a time, so each request gets exactly what it would have got
 alone — one malformed request cannot fail its batch-mates. An exception
-that escapes even that fails the batch's futures with
+that escapes even that fails the batch's requests with
 :class:`~repro.errors.ServingError`; the lock is released and later
-requests still serve.
+requests still serve. An interrupt (a ``BaseException`` such as
+``KeyboardInterrupt``) raised in the holder fails its batch's requests with
+``ServingError`` too, and is re-raised to the holder's own caller only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -64,7 +66,7 @@ class BatchingPolicy:
     queue_depth:
         Bound on pending (not yet batched) requests; backpressure beyond it.
     submit_timeout_s:
-        How long ``submit`` blocks on a full deque before raising
+        How long ``predict`` blocks on a full deque before raising
         :class:`~repro.errors.ServingError`.
     """
 
@@ -81,24 +83,32 @@ class BatchingPolicy:
         if self.queue_depth < 1:
             raise ServingError("queue_depth must be >= 1")
         # ``not (x >= 0)`` also rejects NaN, which a timed wait would
-        # otherwise turn into an opaque error on every submit.
+        # otherwise turn into an opaque error on every request.
         if not (self.submit_timeout_s >= 0):
             raise ServingError("submit_timeout_s must be >= 0")
 
 
 class _Request:
-    __slots__ = ("rows", "num_rows", "future", "enqueued_s", "trace")
+    __slots__ = ("rows", "num_rows", "enqueued_s", "trace", "done", "result", "error")
 
-    def __init__(self, rows: np.ndarray, future: Future, trace=None) -> None:
+    def __init__(self, rows: np.ndarray, trace=None) -> None:
         self.rows = rows
         # A malformed (non-2-D) request claims no rows; it still reaches
-        # ``run_batch``, whose typed error is what its future receives.
+        # ``run_batch``, whose typed error is what its caller receives.
         self.num_rows = rows.shape[0] if rows.ndim == 2 else 0
-        self.future = future
         # Enqueue timestamp feeds the queue-wait histogram (always) and the
         # request trace's queue_wait stage (when the request is sampled).
         self.enqueued_s = time.perf_counter()
         self.trace = trace
+        # set before ``done``, which waiters read under the batcher's condition
+        self.result: np.ndarray | None = None
+        self.error: BaseException | None = None
+        self.done = False
+
+    def outcome(self) -> np.ndarray:
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class MicroBatcher:
@@ -134,18 +144,20 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def submit(self, rows: np.ndarray, trace=None) -> Future:
-        """Run ``rows`` in a micro-batch; returns their resolved future.
+    def predict(self, rows: np.ndarray, trace=None) -> np.ndarray:
+        """Run ``rows`` in a micro-batch; returns their result slice.
 
         The call returns once the request has resolved: in a concurrent
         holder's batch, or in one this thread ran itself after finding the
-        batch lock free. ``trace`` (a
+        batch lock free. It raises the request's own error, or
+        :class:`~repro.errors.ServingError` when the deque stays full for
+        ``submit_timeout_s`` or the batcher is closed. ``trace`` (a
         :class:`repro.observe.spans.RequestTrace`, when the request is
         sampled) rides along with the request: the holder records its
-        ``queue_wait``/``assemble``/``kernel`` stages, and the caller —
-        synchronized by the future — finishes the tree.
+        ``queue_wait``/``assemble``/``kernel`` stages, and the caller
+        finishes the tree.
         """
-        req = _Request(np.asarray(rows), Future(), trace)
+        req = _Request(np.asarray(rows), trace)
         policy = self.policy
         with self._cond:
             if len(self._pending) >= policy.queue_depth and not self._cond.wait_for(
@@ -162,15 +174,11 @@ class MicroBatcher:
                 self._cond.notify_all()
             while self._holding:
                 self._cond.wait()
-                if req.future.done():
-                    return req.future
+                if req.done:
+                    return req.outcome()
             self._holding = True
         self._hold(req)
-        return req.future
-
-    def predict(self, rows: np.ndarray, trace=None) -> np.ndarray:
-        """Blocking convenience: ``submit`` + wait."""
-        return self.submit(rows, trace=trace).result()
+        return req.outcome()
 
     def _has_room(self) -> bool:
         return self._closed or len(self._pending) < self.policy.queue_depth
@@ -192,11 +200,11 @@ class MicroBatcher:
                     self._cond.notify_all()
                     if not batch:
                         return
-                last = own.future.done()
+                last = own.done
                 try:
                     self._execute(batch, num_rows)
                 except Exception as exc:
-                    # _execute delivers per-batch failures through futures;
+                    # _execute stores per-batch failures on the requests;
                     # an exception escaping it must still resolve this batch.
                     error = ServingError(f"micro-batcher {self.name!r} failed a batch: {exc!r}")
                     error.__cause__ = exc
@@ -234,7 +242,8 @@ class MicroBatcher:
     def _execute(self, batch: list[_Request], num_rows: int) -> None:
         # Everything is guarded: metrics hooks and trace stages can raise
         # (they take locks and call user-visible code), and each failure
-        # belongs to this batch's futures, not to the holder's caller.
+        # belongs to this batch's requests, not to the holder's caller. An
+        # interrupt is the holder's own: it reaches ``_hold``'s handler.
         try:
             started = time.perf_counter()
             for req in batch:
@@ -242,8 +251,8 @@ class MicroBatcher:
                 if req.trace is not None:
                     req.trace.stage("queue_wait", now=started)
             self._run(batch, num_rows)
-        except BaseException as exc:
-            if len(batch) == 1 or not isinstance(exc, Exception):
+        except Exception as exc:
+            if len(batch) == 1:
                 self._fail(batch, exc)
                 return
             # Who shares a batch depends on load, so one malformed request
@@ -252,11 +261,11 @@ class MicroBatcher:
             for req in batch:
                 try:
                     self._run([req], req.num_rows)
-                except BaseException as alone:
+                except Exception as alone:
                     self._fail([req], alone)
 
     def _run(self, batch: list[_Request], num_rows: int) -> None:
-        """One kernel call for ``batch``; raises before resolving any future."""
+        """One kernel call for ``batch``; raises before resolving any request."""
         self.metrics.record_batch(num_rows, len(batch))
         if len(batch) == 1:
             stacked = batch[0].rows
@@ -269,22 +278,20 @@ class MicroBatcher:
             raise ServingError(
                 f"run_batch returned {len(results)} rows for a batch of {num_rows}"
             )
-        slices, offset = [], 0
         for req in batch:
-            slices.append(results[offset : offset + req.num_rows])
-            offset += req.num_rows
             if req.trace is not None:
                 req.trace.stage("assemble", now=assembled)
                 req.trace.stage("kernel", now=finished)
-        for req, part in zip(batch, slices):
-            if req.future.set_running_or_notify_cancel():
-                req.future.set_result(part)
+        offset = 0
+        for req in batch:
+            req.result, req.done = results[offset : offset + req.num_rows], True
+            offset += req.num_rows
 
     @staticmethod
     def _fail(batch: Iterable[_Request], exc: BaseException) -> None:
         for req in batch:
-            if not req.future.done():
-                req.future.set_exception(exc)
+            if not req.done:
+                req.error, req.done = exc, True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -300,8 +307,6 @@ class MicroBatcher:
             if self._closed:
                 return
             self._closed = True
-            # No caller holds these futures yet (``submit`` returns them
-            # resolved), so failing them here runs no callbacks.
             self._fail(self._pending, ServingError("micro-batcher closed"))
             self._pending.clear()
             self._cond.notify_all()

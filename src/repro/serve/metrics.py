@@ -148,9 +148,9 @@ class ServingMetrics:
     path into :meth:`snapshot` (``"compiles"``, ``"tuning.hot_swaps"``) and
     bumped with :meth:`count`; the histograms are its
     :data:`~repro.observe.export.SERVING_HISTOGRAMS`. Beside them the snapshot carries
-    ``batch_rows_hist`` / ``batch_requests_hist`` ({rows or requests per
-    executed batch: count}), ``latency`` (nearest-rank percentiles and
-    ``window_max`` over the sliding window, see
+    ``batch_requests_hist`` ({requests per executed batch: count}; rows per
+    batch are the ``batch_rows`` histogram), ``latency`` (nearest-rank
+    percentiles and ``window_max`` over the sliding window, see
     :meth:`LatencyWindow.percentile`; ``all_time_max`` and its legacy alias
     ``max`` since construction/reset), ``histograms`` (fixed buckets in the
     OpenMetrics convention, see :class:`Histogram`), ``tuning.last`` (the
@@ -162,7 +162,6 @@ class ServingMetrics:
         self._lock = threading.Lock()
         self._gauges: dict[str, Callable[[], object]] = {}
         self._counters = dict.fromkeys(SERVING_COUNTERS, 0)
-        self.batch_rows_hist: Counter[int] = Counter()
         self.batch_requests_hist: Counter[int] = Counter()
         self._latency = LatencyWindow(latency_window)
         self._max_latency = 0.0
@@ -213,7 +212,6 @@ class ServingMetrics:
     def record_batch(self, num_rows: int, num_requests: int) -> None:
         with self._lock:
             self._counters["batches"] += 1
-            self.batch_rows_hist[int(num_rows)] += 1
             self.batch_requests_hist[int(num_requests)] += 1
             self._histograms["batch_rows"].record(num_rows)
 
@@ -270,7 +268,6 @@ class ServingMetrics:
         """
         with self._lock:
             self._counters = dict.fromkeys(self._counters, 0)
-            self.batch_rows_hist.clear()
             self.batch_requests_hist.clear()
             self._latency.clear()
             self._max_latency = 0.0
@@ -293,7 +290,6 @@ class ServingMetrics:
                 dict(self._last_tune) if self._last_tune else None
             )
             snap.update(
-                batch_rows_hist=dict(self.batch_rows_hist),
                 batch_requests_hist=dict(self.batch_requests_hist),
                 latency=self._latency_dict(),
                 histograms={

@@ -12,6 +12,7 @@ falls back to the interpreter (or, if even lowering failed, the reference
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -211,9 +212,20 @@ class InferenceSession:
         self.metrics.record_kernel_time(time.perf_counter() - start)
         return out
 
-    def _admit(self, rows):
-        """Start the clock (and the span tree, when this request is sampled)
-        and coerce the input: ``(start, trace, rows, num_rows)``."""
+    def raw_predict(self, rows: np.ndarray) -> np.ndarray:
+        """Raw margins, through the micro-batcher when one is configured.
+
+        Every request is accounted here — counters, latency, ``error`` and
+        ``slow_request`` flight events — a refused one (deque full,
+        batcher closed) included. When this session has a tracer and the
+        request is sampled, the whole call is covered by a span tree:
+        ``admission`` (input coercion), then either
+        ``queue_wait``/``assemble``/``kernel`` (batched, recorded by the
+        batch's holder) or ``kernel`` (direct), then ``aggregate``
+        (wake-up/bookkeeping). The stages are contiguous marks, and one
+        clock read closes the tree and the latency sample, so their
+        durations sum exactly to the recorded request latency.
+        """
         start = time.perf_counter()
         trace = (
             self._tracer.maybe_trace(self.name, started_s=start)
@@ -225,26 +237,6 @@ class InferenceSession:
         if trace is not None:
             trace.rows = num_rows
             trace.stage("admission")
-        return start, trace, rows, num_rows
-
-    def _record_failure(self, exc: BaseException, trace, num_rows: int) -> None:
-        self.metrics.count("errors")
-        flight.record("error", model=self.name, rows=num_rows, error=str(exc))
-        if trace is not None:
-            self._tracer.record(trace.finish(error=str(exc)))
-
-    def raw_predict(self, rows: np.ndarray) -> np.ndarray:
-        """Raw margins, through the micro-batcher when one is configured.
-
-        When this session has a tracer and the request is sampled, the
-        whole call is covered by a span tree: ``admission`` (input
-        coercion), then either ``queue_wait``/``assemble``/``kernel``
-        (batched, recorded by the batch's holder) or ``kernel`` (direct),
-        then ``aggregate`` (scatter/wake-up/bookkeeping). The stages are
-        contiguous marks, so their durations sum to the recorded request
-        latency by construction.
-        """
-        start, trace, rows, num_rows = self._admit(rows)
         try:
             if self._batcher is not None:
                 out = self._batcher.predict(rows, trace=trace)
@@ -253,13 +245,16 @@ class InferenceSession:
                 if trace is not None:
                     trace.stage("kernel")
         except BaseException as exc:
-            self._record_failure(exc, trace, num_rows)
+            self.metrics.count("errors")
+            flight.record("error", model=self.name, rows=num_rows, error=str(exc))
+            if trace is not None:
+                self._tracer.record(trace.finish(error=str(exc)))
             raise
-        if trace is not None:
-            trace.stage("aggregate")
-        elapsed = time.perf_counter() - start
+        now = time.perf_counter()
+        elapsed = now - start
         self.metrics.record_request(num_rows, elapsed)
         if trace is not None:
+            trace.stage("aggregate", now=now)
             self._tracer.record(trace.finish())
         if self._slow_request_s is not None and elapsed >= self._slow_request_s:
             flight.record(
@@ -275,38 +270,22 @@ class InferenceSession:
         """Objective-transformed predictions (probabilities for classifiers)."""
         return apply_objective(self.objective, self.raw_predict(rows))
 
-    def submit(self, rows: np.ndarray):
-        """Async raw-margin request; requires a batching policy.
+    def submit(self, rows: np.ndarray) -> Future:
+        """``raw_predict`` with its outcome held in a resolved future;
+        requires a batching policy.
 
-        The request is accounted — and its span tree, when sampled,
-        finished with the same stages as ``raw_predict`` — when its future
-        completes (one done-callback; the batcher hands back the future
-        already resolved by the batch's holder, so the callback runs on
-        this thread before ``submit`` returns), so open-loop traffic
-        reaches the same counters, latency histograms, SLO percentiles and
-        trace ring as ``raw_predict``.
+        The call blocks until the request has resolved (the micro-batcher
+        has no thread of its own) and returns a done future holding the
+        margins or the request's error, refusals included. Accounting is
+        ``raw_predict``'s.
         """
         if self._batcher is None:
             raise ServingError("session was created without a batching policy")
-        start, trace, rows, num_rows = self._admit(rows)
-        future = self._batcher.submit(rows, trace=trace)
-
-        def record(done) -> None:
-            if done.cancelled():
-                return
-            exc = done.exception()
-            if exc is not None:
-                self._record_failure(exc, trace, num_rows)
-                return
-            # one clock read closes both the span tree and the latency
-            # sample, so the stages sum exactly to the recorded latency
-            now = time.perf_counter()
-            self.metrics.record_request(num_rows, now - start)
-            if trace is not None:
-                trace.stage("aggregate", now=now)
-                self._tracer.record(trace.finish())
-
-        future.add_done_callback(record)
+        future: Future = Future()
+        try:
+            future.set_result(self.raw_predict(rows))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
     # ------------------------------------------------------------------

@@ -699,16 +699,13 @@ class SLOPolicy:
 
 
 class _ModelAdmission:
-    """Frontend-side view of one model: the :meth:`AsyncModelFrontend.set_slo`
-    override (``None``: the server's policy), inflight count and latency
-    window."""
+    """Frontend-side view of one model: inflight count and latency window."""
 
-    __slots__ = ("override", "inflight", "latencies")
+    __slots__ = ("inflight", "latencies")
 
     def __init__(self) -> None:
         from repro.serve.metrics import LatencyWindow
 
-        self.override: SLOPolicy | None = None
         self.inflight = 0
         self.latencies = LatencyWindow(512)
 
@@ -735,33 +732,14 @@ class AsyncModelFrontend:
         self._lock = threading.Lock()
         self._models: dict[str, _ModelAdmission] = {}
 
-    def set_slo(self, name: str, policy: SLOPolicy | None) -> None:
-        """Override one model's admission policy; ``None`` drops the
-        override, so the server's ``register(..., slo=...)`` policy applies
-        again."""
-        with self._lock:
-            entry = self._models.get(name)
-            if entry is None:
-                entry = self._models[name] = _ModelAdmission()
-            entry.override = policy
-
-    def slo_policy(self, name: str) -> SLOPolicy | None:
-        """The policy the next admission of ``name`` enforces."""
-        with self._lock:
-            entry = self._models.get(name)
-            override = entry.override if entry is not None else None
-        return override if override is not None else self.server.slo_policy(name)
-
     def _admit(self, name: str) -> _ModelAdmission | None:
-        """Admission decision under the lock; raises to shed."""
-        server_policy = self.server.slo_policy(name)  # current, never cached
+        """Admission decision under the lock, against the policy the
+        server's ``register(..., slo=...)`` recorded; raises to shed."""
+        policy = self.server.slo_policy(name)  # current, never cached
+        if policy is None:
+            return None
         with self._lock:
             entry = self._models.get(name)
-            policy = server_policy
-            if entry is not None and entry.override is not None:
-                policy = entry.override
-            if policy is None:
-                return None
             if entry is None:
                 entry = self._models[name] = _ModelAdmission()
             reason = None
@@ -797,28 +775,19 @@ class AsyncModelFrontend:
 
     async def predict(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Admission-controlled, executor-offloaded ``server.predict``."""
-        import asyncio
-
-        entry = self._admit(name)
-        loop = asyncio.get_running_loop()
-        start = time.perf_counter()
-        try:
-            return await loop.run_in_executor(
-                self._executor, self.server.predict, name, rows
-            )
-        finally:
-            self._finish(entry, time.perf_counter() - start)
+        return await self._admitted(self.server.predict, name, rows)
 
     async def raw_predict(self, name: str, rows: np.ndarray) -> np.ndarray:
+        return await self._admitted(self.server.raw_predict, name, rows)
+
+    async def _admitted(self, call, name: str, rows: np.ndarray) -> np.ndarray:
         import asyncio
 
         entry = self._admit(name)
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         try:
-            return await loop.run_in_executor(
-                self._executor, self.server.raw_predict, name, rows
-            )
+            return await loop.run_in_executor(self._executor, call, name, rows)
         finally:
             self._finish(entry, time.perf_counter() - start)
 

@@ -9,8 +9,9 @@ compiled kernel is then driven with a corpus of adversarial batches —
 ±inf features, values exactly equal to thresholds, float32 boundary
 values, denormals, empty/1-row/large batches, non-contiguous and
 wrong-dtype rows — and compared against the reference interpreter
-(:func:`repro.backend.interpreter.interpret_lir`) and, at float64
-precision, the reference :class:`~repro.forest.ensemble.Forest`.
+(:func:`repro.backend.interpreter.interpret_lir`) and the reference
+:class:`~repro.forest.ensemble.Forest` (at float32, on the float32-rounded
+rows: routing is exact there, so only leaf rounding separates the two).
 
 On a mismatch the failing case is shrunk by :func:`minimize_case` — rows
 first, then trees, then schedule knobs toward the scalar baseline — and
@@ -268,14 +269,24 @@ def compare_case(
     if not np.allclose(got, want, rtol=rtol, atol=atol):
         return ("interpreter", _max_abs_err(got, want))
     quant = predictor.lir.quant
-    if schedule.precision == "float64":
-        ref = _as_margins(
-            forest.raw_predict(np.ascontiguousarray(rows, dtype=np.float64)),
-            forest.num_classes,
-        )
-        if not np.allclose(got, ref, rtol=rtol, atol=atol):
+    if quant is None:
+        # Float kernels route exactly: a float32 one rounds the rows to
+        # float32 and routes them as the float64 model would, so feed the
+        # forest the same rounded rows. A leaf's float32 rounding moves a
+        # margin by at most eps32/2 of that leaf, so float32's bound adds
+        # eps32 * sum over trees of max |leaf|.
+        fdt = np.float32 if schedule.precision == "float32" else np.float64
+        with np.errstate(over="ignore"):
+            narrow = np.asarray(rows, dtype=fdt).astype(np.float64)
+        ref = _as_margins(forest.raw_predict(narrow), forest.num_classes)
+        leaf_bound = 0.0
+        if fdt is np.float32:
+            leaf_bound = float(np.finfo(fdt).eps) * sum(
+                float(np.abs(t.value[t.leaves()]).max()) for t in forest.trees
+            )
+        if not np.allclose(got, ref, rtol=rtol, atol=atol + leaf_bound):
             return ("forest", _max_abs_err(got, ref))
-    elif quant is not None:
+    else:
         # Quantized routing is exact (rank codes preserve every float64
         # comparison); the only error source is fixed-point leaf rounding,
         # bounded by 0.5 * leaf_scale per tree.

@@ -18,10 +18,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_forest_model
+from conftest import KERNEL_BACKENDS, random_forest_model
 from repro.api import compile_model
 from repro.backend.interpreter import interpret_lir
 from repro.config import Schedule
+from repro.datasets.registry import fresh_rows, train_benchmark
 from repro.forest.statistics import populate_node_probabilities
 
 NUM_FEATURES = 6
@@ -126,3 +127,31 @@ def test_adversarial_corpus_matches_interpreter(
             np.testing.assert_allclose(
                 got, ref, rtol=rtol, atol=atol, err_msg=f"batch {label!r} vs Forest"
             )
+
+
+@pytest.fixture(scope="module")
+def abalone():
+    return train_benchmark("abalone", scale=0.02, seed=0)[0]
+
+
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+def test_float32_rows_on_rounded_down_cuts_route_like_the_model(abalone, backend):
+    """Regression: float32 narrowing rounded thresholds to nearest, so
+    about half of them moved *below* their float64 value, and a float32 row
+    equal to the narrowed value went right where the model sends it left
+    (97 of these 256 rows were off by up to 65). Narrowing rounds up now, so
+    every float32 row routes exactly and only leaf rounding remains."""
+    thr = np.concatenate([t.threshold[t.internal_nodes()] for t in abalone.trees])
+    feat = np.concatenate([t.feature[t.internal_nodes()] for t in abalone.trees])
+    down = np.flatnonzero(np.float32(thr).astype(np.float64) < thr)
+    assert down.size > 100
+    rng = np.random.default_rng(0)
+    rows = fresh_rows("abalone", 256).astype(np.float32).astype(np.float64)
+    cut = rng.choice(down, size=rows.shape[0])
+    rows[np.arange(rows.shape[0]), feat[cut]] = np.float32(thr[cut])
+    want = abalone.raw_predict(rows)
+    predictor = compile_model(abalone, Schedule(precision="float32", backend=backend))
+    np.testing.assert_allclose(predictor.raw_predict(rows), want, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(
+        interpret_lir(predictor.lir, rows)[:, 0], want, rtol=0, atol=1e-5
+    )

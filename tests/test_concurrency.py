@@ -77,7 +77,7 @@ class TestSharedSession:
         # Everything went through the batcher.
         snap = session.metrics.snapshot()
         assert snap["batches"] >= 1
-        assert sum(snap["batch_rows_hist"].values()) == snap["batches"]
+        assert snap["histograms"]["batch_rows"]["count"] == snap["batches"]
 
     def test_concurrent_submit_futures(self, trained_forest, test_rows):
         policy = BatchingPolicy(max_batch_rows=1024, max_delay_s=0.005)

@@ -379,7 +379,7 @@ class TestServerTracing:
             session.submit(test_rows[:1]).result(timeout=5.0)
             with pytest.raises(ExecutionError, match="NaN"):
                 session.submit(np.full_like(test_rows[:1], np.nan)).result(timeout=5.0)
-        # close() joined the batcher worker, which runs the done-callbacks
+        # submit accounts each request in raw_predict before it returns
         ok, failed = RING.snapshot()["recent"]
         assert [s["name"] for s in ok["stages"]] == [
             "admission",

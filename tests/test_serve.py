@@ -43,8 +43,8 @@ def distinct_forest(seed: int) -> Forest:
     )
 
 
-def submit_in_thread(submit, rows) -> Future:
-    """``submit(rows)`` on a helper thread. A submitter waits until its own
+def in_thread(call, rows) -> Future:
+    """``call(rows)`` on a helper thread. A caller waits until its own
     request resolves, so a test that keeps going while a request is pending
     (or gated inside ``run_batch``) sends it from another thread. The
     returned future resolves to the request's result or error."""
@@ -52,7 +52,7 @@ def submit_in_thread(submit, rows) -> Future:
 
     def send() -> None:
         try:
-            outer.set_result(submit(rows).result())
+            outer.set_result(call(rows))
         except BaseException as exc:  # noqa: BLE001 - handed to the test
             outer.set_exception(exc)
 
@@ -210,9 +210,9 @@ class TestMicroBatcher:
 
         session._batcher.run_batch = gated
         chunks = [small_rows[i * 8 : (i + 1) * 8] for i in range(6)]
-        futures = [submit_in_thread(session.submit, chunks[0])]
+        futures = [in_thread(session.raw_predict, chunks[0])]
         assert first_entered.wait(5.0)
-        futures += [submit_in_thread(session.submit, chunk) for chunk in chunks[1:]]
+        futures += [in_thread(session.raw_predict, chunk) for chunk in chunks[1:]]
         wait_pending(session._batcher, 5)
         release.set()
         results = [f.result(timeout=5.0) for f in futures]
@@ -234,7 +234,7 @@ class TestMicroBatcher:
         with MicroBatcher(run, BatchingPolicy(max_batch_rows=4, max_delay_s=0.2)) as b:
             gate = threading.Event()
             b.run_batch = lambda rows: (gate.wait(5.0), run(rows))[1]
-            futures = [submit_in_thread(b.submit, np.ones((2, 3))) for _ in range(4)]
+            futures = [in_thread(b.predict, np.ones((2, 3))) for _ in range(4)]
             wait_pending(b, 2)  # the rest queue behind the gated holder
             gate.set()
             for f in futures:
@@ -249,10 +249,9 @@ class TestMicroBatcher:
             raise ExecutionError("kernel exploded")
 
         with MicroBatcher(run, BatchingPolicy(max_delay_s=0.01)) as b:
-            futures = [b.submit(np.ones((1, 2))) for _ in range(3)]
-            for f in futures:
+            for _ in range(3):
                 with pytest.raises(ExecutionError, match="exploded"):
-                    f.result(timeout=5.0)
+                    b.predict(np.ones((1, 2)))
 
     def test_queue_backpressure(self):
         entered, release = threading.Event(), threading.Event()
@@ -267,12 +266,12 @@ class TestMicroBatcher:
             BatchingPolicy(queue_depth=1, max_delay_s=0.0, submit_timeout_s=0.05),
         )
         try:
-            held = submit_in_thread(b.submit, np.ones((1, 2)))  # holder, blocks in run
+            held = in_thread(b.predict, np.ones((1, 2)))  # holder, blocks in run
             assert entered.wait(5.0)
-            queued = submit_in_thread(b.submit, np.ones((1, 2)))  # the deque (depth 1)
+            queued = in_thread(b.predict, np.ones((1, 2)))  # the deque (depth 1)
             wait_pending(b, 1)
             with pytest.raises(ServingError, match="full"):
-                b.submit(np.ones((1, 2)))
+                b.predict(np.ones((1, 2)))
         finally:
             release.set()
         for future in (held, queued):
@@ -283,11 +282,11 @@ class TestMicroBatcher:
         b = MicroBatcher(lambda rows: rows.sum(axis=1))
         b.close()
         with pytest.raises(ServingError, match="closed"):
-            b.submit(np.ones((1, 2)))
+            b.predict(np.ones((1, 2)))
 
     def test_zero_row_submit(self):
         with MicroBatcher(lambda rows: rows.sum(axis=1)) as b:
-            out = b.submit(np.zeros((0, 3))).result(timeout=5.0)
+            out = b.predict(np.zeros((0, 3)))
             assert out.shape == (0,)
 
     def test_run_batch_never_overlaps_itself(self):
@@ -308,12 +307,12 @@ class TestMicroBatcher:
             return rows.sum(axis=1)
 
         with MicroBatcher(run) as b:
-            assert b.submit(np.zeros((0, 3))).result(timeout=5.0).shape == (0,)
+            assert b.predict(np.zeros((0, 3))).shape == (0,)
 
             def client(k: int) -> None:
                 for i in range(50):
                     rows = np.ones(((k + i) % 3, 3))  # 0, 1 or 2 rows
-                    out = b.submit(rows).result(timeout=5.0)
+                    out = b.predict(rows)
                     assert np.array_equal(out, rows.sum(axis=1))
 
             clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
@@ -334,7 +333,7 @@ class TestMicroBatcher:
             round_trips = []
             for _ in range(50):
                 start = time.perf_counter()
-                b.submit(rows).result(timeout=5.0)
+                b.predict(rows)
                 round_trips.append(time.perf_counter() - start)
         assert np.median(round_trips) < 1e-3
 
@@ -352,9 +351,9 @@ class TestMicroBatcher:
             return rows.sum(axis=1)
 
         with MicroBatcher(run) as b:
-            futures = [submit_in_thread(b.submit, np.ones((1, 3)))]
+            futures = [in_thread(b.predict, np.ones((1, 3)))]
             assert entered.wait(5.0)
-            futures += [submit_in_thread(b.submit, np.ones((1, 3))) for _ in range(5)]
+            futures += [in_thread(b.predict, np.ones((1, 3))) for _ in range(5)]
             wait_pending(b, 5)
             release.set()
             for f in futures:
@@ -387,11 +386,11 @@ class TestMicroBatcher:
                 return inner(rows)
 
             session._batcher.run_batch = gated
-            blocker = submit_in_thread(session.submit, small_rows[2:3])
+            blocker = in_thread(session.raw_predict, small_rows[2:3])
             assert entered.wait(5.0)
             good = [small_rows[0:1], small_rows[1:2]]
             first, offender, last = (
-                submit_in_thread(session.submit, rows) for rows in (good[0], bad, good[1])
+                in_thread(session.raw_predict, rows) for rows in (good[0], bad, good[1])
             )
             wait_pending(session._batcher, 3)
             release.set()
@@ -402,8 +401,8 @@ class TestMicroBatcher:
                 got = future.result(timeout=5.0)
                 assert np.array_equal(got, session.predictor.raw_predict(rows))
                 assert np.allclose(got, small_forest.raw_predict(rows), rtol=1e-12)
-        # each submit's done-callback ran on its own thread before that
-        # thread resolved the future the test waited on
+        # each request was accounted on its own thread before that thread
+        # resolved the future the test waited on
         snap = session.metrics.snapshot()
         assert snap["errors"] == 1
         assert snap["requests"] == 3
@@ -415,18 +414,17 @@ class TestMicroBatcher:
         with MicroBatcher(
             lambda rows: rows.sum(axis=1)[:-1], BatchingPolicy(max_delay_s=0.05)
         ) as b:
-            futures = [b.submit(np.ones((2, 3))) for _ in range(3)]
-            for f in futures:
+            for _ in range(3):
                 with pytest.raises(ServingError, match="returned 1 rows for a batch of 2"):
-                    f.result(timeout=5.0)
+                    b.predict(np.ones((2, 3)))
 
     def test_non_2d_request_does_not_kill_the_worker(self):
         """Regression: ``rows.shape[0]`` on a 0-d request raised outside
         every guard of the batch loop; the batcher must keep serving."""
         with MicroBatcher(lambda rows: rows.sum(axis=1)) as b:
             with pytest.raises(Exception, match="axis"):
-                b.submit(np.float64(1.0)).result(timeout=5.0)
-            assert np.array_equal(b.submit(np.ones((1, 3))).result(timeout=5.0), [3.0])
+                b.predict(np.float64(1.0))
+            assert np.array_equal(b.predict(np.ones((1, 3))), [3.0])
 
 
 class TestFlatCombining:
@@ -490,14 +488,14 @@ class TestFlatCombining:
 
         holder_ident = []
 
-        def holder_submit(rows):
+        def holder_predict(rows):
             holder_ident.append(threading.get_ident())
-            return b.submit(rows)
+            return b.predict(rows)
 
         with MicroBatcher(run, BatchingPolicy(max_batch_rows=1)) as b:
-            held = submit_in_thread(holder_submit, np.ones((1, 3)))
+            held = in_thread(holder_predict, np.ones((1, 3)))
             assert entered.wait(5.0)
-            waiters = [submit_in_thread(b.submit, np.ones((1, 3))) for _ in range(5)]
+            waiters = [in_thread(b.predict, np.ones((1, 3))) for _ in range(5)]
             wait_pending(b, 5)
             release.set()
             for future in [held, *waiters]:
@@ -651,13 +649,65 @@ class TestInferenceSession:
             bad = session.submit(np.zeros((1, 99)))
             with pytest.raises(ExecutionError):
                 bad.result(timeout=5)
-        # submit returns a resolved future, so its done-callback has run
+        # submit returns a resolved future, accounted by raw_predict
         snap = session.metrics.snapshot()
         assert snap["requests"] == 10
         assert snap["rows"] == 10
         assert snap["errors"] == 1
         assert snap["latency"]["count"] == 10
         assert snap["latency"]["p50"] > 0
+
+    def test_slow_submitted_request_records_slow_request(self, small_forest, small_rows):
+        """Regression: a submitted request was accounted by a done-callback
+        that never checked ``slow_request_s``."""
+        from repro.observe import events as flight_events
+
+        name = "slow-submit"
+        with InferenceSession(
+            small_forest, batching=BatchingPolicy(), name=name, slow_request_s=0.01
+        ) as session:
+            inner = session._batcher.run_batch
+            session._batcher.run_batch = lambda rows: (time.sleep(0.02), inner(rows))[1]
+            session.submit(small_rows[:2]).result(timeout=5.0)
+        slow = [
+            e for e in flight_events.recorder.tail(n=100, kind="slow_request")
+            if e.get("model") == name
+        ]
+        assert len(slow) == 1
+        assert slow[0]["rows"] == 2 and slow[0]["latency_ms"] >= 10.0
+
+    def test_refused_submit_is_an_error_in_its_future(self, small_forest, small_rows):
+        """Regression: a submit refused by a full deque raised at the call
+        and was not counted in ``errors``. It now resolves its future with
+        the ``ServingError`` and counts like any other failure."""
+        entered, release = threading.Event(), threading.Event()
+        policy = BatchingPolicy(queue_depth=1, submit_timeout_s=0.05)
+        with InferenceSession(small_forest, batching=policy) as session:
+            inner = session._batcher.run_batch
+
+            def gated(rows):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(5.0)
+                return inner(rows)
+
+            session._batcher.run_batch = gated
+            try:
+                held = in_thread(session.raw_predict, small_rows[:1])
+                assert entered.wait(5.0)
+                queued = in_thread(session.raw_predict, small_rows[1:2])
+                wait_pending(session._batcher, 1)
+                refused = session.submit(small_rows[2:3])
+                assert refused.done()
+                with pytest.raises(ServingError, match="full"):
+                    refused.result()
+            finally:
+                release.set()
+            for future in (held, queued):
+                future.result(timeout=5.0)
+        snap = session.metrics.snapshot()
+        assert snap["errors"] == 1
+        assert snap["requests"] == 2
 
     def test_submit_requires_batching(self, small_forest):
         session = InferenceSession(small_forest)
@@ -827,7 +877,7 @@ class TestMetricsPrimitives:
         assert snap["requests"] == 0 and snap["rows"] == 0
         assert snap["errors"] == 0 and snap["batches"] == 0
         assert snap["cache_hits"] == 0
-        assert snap["batch_rows_hist"] == {}
+        assert snap["histograms"]["batch_rows"]["count"] == 0
         assert snap["latency"]["count"] == 0
         assert snap["latency"]["all_time_max"] is None
         assert snap["runtime"]["g"] == 7  # gauges survive the reset
@@ -905,15 +955,15 @@ class TestWorkerDeath:
         try:
             for _ in range(2):  # repeatable: the batcher outlives each failure
                 with pytest.raises(RuntimeError, match="exploded"):
-                    b.submit(np.ones((1, 2))).result(timeout=5.0)
+                    b.predict(np.ones((1, 2)))
                 assert not b._holding
             broken[0] = False
-            assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
+            assert np.array_equal(b.predict(np.ones((1, 2))), [2.0])
         finally:
             b.close()
 
     def test_escaped_exception_fails_its_batch_and_later_submits_serve(self):
-        """An exception escaping ``_execute`` fails that batch's futures
+        """An exception escaping ``_execute`` fails that batch's requests
         with ``ServingError`` instead of stranding them, releases the
         batch lock, and the requests queued behind it, and later submits,
         still serve."""
@@ -935,9 +985,9 @@ class TestWorkerDeath:
             raise RuntimeError("escaped the guard")
 
         b._execute = escaping
-        first = submit_in_thread(b.submit, np.ones((1, 2)))
+        first = in_thread(b.predict, np.ones((1, 2)))
         assert entered.wait(5.0)
-        queued = [submit_in_thread(b.submit, np.ones((1, 2))) for _ in range(3)]
+        queued = [in_thread(b.predict, np.ones((1, 2))) for _ in range(3)]
         wait_pending(b, 3)
         release.set()
         with pytest.raises(ServingError, match="escape-test.*escaped the guard") as info:
@@ -947,12 +997,12 @@ class TestWorkerDeath:
             assert np.array_equal(f.result(timeout=5.0), [2.0])
         assert calls == [1, 3]
         assert not b._holding
-        assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
+        assert np.array_equal(b.predict(np.ones((1, 2))), [2.0])
         b.close()
 
     def test_escaped_exception_fails_promptly(self):
         """Acceptance: an escaping exception fails its request at once
-        (well within ``submit_timeout_s``) rather than leaving a future
+        (well within ``submit_timeout_s``) rather than leaving a request
         that never resolves."""
         b = MicroBatcher(
             lambda rows: rows.sum(axis=1),
@@ -963,30 +1013,63 @@ class TestWorkerDeath:
             RuntimeError("instant death")
         )
         start = time.perf_counter()
-        future = b.submit(np.ones((1, 2)))
         with pytest.raises(ServingError):
-            future.result(timeout=5.0)
+            b.predict(np.ones((1, 2)))
         assert time.perf_counter() - start < b.policy.submit_timeout_s + 1.0
         b.close()
 
 
     def test_interrupt_in_a_holder_fails_its_batch_and_propagates(self):
-        """A ``BaseException`` (an interrupt) escaping a holder's batch
-        fails that batch's futures, releases the lock, and is re-raised
+        """A ``BaseException`` (an interrupt) raised in a holder's batch
+        fails that batch's requests, releases the lock, and is re-raised
         to the holder's caller; the batcher keeps serving."""
-        b = MicroBatcher(lambda rows: rows.sum(axis=1))
-        execute = b._execute
+        interrupts = [1]
 
-        def interrupted(batch, num_rows):
-            b._execute = execute
-            raise KeyboardInterrupt
+        def run(rows):
+            if interrupts:
+                interrupts.pop()
+                raise KeyboardInterrupt
+            return rows.sum(axis=1)
 
-        b._execute = interrupted
+        b = MicroBatcher(run)
         with pytest.raises(KeyboardInterrupt):
-            b.submit(np.ones((1, 2)))
+            b.predict(np.ones((1, 2)))
         assert not b._holding
-        assert np.array_equal(b.submit(np.ones((1, 2))).result(timeout=5.0), [2.0])
+        assert np.array_equal(b.predict(np.ones((1, 2))), [2.0])
         b.close()
+
+    def test_interrupt_reaches_the_holder_not_its_batch_mates(self):
+        """Regression: ``_execute`` stored an interrupt raised in
+        ``run_batch`` on every request of the batch, so it was raised in
+        the batch-mates' threads, and a holder running its one extra
+        batch returned normally. The holder's caller must get the
+        interrupt and a batch-mate a ``ServingError``."""
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def run(rows):
+            calls.append(rows.shape[0])
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(5.0)
+            elif len(calls) == 2:
+                raise KeyboardInterrupt
+            return rows.sum(axis=1)
+
+        with MicroBatcher(run) as b:
+            holder = in_thread(b.predict, np.ones((1, 2)))
+            assert entered.wait(5.0)
+            mates = [in_thread(b.predict, np.ones((1, 2))) for _ in range(2)]
+            wait_pending(b, 2)
+            release.set()
+            with pytest.raises(KeyboardInterrupt):
+                holder.result(timeout=5.0)
+            for mate in mates:
+                with pytest.raises(ServingError, match="interrupted"):
+                    mate.result(timeout=5.0)
+            assert calls == [1, 2]  # the mates shared the holder's extra batch
+            assert not b._holding
+            assert np.array_equal(b.predict(np.ones((1, 2))), [2.0])
 
 
 class TestCloseBackpressure:
@@ -1008,12 +1091,12 @@ class TestCloseBackpressure:
             BatchingPolicy(queue_depth=2, max_delay_s=0.0, submit_timeout_s=0.05),
         )
         try:
-            first = submit_in_thread(b.submit, np.ones((1, 2)))
+            first = in_thread(b.predict, np.ones((1, 2)))
             assert entered.wait(5.0)
-            queued = [submit_in_thread(b.submit, np.ones((1, 2))) for _ in range(2)]
+            queued = [in_thread(b.predict, np.ones((1, 2))) for _ in range(2)]
             wait_pending(b, 2)  # the deque is full
             with pytest.raises(ServingError, match="full"):
-                b.submit(np.ones((1, 2)))
+                b.predict(np.ones((1, 2)))
             closer = threading.Thread(target=b.close, kwargs={"timeout": 0.5})
             start = time.perf_counter()
             closer.start()
@@ -1030,14 +1113,14 @@ class TestCloseBackpressure:
         assert np.allclose(first.result(timeout=5.0), 2.0)
         assert not b._holding
         with pytest.raises(ServingError, match="closed"):
-            b.submit(np.ones((1, 2)))
+            b.predict(np.ones((1, 2)))
 
 
     def test_close_during_a_linger_releases_the_lock(self):
         """A holder lingering for companions wakes on ``close()``, finds
         its request failed and releases the lock at once."""
         b = MicroBatcher(lambda rows: rows.sum(axis=1), BatchingPolicy(max_delay_s=30.0))
-        lingering = submit_in_thread(b.submit, np.ones((1, 2)))
+        lingering = in_thread(b.predict, np.ones((1, 2)))
         deadline = time.monotonic() + 5.0
         while not b._lingering:
             assert time.monotonic() < deadline

@@ -571,9 +571,8 @@ class TestAsyncFrontend:
 
     def test_max_inflight_sheds_load(self, forest, rows):
         with ModelServer() as server:
-            server.register("m", forest)
+            server.register("m", forest, slo=SLOPolicy(max_inflight=1))
             with AsyncModelFrontend(server) as frontend:
-                frontend.set_slo("m", SLOPolicy(max_inflight=1))
                 entry = frontend._admit("m")  # hold the one slot
                 assert entry is not None
                 with pytest.raises(ServingError, match="max_inflight"):
@@ -586,11 +585,10 @@ class TestAsyncFrontend:
 
     def test_p99_over_target_sheds_under_load(self, forest, rows):
         with ModelServer() as server:
-            server.register("m", forest)
+            server.register(
+                "m", forest, slo=SLOPolicy(target_p99_s=0.001, min_samples=4)
+            )
             with AsyncModelFrontend(server) as frontend:
-                frontend.set_slo(
-                    "m", SLOPolicy(target_p99_s=0.001, min_samples=4)
-                )
                 for _ in range(4):  # prime the latency window over target
                     entry = frontend._admit("m")
                     frontend._finish(entry, 1.0)
@@ -606,8 +604,13 @@ class TestAsyncFrontend:
                 "m", forest, slo=SLOPolicy(max_inflight=2)
             )
             with AsyncModelFrontend(server) as frontend:
-                assert frontend._admit("m") is not None  # lazily adopted
-                assert frontend.slo_policy("m").max_inflight == 2
+                first = frontend._admit("m")  # lazily adopted
+                assert first is not None
+                second = frontend._admit("m")
+                with pytest.raises(ServingError, match="max_inflight"):
+                    frontend._admit("m")  # the server's limit of 2
+                frontend._finish(first, 0.01)
+                frontend._finish(second, 0.01)
 
     def test_frontend_follows_server_reregister(self, forest):
         with ModelServer() as server:
@@ -615,7 +618,7 @@ class TestAsyncFrontend:
             with AsyncModelFrontend(server) as frontend:
                 held = frontend._admit("m")
                 server.register("m", forest, slo=SLOPolicy(max_inflight=7))
-                assert frontend.slo_policy("m").max_inflight == 7
+                assert server.slo_policy("m").max_inflight == 7
                 second = frontend._admit("m")  # the old limit would shed it
                 assert second is not None and second is held  # one window
                 assert held.inflight == 2
@@ -634,9 +637,8 @@ class TestAsyncFrontend:
         from repro.observe import events as flight_events
 
         with ModelServer() as server:
-            server.register("shed-me", forest)
+            server.register("shed-me", forest, slo=SLOPolicy(max_inflight=1))
             with AsyncModelFrontend(server) as frontend:
-                frontend.set_slo("shed-me", SLOPolicy(max_inflight=1))
                 entry = frontend._admit("shed-me")
                 with pytest.raises(ServingError):
                     frontend._admit("shed-me")
