@@ -39,8 +39,9 @@ buffers that fail the stub's bind-time range checks, the rebuild is an
 
 Artifacts are validated whole before anything is trusted: the manifest's
 ``format_version`` must match this build (:data:`ARTIFACT_FORMAT_VERSION`),
-and every listed file must hash to its recorded sha256 — corruption,
-truncation and partial copies all fail with
+a float32 image must record its upward-narrowed thresholds
+(:data:`FLOAT32_THRESHOLDS`), and every listed file must hash to its
+recorded sha256 — corruption, truncation and partial copies all fail with
 :class:`~repro.errors.ArtifactError` instead of mispredicting. A rebuilt
 executor reports the image's fingerprint — the serving cache's one key — so
 it shares one cache slot with an in-process compile of the same model, and
@@ -74,6 +75,11 @@ from repro.observe.profile import ProfileRecorder
 #: quantized models ship cut tables / leaf-code buffers and a
 #: ``quantization`` manifest summary.
 ARTIFACT_FORMAT_VERSION = 2
+
+#: a float32 manifest's record that thresholds narrowed upward
+#: (:func:`~repro.backend.codegen.narrow_thresholds`); older images, rounded
+#: to nearest under the same version and fingerprint, lack it and are refused
+FLOAT32_THRESHOLDS = "upward"
 
 MANIFEST_NAME = "MANIFEST.json"
 KERNEL_NAME = "kernel.py"
@@ -123,6 +129,8 @@ def image_of(predictor) -> tuple[dict, dict[str, np.ndarray]]:
             for name, array in buffers.items()
         },
     }
+    if predictor.schedule.precision == "float32":
+        manifest["float32_thresholds"] = FLOAT32_THRESHOLDS
     return manifest, buffers
 
 
@@ -301,8 +309,9 @@ def rebuild_executor(
     read from a file, or mapped from a segment it appends to
     ``attachments``; ``origin`` names the image in errors. Every failure
     is an :class:`~repro.errors.ArtifactError` — a missing arena spec, a
-    schedule this build does not read, a buffer unlike its entry, a kernel
-    that cannot bind — and closes the attachments.
+    schedule this build does not read, float32 thresholds without the
+    upward-narrowing record, a buffer unlike its entry, a kernel that
+    cannot bind — and closes the attachments.
     """
     try:
         if not manifest.get("arena"):
@@ -316,6 +325,14 @@ def rebuild_executor(
                 f"{origin} was compiled under a schedule this build does "
                 f"not read ({exc}) — re-export the model with this version"
             ) from exc
+        if (
+            parsed.precision == "float32"
+            and manifest.get("float32_thresholds") != FLOAT32_THRESHOLDS
+        ):
+            raise ArtifactError(
+                f"{origin} holds float32 thresholds rounded to nearest, which "
+                "mis-route rows — re-export the model with this version"
+            )
         buffers = {}
         for name, meta in manifest["buffers"].items():
             array = buffers[name] = fetch(name, meta)

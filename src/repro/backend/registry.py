@@ -47,6 +47,10 @@ class Backend:
 
     #: the backend's name in :data:`repro.config.BACKENDS`
     name: str = ""
+    #: ``Schedule`` fields this backend's kernel does not depend on: two
+    #: schedules that differ only in these build the same image, so the
+    #: tuner measures one of them
+    ignored_fields: tuple[str, ...] = ()
 
     def build(
         self,
@@ -114,10 +118,8 @@ def resolve_backend(schedule, stats: dict | None = None) -> Backend:
                 f"backend {backend.name!r} cannot build this schedule: {reason}"
             )
     else:
-        backend = get_backend("native")
-        reason = backend.unavailable(schedule, stats)
+        backend, reason = _resolve_auto(schedule, stats)
         if reason is not None:
-            backend = get_backend("numpy_jit")
             observe_registry.record_backend_event("native", "fallbacks")
             flight.record(
                 "backend_fallback", wanted="native", backend=backend.name, reason=reason
@@ -127,6 +129,21 @@ def resolve_backend(schedule, stats: dict | None = None) -> Backend:
     if stats is not None:
         stats["backend"] = backend.name
     return backend
+
+
+def kernel_backend(schedule) -> Backend:
+    """The backend whose kernel would serve ``schedule``: what
+    :func:`resolve_backend` picks, without recording a fallback or checking
+    that a named backend can build the schedule (its compile does that)."""
+    if schedule.backend == DEFAULT_BACKEND:
+        return _resolve_auto(schedule)[0]
+    return get_backend(schedule.backend)
+
+
+def _resolve_auto(schedule, stats: dict | None = None) -> tuple[Backend, str | None]:
+    """``(backend, why native was passed over or None)`` for ``"auto"``."""
+    reason = get_backend("native").unavailable(schedule, stats)
+    return get_backend("native" if reason is None else "numpy_jit"), reason
 
 
 class _AutoBackend(Backend):

@@ -292,9 +292,10 @@ class InferenceSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Close the micro-batcher; it stays attached, so a closed batching
+        session refuses every request with a ``ServingError``."""
         if self._batcher is not None:
             self._batcher.close()
-            self._batcher = None
 
     def __enter__(self) -> "InferenceSession":
         return self

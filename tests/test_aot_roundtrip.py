@@ -312,6 +312,23 @@ def test_manifest_without_arena_spec_rejected(artifact):
         load_artifact(artifact)
 
 
+def test_float32_manifest_without_upward_narrowing_rejected(tmp_path, forest, rows):
+    """A float32 artifact exported before thresholds narrowed upward has the
+    same format version and fingerprint as a fresh one but mis-routes rows;
+    only its manifest's missing record tells them apart."""
+    predictor = compile_model(forest, Schedule(precision="float32"))
+    out = export_artifact(predictor, tmp_path / "a")
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["float32_thresholds"] == "upward"
+    np.testing.assert_array_equal(
+        load_artifact(out).raw_predict(rows), predictor.raw_predict(rows)
+    )
+    del manifest["float32_thresholds"]
+    (out / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match="rounded to nearest"):
+        load_artifact(out)
+
+
 # ----------------------------------------------------------------------
 # Serving integration: ModelServer.register(artifact=...)
 # ----------------------------------------------------------------------

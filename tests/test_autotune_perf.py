@@ -1,4 +1,4 @@
-"""Unit tests for the autotuner, cost model, persistence, timer, and
+"""Unit tests for the autotuner, its search order, persistence, timer, and
 machine profiles."""
 
 import gc
@@ -8,28 +8,30 @@ import numpy as np
 import pytest
 
 import repro.autotune.search as search_mod
+from conftest import KERNEL_BACKENDS
 from repro.autotune import (
     CacheEntry,
-    ForestProfile,
     ScheduleCache,
     autotune,
     default_space,
-    predict_cost,
-    rank_correlation,
-    rank_schedules,
     schedule_grid,
 )
 from repro.autotune.persist import CACHE_FORMAT_VERSION, machine_id
+from repro.autotune.search import search_order
 from repro.autotune.space import TuningSpace
+from repro.backend.jit import model_fingerprint
 from repro.config import Schedule
 from repro.errors import CompilerError, ModelError
+from repro.observe import events as flight
+from repro.observe import registry as observe_registry
 from repro.perf.machine import AMD_RYZEN_LIKE, INTEL_ROCKET_LAKE_LIKE, PROFILES
 from repro.perf.timer import measure, per_row_us
 
-#: a tiny space for fast searches (4 candidates)
+#: a tiny space for fast searches: 4 candidates, 4 distinct kernels on
+#: every backend (no axis a backend ignores)
 SMALL_SPACE = TuningSpace(
-    tile_sizes=(1, 8), tilings=("basic",), pad_and_unroll=(True,),
-    interleaves=(2, 8), layouts=("sparse",),
+    tile_sizes=(1, 8), tilings=("basic",), pad_and_unroll=(True, False),
+    interleaves=(8,), layouts=("sparse",),
 )
 
 
@@ -86,65 +88,100 @@ class TestAutotune:
         assert len(result.log) == 3
 
 
-class TestCostModel:
-    def test_predict_cost_positive_over_grid(self, trained_forest):
-        for schedule in schedule_grid(default_space()):
-            assert predict_cost(trained_forest, schedule, 64) > 0
+def _search_stats() -> dict:
+    """The ``search`` span of the last recorded tune trace."""
+    trace = observe_registry.snapshot()["traces"]["recent"][-1]
+    return next(c for c in trace["children"] if c["name"] == "search")["stats"]
 
-    def test_profile_from_forest(self, trained_forest):
-        profile = ForestProfile.from_forest(trained_forest)
-        assert profile.num_trees == trained_forest.num_trees
-        assert profile.total_nodes == trained_forest.total_nodes
-        assert 0.0 < profile.mean_depth <= profile.max_depth
-        assert 0.0 <= profile.balanced_fraction <= 1.0
-        # expected depth is a reweighting of leaf depths, so it stays in range
-        assert 0.0 < profile.expected_depth <= profile.max_depth
 
-    def test_profile_accepted_directly(self, trained_forest):
-        profile = ForestProfile.from_forest(trained_forest)
-        s = Schedule()
-        assert predict_cost(profile, s, 32) == predict_cost(trained_forest, s, 32)
+class TestSearchOrder:
+    def test_base_first_then_by_distance_ties_in_grid_order(self):
+        base = Schedule()
+        grid = list(schedule_grid(default_space(), base))
+        order = [s for s, _ in search_order(grid, base)]
+        assert order[0] == base and sorted(order, key=grid.index) == grid
 
-    def test_rank_schedules_sorted(self, trained_forest):
-        grid = list(schedule_grid(default_space()))
-        ranked = rank_schedules(trained_forest, grid, 64)
-        costs = [c for c, _ in ranked]
-        assert costs == sorted(costs)
-        assert len(ranked) == len(grid)
+        def distance(s):
+            return sum(
+                getattr(s, f) != getattr(base, f)
+                for f in ("tile_size", "tiling", "alpha", "pad_and_unroll",
+                          "interleave", "layout")
+            )
 
-    def test_interleave_amortizes_dispatch(self, trained_forest):
-        wide = predict_cost(trained_forest, Schedule(interleave=8), 64)
-        narrow = predict_cost(trained_forest, Schedule(interleave=1), 64)
-        assert wide < narrow
+        distances = [distance(s) for s in order]
+        assert distances == sorted(distances)
+        for d in set(distances):
+            ring = [s for s in order if distance(s) == d]
+            assert ring == sorted(ring, key=grid.index)
 
-    def test_one_row_order_penalized(self, trained_forest):
-        one_row = predict_cost(trained_forest, Schedule(loop_order="one-row"), 64)
-        one_tree = predict_cost(trained_forest, Schedule(loop_order="one-tree"), 64)
-        assert one_row > one_tree
+    def test_numpy_jit_measures_every_grid_point(self):
+        base = Schedule(backend="numpy_jit")
+        grid = list(schedule_grid(default_space(), base))
+        assert len(grid) == 192
+        assert not any(repeat for _, repeat in search_order(grid, base))
 
-    def test_machine_profiles_disagree_on_gathers(self, trained_forest):
-        s = Schedule(tile_size=8)
-        intel = predict_cost(trained_forest, s, 64, INTEL_ROCKET_LAKE_LIKE)
-        amd = predict_cost(trained_forest, s, 64, AMD_RYZEN_LIKE)
-        assert intel != amd
+    @pytest.mark.skipif("native" not in KERNEL_BACKENDS, reason="no C toolchain")
+    def test_native_measures_each_distinct_kernel_once(self):
+        base = Schedule()
+        order = list(search_order(schedule_grid(default_space(), base), base))
+        first = [s for s, repeat in order if not repeat]
+        assert len(order) == 192 and len(first) == 64
+        ignored = ("interleave", "peel_walk", "loop_order")
+        kernels = {s.with_(**{f: getattr(base, f) for f in ignored}) for s in first}
+        assert len(kernels) == 64
+        # a kernel first appears with the base's value of every ignored field
+        assert all(s.interleave == base.interleave for s in first)
 
-    def test_rank_correlation_perfect(self):
-        assert rank_correlation([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]) == pytest.approx(1.0)
+    def test_resolving_candidates_records_no_fallback(self):
+        """int8 candidates fall back from ``auto`` to NumPy; ordering them
+        must not log one fallback per candidate."""
+        space = TuningSpace(precisions=("int8",))
+        before = flight.recorder.snapshot()["recorded"]
+        order = list(search_order(schedule_grid(space), Schedule()))
+        assert len(order) == space.size()
+        assert flight.recorder.snapshot()["recorded"] == before
 
-    def test_rank_correlation_reversed(self):
-        assert rank_correlation([1.0, 2.0, 3.0], [9.0, 5.0, 1.0]) == pytest.approx(-1.0)
+    @pytest.mark.skipif("native" not in KERNEL_BACKENDS, reason="no C toolchain")
+    def test_autotune_skips_kernels_it_already_measured(self, trained_forest, test_rows):
+        space = TuningSpace(
+            tile_sizes=(1, 8), tilings=("basic",), pad_and_unroll=(True,),
+            interleaves=(2, 8), layouts=("sparse",),
+        )
+        result = autotune(
+            trained_forest, test_rows[:16], space=space, repeats=1, min_time_s=0.0
+        )
+        assert result.grid_size == 4 and result.explored == 2
+        assert {s.tile_size for s, _ in result.log} == {1, 8}
+        assert result.stopped_by is None
+        stats = _search_stats()
+        assert stats["deduped"] == 2 and stats["same_image"] == 0
+        assert stats["deduped_est_s"] > 0
 
-    def test_rank_correlation_too_few_pairs(self):
-        assert rank_correlation([1.0, 2.0], [1.0, 2.0]) is None
+    def test_autotune_measures_each_image_once(
+        self, trained_forest, test_rows, monkeypatch
+    ):
+        """Candidates the fields cannot tell apart but that compile to one
+        image (source and buffers) are compiled and logged with the time
+        their image already measured, not timed again."""
+        measured = []
+        real = search_mod.measure
 
-    def test_rank_correlation_excludes_failed_compiles(self):
-        # Two of four measurements are inf (failed candidates): only two
-        # finite pairs remain, which is below the meaningful threshold.
-        inf = float("inf")
-        assert rank_correlation([1.0, 2.0, 3.0, 4.0], [1.0, inf, 3.0, inf]) is None
+        def spy(fn, rows, **kwargs):
+            measured.append(fn)
+            return real(fn, rows, **kwargs)
 
-    def test_rank_correlation_zero_variance(self):
-        assert rank_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+        monkeypatch.setattr(search_mod, "measure", spy)
+        monkeypatch.setattr(search_mod, "_image_digest", lambda p: p.schedule.tile_size)
+        result = autotune(
+            trained_forest, test_rows[:16], space=SMALL_SPACE,
+            repeats=1, min_time_s=0.0,
+        )
+        assert len(measured) == 2 and result.explored == 4
+        assert [s.tile_size for s, _ in result.log] == [8, 1, 8, 1]
+        costs = [cost for _, cost in result.log]
+        assert costs[2:] == costs[:2]
+        stats = _search_stats()
+        assert stats["same_image"] == 2 and stats["deduped"] == 0
 
 
 class TestPersist:
@@ -154,7 +191,6 @@ class TestPersist:
             schedule=Schedule(tile_size=4, interleave=2),
             per_row_us=12.5,
             explored=7,
-            rank_correlation=0.9,
         )
         ScheduleCache(path).store("fp", "m", 64, entry)
         reloaded = ScheduleCache(path).lookup("fp", "m", 64)
@@ -162,7 +198,6 @@ class TestPersist:
         assert reloaded.schedule == entry.schedule
         assert reloaded.per_row_us == 12.5
         assert reloaded.explored == 7
-        assert reloaded.rank_correlation == 0.9
 
     def test_lookup_misses_are_none(self, tmp_path):
         cache = ScheduleCache(str(tmp_path / "s.json"))
@@ -255,9 +290,29 @@ class TestPersist:
         cache.store("fp", "m", 8, CacheEntry(Schedule(), 1.0))
         assert cache.lookup("fp", "m", 8) is not None
 
-    def test_machine_id_partitions_by_profile(self):
-        assert machine_id("intel") != machine_id("amd")
-        assert machine_id("intel").endswith("-intel")
+    def test_entry_under_the_old_machine_key_loads_and_misses(
+        self, trained_forest, test_rows, tmp_path
+    ):
+        """An entry written when the machine key carried a cost-model profile
+        name, and the entry a ``rank_correlation``, loads; the tuner's lookup
+        misses it and searches."""
+        import json
+
+        path = tmp_path / "s.json"
+        old = CacheEntry(Schedule(tile_size=4), 1.0).to_dict()
+        old["rank_correlation"] = 0.42
+        key = f"{model_fingerprint(trained_forest)}|{machine_id()}-intel-rocket-lake-like|16"
+        path.write_text(json.dumps(
+            {"version": CACHE_FORMAT_VERSION, "entries": {key: old}}
+        ))
+        cache = ScheduleCache(str(path))
+        assert cache.keys() == [key]
+        result = autotune(
+            trained_forest, test_rows[:16], space=SMALL_SPACE,
+            repeats=1, min_time_s=0.0, cache=cache,
+        )
+        assert not result.from_cache and result.explored == 4
+        assert len(cache) == 2
 
 
 class _FakeMeasurement:
@@ -352,13 +407,10 @@ class TestBudget:
     def test_stale_cache_entry_invalidated_and_researched(
         self, trained_forest, test_rows, tmp_path, monkeypatch
     ):
-        from repro.autotune.persist import machine_id as mid
-        from repro.backend.jit import model_fingerprint
-
         cache = ScheduleCache(str(tmp_path / "s.json"))
         poisoned = Schedule(alpha=0.31)  # marker value, not in the grid
         fp = model_fingerprint(trained_forest)
-        machine = mid(INTEL_ROCKET_LAKE_LIKE.name)
+        machine = machine_id()
         cache.store(fp, machine, 16, CacheEntry(poisoned, 1.0))
 
         real = search_mod.compile_model

@@ -190,6 +190,33 @@ def test_tuning_space_measures_on_the_base_schedules_backend():
     assert both.size() == 2 * TuningSpace().size()
 
 
+def _image(forest, schedule) -> tuple[str, list]:
+    predictor = compile_model(forest, schedule)
+    assert predictor.backend_name == "native"
+    buffers = model_buffers(predictor.lir)
+    return predictor.source, [
+        (name, a.dtype.str, a.shape, a.tobytes()) for name, a in sorted(buffers.items())
+    ]
+
+
+@needs_toolchain
+@pytest.mark.parametrize("layout", ["sparse", "array"])
+def test_native_ignored_fields(forest, multiclass, layout):
+    """The tuner measures one of each set of schedules that differ only in
+    ``NativeBackend.ignored_fields``: they must build a byte-identical
+    image (stub source and every buffer), and a field the walker reads
+    must not."""
+    ignored = get_backend("native").ignored_fields
+    assert ignored == ("interleave", "peel_walk", "loop_order")
+    changed = {"interleave": 2, "peel_walk": False, "loop_order": "one-row"}
+    for model in (forest, multiclass):
+        base = Schedule(tile_size=4, layout=layout)
+        image = _image(model, base)
+        for name in ignored:
+            assert _image(model, base.with_(**{name: changed[name]})) == image, name
+        assert _image(model, base.with_(pad_and_unroll=False)) != image
+
+
 # ----------------------------------------------------------------------
 # The build cache
 # ----------------------------------------------------------------------

@@ -631,6 +631,19 @@ class TestInferenceSession:
         assert snap["latency"]["p50"] is not None
         assert snap["latency"]["p99"] >= snap["latency"]["p50"]
 
+    def test_closed_batching_session_refuses_every_request(self, small_forest, small_rows):
+        """Closing used to drop the batcher: ``raw_predict`` then served
+        unbatched and ``submit`` blamed a missing batching policy."""
+        session = InferenceSession(small_forest, batching=BatchingPolicy())
+        session.raw_predict(small_rows[:2])
+        session.close()
+        with pytest.raises(ServingError, match="micro-batcher is closed"):
+            session.raw_predict(small_rows[:2])
+        with pytest.raises(ServingError, match="micro-batcher is closed"):
+            session.submit(small_rows[:2]).result(timeout=5.0)
+        snap = session.metrics.snapshot()
+        assert snap["batches"] == 1 and snap["errors"] == 2
+
     def test_error_metric_recorded(self, small_forest):
         session = InferenceSession(small_forest)
         with pytest.raises(ExecutionError):
@@ -1196,7 +1209,6 @@ class TestSwapUnregisterRace:
             explored=1,
             grid_size=1,
             from_cache=False,
-            rank_correlation=None,
             stopped_by=None,
         )
         rows = np.random.default_rng(7).normal(size=(8, small_forest.num_features))
@@ -1234,7 +1246,6 @@ class TestSwapUnregisterRace:
             explored=1,
             grid_size=1,
             from_cache=False,
-            rank_correlation=None,
             stopped_by=None,
         )
         rows = np.random.default_rng(8).normal(size=(8, small_forest.num_features))
