@@ -2,6 +2,7 @@
 machine profiles."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -296,8 +297,6 @@ class TestPersist:
         """An entry written when the machine key carried a cost-model profile
         name, and the entry a ``rank_correlation``, loads; the tuner's lookup
         misses it and searches."""
-        import json
-
         path = tmp_path / "s.json"
         old = CacheEntry(Schedule(tile_size=4), 1.0).to_dict()
         old["rank_correlation"] = 0.42

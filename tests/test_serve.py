@@ -632,8 +632,9 @@ class TestInferenceSession:
         assert snap["latency"]["p99"] >= snap["latency"]["p50"]
 
     def test_closed_batching_session_refuses_every_request(self, small_forest, small_rows):
-        """Closing used to drop the batcher: ``raw_predict`` then served
-        unbatched and ``submit`` blamed a missing batching policy."""
+        """Both entry points of a closed batching session refuse with the
+        batcher's reason: neither serves unbatched nor blames a missing
+        batching policy."""
         session = InferenceSession(small_forest, batching=BatchingPolicy())
         session.raw_predict(small_rows[:2])
         session.close()
