@@ -1,15 +1,23 @@
 """Schedule autotuning over the Table-II optimization grid.
 
-Two layers:
+Three layers:
 
 * :mod:`repro.autotune.space` — the grid itself (Table II axes);
-* :mod:`repro.autotune.search` — the budget-aware search, nearest the base
-  schedule first and one measurement per distinct kernel, with early exit,
-  plus :mod:`repro.autotune.persist` for warm starts across processes.
+* :mod:`repro.autotune.cost` — a static cost model that ranks the grid so
+  a budgeted search explores likely winners first;
+* :mod:`repro.autotune.search` — the budget-aware best-first search with
+  early exit, plus :mod:`repro.autotune.persist` for warm starts across
+  processes.
 
 ``python -m repro.autotune`` runs a self-checking smoke tune (used by CI).
 """
 
+from repro.autotune.cost import (
+    ForestProfile,
+    predict_cost,
+    rank_correlation,
+    rank_schedules,
+)
 from repro.autotune.persist import (
     CacheEntry,
     ScheduleCache,
@@ -23,6 +31,7 @@ from repro.autotune.space import TuningSpace, default_space, schedule_grid
 __all__ = [
     "CacheEntry",
     "DEFAULT_MIN_TIME_S",
+    "ForestProfile",
     "ScheduleCache",
     "TuneResult",
     "TuningSpace",
@@ -31,6 +40,9 @@ __all__ = [
     "default_space",
     "machine_id",
     "MIN_NODES_PER_SHARD",
+    "predict_cost",
     "recommend_shard_count",
+    "rank_correlation",
+    "rank_schedules",
     "schedule_grid",
 ]

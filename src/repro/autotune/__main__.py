@@ -10,7 +10,7 @@ Trains a small synthetic forest, runs a budgeted best-first tune, then
 re-runs against the same persistent cache and asserts the second run is a
 warm start (no candidates compiled). Exit code 0 means both the search and
 the cache round-trip behaved; the exploration log (every candidate with its
-measured cost, in exploration order) can be dumped as JSON for CI artifacts.
+predicted and measured cost) can be dumped as JSON for CI artifacts.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--log", default=None,
-        help="write the exploration log (measured costs) as JSON",
+        help="write the exploration log (predicted + measured costs) as JSON",
     )
     args = parser.parse_args(argv)
 
@@ -98,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"cold: explored {cold.explored}/{cold.grid_size} candidates in "
         f"{cold_s:.2f}s -> {cold.best_per_row_us:.1f} us/row "
-        f"(stopped_by={cold.stopped_by})"
+        f"(stopped_by={cold.stopped_by}, "
+        f"rank_correlation={cold.rank_correlation})"
     )
 
     warm = autotune(
@@ -136,11 +137,18 @@ def main(argv: list[str] | None = None) -> int:
             "grid_size": cold.grid_size,
             "explored": cold.explored,
             "stopped_by": cold.stopped_by,
+            "rank_correlation": cold.rank_correlation,
             "best_per_row_us": cold.best_per_row_us,
             "best_schedule": cold.best_schedule.to_dict(),
             "log": [
-                {"schedule": schedule.to_dict(), "measured_per_row_us": measured}
-                for schedule, measured in cold.log
+                {
+                    "schedule": schedule.to_dict(),
+                    "measured_per_row_us": measured,
+                    "predicted_cost": predicted,
+                }
+                for (schedule, measured), predicted in zip(
+                    cold.log, cold.predicted
+                )
             ],
         }
         with open(args.log, "w") as fh:

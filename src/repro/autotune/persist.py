@@ -10,9 +10,9 @@ Invalidation is structural, not temporal:
 
 * the **model fingerprint** covers the full forest structure and
   parameters, so a retrained or edited model never matches a stale entry;
-* the **machine id** (CPU architecture + core count) partitions entries
-  per host class, because the paper's central tuning observation is that
-  the best schedule differs between machines;
+* the **machine id** (CPU architecture + core count + cost-model profile)
+  partitions entries per host class, because the paper's central tuning
+  observation is that the best schedule differs between machines;
 * the file carries a **format version**; any mismatch (or an entry whose
   schedule fields no longer construct, e.g. a knob was renamed) discards
   the entry rather than reinterpreting it.
@@ -31,7 +31,7 @@ import os
 import platform
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.config import Schedule
 from repro.errors import ReproError
@@ -54,9 +54,12 @@ def default_cache_path() -> str:
     return os.path.join(base, "repro", "schedules.json")
 
 
-def machine_id() -> str:
+def machine_id(profile_name: str | None = None) -> str:
     """Identity of the host class a tuned schedule is valid for."""
-    return f"{platform.machine() or 'unknown'}-{os.cpu_count() or 1}c"
+    arch = platform.machine() or "unknown"
+    cores = os.cpu_count() or 1
+    tag = f"{arch}-{cores}c"
+    return f"{tag}-{profile_name}" if profile_name else tag
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,18 @@ class CacheEntry:
     schedule: Schedule
     per_row_us: float
     explored: int = 0
+    #: Spearman correlation of the cost-model ranking for the run that
+    #: produced this entry (None when too few candidates were measured).
+    rank_correlation: float | None = None
+    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "schedule": self.schedule.to_dict(),
             "per_row_us": self.per_row_us,
             "explored": self.explored,
+            "rank_correlation": self.rank_correlation,
+            "extra": self.extra,
         }
 
     @classmethod
@@ -80,6 +89,8 @@ class CacheEntry:
             schedule=Schedule.from_dict(data["schedule"]),
             per_row_us=float(data["per_row_us"]),
             explored=int(data.get("explored", 0)),
+            rank_correlation=data.get("rank_correlation"),
+            extra=dict(data.get("extra", {})),
         )
 
 

@@ -1,13 +1,13 @@
-"""Budget-aware search over compilation schedules, ranked by measurement.
+"""Budget-aware best-first search over compilation schedules.
 
 The paper explores the Table-II grid per benchmark and batch size and
-reports the best combination (Section VI). This search keeps the same grid
-and the same judge — every candidate is compiled and timed on the sample
-batch — but makes it production-usable:
+reports the best combination (Section VI). The original ``autotune`` here
+reproduced that as a blocking exhaustive walk; this version keeps the same
+grid but makes the search production-usable:
 
-* candidates run **nearest the base schedule first**
-  (:func:`search_order`), so a tight budget spends itself on small steps
-  away from a known-good point; unbudgeted, the whole grid is covered;
+* candidates are **ranked by the static cost model**
+  (:mod:`repro.autotune.cost`) and explored best-first, so a tight budget
+  still sees the likely winners;
 * each **distinct kernel is measured once**: a candidate that differs
   from an earlier one only in fields its backend's kernel ignores
   (``Backend.ignored_fields``) is skipped before it compiles, and one
@@ -24,8 +24,9 @@ batch — but makes it production-usable:
   µs)`` pairs stay in the log, so peak memory is one candidate plus the
   incumbent, regardless of grid size.
 
-Every run records a compilation trace (search and persistence spans) into
-the process-wide observability registry.
+Every run records a compilation trace (ranking, exploration, persistence
+spans, including the predicted-vs-measured rank correlation that scores
+the cost model) into the process-wide observability registry.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.api import compile_model
+from repro.autotune.cost import predict_cost, rank_correlation, rank_schedules
 from repro.autotune.persist import CacheEntry, ScheduleCache, machine_id
 from repro.autotune.space import TuningSpace, default_space, schedule_grid
 from repro.backend.codegen import model_buffers
@@ -51,6 +52,7 @@ from repro.forest.ensemble import Forest
 from repro.observe import events as flight
 from repro.observe import registry as observe_registry
 from repro.observe.trace import CompilationTrace
+from repro.perf.machine import INTEL_ROCKET_LAKE_LIKE, MachineProfile
 from repro.perf.timer import measure
 
 #: default timing floor per repeat — overridable since a serving tuner
@@ -69,12 +71,17 @@ class TuneResult:
     #: failed compilations carry ``math.inf``, a candidate whose image was
     #: already timed carries that time. Predictors are NOT retained.
     log: list[tuple[Schedule, float]] = field(default_factory=list)
-    #: total candidates in the grid (≥ ``explored``)
+    #: cost-model prediction for each log entry (same order)
+    predicted: list[float] = field(default_factory=list)
+    #: total candidates in the grid (≥ ``explored`` under a budget)
     grid_size: int = 0
     #: candidates compiled, failures included (field repeats are skipped)
     explored: int = 0
     #: True when the winner came from the persistent cache (no search ran)
     from_cache: bool = False
+    #: Spearman correlation between predicted and measured cost over the
+    #: explored candidates; None when fewer than three were measured
+    rank_correlation: float | None = None
     #: which budget stopped the search ("max_configs" | "time" |
     #: "patience"), or None when the grid was exhausted
     stopped_by: str | None = None
@@ -84,32 +91,16 @@ class TuneResult:
         return sorted(self.log, key=lambda item: item[1])[:k]
 
 
-def search_order(
-    grid: Iterable[Schedule], base: Schedule
-) -> Iterator[tuple[Schedule, bool]]:
-    """The order the tuner explores ``grid`` in, nearest ``base`` first.
-
-    Yields ``(schedule, repeat)`` in ascending count of fields on which
-    ``schedule`` differs from ``base``; the sort is stable, so ties keep
-    grid order. ``repeat`` is True when an earlier schedule builds the same
-    kernel: it resolves to the same backend and differs only in that
-    backend's :attr:`~repro.backend.registry.Backend.ignored_fields`. Each
-    distinct kernel therefore first appears at its smallest distance.
-    """
-    names = [f.name for f in fields(Schedule)]
-
-    def distance(schedule: Schedule) -> int:
-        return sum(getattr(schedule, n) != getattr(base, n) for n in names)
-
-    seen: set[Schedule] = set()
-    for schedule in sorted(grid, key=distance):
-        backend = kernel_backend(schedule)
-        kernel = schedule.with_(
-            backend=backend.name,
-            **{name: getattr(base, name) for name in backend.ignored_fields},
-        )
-        yield schedule, kernel in seen
-        seen.add(kernel)
+def _kernel(schedule: Schedule, base: Schedule) -> Schedule:
+    """``schedule`` as the kernel it builds: resolved to the backend that
+    would serve it (:func:`~repro.backend.registry.kernel_backend`) with that
+    backend's :attr:`~repro.backend.registry.Backend.ignored_fields` reset to
+    ``base``. Equal kernels build the same image."""
+    backend = kernel_backend(schedule)
+    return schedule.with_(
+        backend=backend.name,
+        **{name: getattr(base, name) for name in backend.ignored_fields},
+    )
 
 
 def _image_digest(predictor: Predictor) -> str:
@@ -133,6 +124,8 @@ def autotune(
     min_time_s: float = DEFAULT_MIN_TIME_S,
     time_budget_s: float | None = None,
     patience: int | None = None,
+    cost_model: bool = True,
+    machine: MachineProfile | None = None,
     cache: ScheduleCache | None = None,
 ) -> TuneResult:
     """Search the schedule grid for the fastest configuration on ``rows``.
@@ -143,17 +136,22 @@ def autotune(
         The model and a representative sample batch; the batch size is part
         of the tuning key (the paper tunes per batch size).
     space, base:
-        Grid axes and the schedule supplying non-searched fields; the
-        search starts at ``base`` and moves outward (:func:`search_order`).
+        Grid axes and the schedule supplying non-searched fields.
     repeats, min_time_s:
         Timing discipline per candidate (best of ``repeats``, each repeat
         extended to at least ``min_time_s``).
     max_configs, time_budget_s, patience:
         The budget: candidate count, wall-clock seconds, and early-exit
-        after ``patience`` consecutive non-improving candidates. All
+        after ``patience`` consecutive non-improving candidates (one whose
+        image was already timed is not counted). All
         ``None`` = exhaustive (the paper's search). ``max_configs=0`` is an
         empty budget and raises :class:`CompilerError` unless the
         persistent cache already holds a winner.
+    cost_model:
+        Rank candidates best-first with :mod:`repro.autotune.cost` before
+        spending budget; ``False`` keeps grid enumeration order.
+    machine:
+        Cost-model machine profile (also part of the persistence key).
     cache:
         A :class:`ScheduleCache` for warm starts; ``None`` disables
         persistence. On a hit only the stored winner is compiled.
@@ -167,10 +165,11 @@ def autotune(
         raise ModelError(f"sample rows must be 2-D, got shape {rows.shape}")
     if rows.shape[0] == 0:
         raise ModelError("autotune needs a non-empty sample batch to time")
+    machine = machine or INTEL_ROCKET_LAKE_LIKE
     base = base or Schedule()
     batch_size = rows.shape[0]
     fingerprint = model_fingerprint(forest)
-    machine_key = machine_id()
+    machine_key = machine_id(machine.name)
 
     trace = CompilationTrace(
         label=f"autotune trees={forest.num_trees} batch={batch_size}"
@@ -201,24 +200,46 @@ def autotune(
                         best_predictor=predictor,
                         best_per_row_us=entry.per_row_us,
                         log=[(entry.schedule, entry.per_row_us)],
+                        predicted=[
+                            predict_cost(
+                                forest, entry.schedule, batch_size, machine
+                            )
+                        ],
                         grid_size=0,
                         explored=0,
                         from_cache=True,
+                        rank_correlation=entry.rank_correlation,
                     )
                     _record(trace, result)
                     return result
 
-    grid = list(schedule_grid(space or default_space(), base))
+    # ------------------------------------------------------------------
+    # Rank the grid (cost model) and explore best-first under the budget.
+    # ------------------------------------------------------------------
+    with trace.span("rank") as span:
+        grid = list(schedule_grid(space or default_space(), base))
+        if cost_model:
+            ranked = rank_schedules(forest, grid, batch_size, machine)
+        else:
+            ranked = [
+                (predict_cost(forest, s, batch_size, machine), s) for s in grid
+            ]
+        span.stats["grid_size"] = len(grid)
+        span.stats["cost_model"] = cost_model
+
     best: tuple[float, Schedule, Predictor] | None = None
     log: list[tuple[Schedule, float]] = []
+    predicted: list[float] = []
     stopped_by: str | None = None
     stale = 0
     deduped = same_image = 0
-    # image digest -> its measured per-row µs: each kernel is timed once
+    # kernels already met (ignored fields reset), and each timed image's
+    # per-row µs: each distinct kernel is measured once
+    kernels: set[Schedule] = set()
     measured: dict[str, float] = {}
     started = time.perf_counter()
     with trace.span("search") as span:
-        for schedule, repeat in search_order(grid, base):
+        for predicted_cost, schedule in ranked:
             if max_configs is not None and len(log) >= max_configs:
                 stopped_by = "max_configs"
                 break
@@ -232,30 +253,36 @@ def autotune(
             if patience is not None and stale >= patience and best is not None:
                 stopped_by = "patience"
                 break
-            if repeat:
+            kernel = _kernel(schedule, base)
+            if kernel in kernels:
                 deduped += 1
                 continue
+            kernels.add(kernel)
             predictor = None
             try:
                 predictor = compile_model(forest, schedule, validate_tiling=False)
                 image = _image_digest(predictor)
-                cost = measured.get(image)
-                if cost is None:
-                    cost = measured[image] = measure(
+                reused = image in measured
+                if not reused:
+                    measured[image] = measure(
                         lambda: predictor.raw_predict(rows),
                         rows=batch_size,
                         repeats=repeats,
                         min_time_s=min_time_s,
                     ).per_row_us
-                else:
-                    same_image += 1
             except ReproError:
                 log.append((schedule, math.inf))
+                predicted.append(predicted_cost)
                 stale += 1
                 del predictor
                 continue
+            cost = measured[image]
             log.append((schedule, cost))
-            if best is None or cost < best[0]:
+            predicted.append(predicted_cost)
+            if reused:
+                # no new measurement, so neither a win nor a stale step
+                same_image += 1
+            elif best is None or cost < best[0]:
                 best = (cost, schedule, predictor)
                 stale = 0
             else:
@@ -263,14 +290,11 @@ def autotune(
             # Eager drop: losers (and their arenas/buffers) must not stay
             # alive until the next loop iteration rebinds the local.
             del predictor
-        elapsed = time.perf_counter() - started
         span.stats["explored"] = len(log)
         span.stats["deduped"] = deduped
-        # what those candidates would have cost at this run's mean
-        span.stats["deduped_est_s"] = round(deduped * elapsed / max(1, len(log)), 6)
         span.stats["same_image"] = same_image
         span.stats["stopped_by"] = stopped_by
-        span.stats["elapsed_s"] = round(elapsed, 6)
+        span.stats["elapsed_s"] = round(time.perf_counter() - started, 6)
 
     if best is None:
         if max_configs == 0:
@@ -280,14 +304,17 @@ def autotune(
             )
         raise CompilerError("no schedule in the grid compiled successfully")
 
+    correlation = rank_correlation(predicted, [c for _, c in log])
     result = TuneResult(
         best_schedule=best[1],
         best_predictor=best[2],
         best_per_row_us=best[0],
         log=log,
+        predicted=predicted,
         grid_size=len(grid),
         explored=len(log),
         from_cache=False,
+        rank_correlation=correlation,
         stopped_by=stopped_by,
     )
 
@@ -301,6 +328,7 @@ def autotune(
                     schedule=result.best_schedule,
                     per_row_us=result.best_per_row_us,
                     explored=result.explored,
+                    rank_correlation=correlation,
                 ),
             )
             span.stats["fingerprint"] = fingerprint[:12]
@@ -312,19 +340,34 @@ def autotune(
 
 def _record(trace: CompilationTrace, result: TuneResult) -> None:
     """Finish the trace and publish the run to the observability registry."""
-    summary = {
-        "best_per_row_us": result.best_per_row_us,
-        "explored": result.explored,
-        "grid_size": result.grid_size,
-        "from_cache": result.from_cache,
-        "stopped_by": result.stopped_by,
-    }
-    trace.root.stats.update(summary)
+    trace.root.stats.update(
+        {
+            "best_per_row_us": result.best_per_row_us,
+            "explored": result.explored,
+            "grid_size": result.grid_size,
+            "from_cache": result.from_cache,
+            "rank_correlation": result.rank_correlation,
+            "stopped_by": result.stopped_by,
+        }
+    )
     trace.finish()
     observe_registry.record_trace(trace)
     observe_registry.record_tune(
-        {"best_schedule": result.best_schedule.to_dict(), **summary}
+        {
+            "best_schedule": result.best_schedule.to_dict(),
+            "best_per_row_us": result.best_per_row_us,
+            "explored": result.explored,
+            "grid_size": result.grid_size,
+            "from_cache": result.from_cache,
+            "rank_correlation": result.rank_correlation,
+            "stopped_by": result.stopped_by,
+        }
     )
     flight.record(
-        "tune", **{**summary, "best_per_row_us": round(result.best_per_row_us, 4)}
+        "tune",
+        best_per_row_us=round(result.best_per_row_us, 4),
+        explored=result.explored,
+        grid_size=result.grid_size,
+        from_cache=result.from_cache,
+        stopped_by=result.stopped_by,
     )

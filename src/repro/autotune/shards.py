@@ -3,14 +3,15 @@
 The sharded tier (:mod:`repro.serve.workers`) splits an ensemble into
 contiguous tree ranges executed by separate worker processes. How many
 shards is a tuning decision, not a serving one, so it lives here next to
-the schedule search: sharding pays a fixed per-request scatter/gather tax
-(IPC, pickling the rows, the partial-sum fold), which only amortizes when
-each shard still carries enough traversal work — a small forest split
-eight ways spends more on transport than on trees.
+the cost model: sharding pays a fixed per-request scatter/gather tax (IPC,
+pickling the rows, the partial-sum fold), which only amortizes when each
+shard still carries enough traversal work — a small forest split eight
+ways spends more on transport than on trees.
 
-The rule is static, not measured: per-shard work is proxied by node count,
-and a shard is worth creating only while its share of the model stays
-above a node floor.
+The heuristic mirrors the cost model's structure-over-measurement
+approach (:mod:`repro.autotune.cost`): per-shard work is proxied by node
+count, and a shard is worth creating only while its share of the model
+stays above a node floor.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ observability surface behind a single ``snapshot()`` / ``export_json()``:
 * ``profiles``     — aggregated kernel profiling counters of every live
   ``Schedule(profile=True)`` predictor
 * ``tunes``        — the most recent autotuning runs (bounded ring):
-  winner schedule, budget outcome
+  winner schedule, budget outcome, cost-model rank correlation
 * ``backends``     — per-backend lifetime counters (compiles, artifact
   exports/loads, artifact code-cache hits) recorded by the backend
   registry dispatch and the AOT loader, plus ``native``'s ``isa``: the

@@ -201,7 +201,7 @@ class ServingMetrics:
 
     def record_tune_completed(self, info: dict | None = None) -> None:
         """One background tune finished; ``info`` summarizes the run
-        (explored count, best per-row µs, swap outcome)."""
+        (explored count, best per-row µs, rank correlation, swap outcome)."""
         with self._lock:
             self._counters["tuning.completed"] += 1
             if info is not None:

@@ -518,6 +518,7 @@ class ModelServer:
             "explored": result.explored,
             "grid_size": result.grid_size,
             "from_cache": result.from_cache,
+            "rank_correlation": result.rank_correlation,
             "stopped_by": result.stopped_by,
             "baseline_per_row_us": baseline_us,
             "tuned_per_row_us": tuned_us,

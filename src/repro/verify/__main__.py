@@ -138,10 +138,10 @@ def main(argv: list[str] | None = None) -> int:
         "--no-grid", action="store_true", help="skip the grid-verification phase"
     )
     parser.add_argument(
-        "--tuner-first",
+        "--cost-ranked",
         action="store_true",
-        help="also sweep the first schedules of the extended grid in the "
-        "tuner's search order (the candidates the budgeted tuner compiles first)",
+        help="also sweep the top cost-ranked schedules of the extended grid "
+        "(the candidates the budgeted tuner compiles first)",
     )
     parser.add_argument(
         "--backends",
@@ -170,11 +170,11 @@ def main(argv: list[str] | None = None) -> int:
     grid_failures = 0
     if not args.no_grid:
         grid_failures = run_grid(args.seed, smoke=args.smoke)
-    if args.tuner_first:
-        from repro.verify.sweep import SWEEP_CONFIG, run_tuner_first_sweep
+    if args.cost_ranked:
+        from repro.verify.sweep import SWEEP_CONFIG, run_cost_ranked_sweep
 
         top_k = 4 if args.smoke else SWEEP_CONFIG["top_k"]
-        _, sweep_failures = run_tuner_first_sweep(
+        _, sweep_failures = run_cost_ranked_sweep(
             seeds=(args.seed,), top_k=top_k, log=print
         )
         grid_failures += sweep_failures

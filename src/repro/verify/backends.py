@@ -1,6 +1,6 @@
 """Cross-backend differential sweep: both code generators vs the references.
 
-The fuzzer (:mod:`repro.verify.fuzz`) and the tuner-first sweep
+The fuzzer (:mod:`repro.verify.fuzz`) and the cost-ranked sweep
 (:mod:`repro.verify.sweep`) exercise the *default* backend, ``auto``. This
 sweep closes the remaining gap: for each code generator ``auto`` resolves
 to (``native`` and ``numpy_jit``) it compiles seeded forests across a

@@ -1,38 +1,37 @@
-"""Tuner-first differential sweep: fuzz the schedules the tuner compiles first.
+"""Cost-ranked differential sweep: fuzz the schedules the tuner favors.
 
 The random fuzz loop (:mod:`repro.verify.fuzz`) samples the Table-II grid
 uniformly, but the budget-aware tuner (:mod:`repro.autotune`) explores it
-nearest the base schedule first, one candidate per distinct kernel — so
-the schedules a production deployment actually compiles are concentrated
-at the head of that order. This sweep closes that gap: for each seeded
-fuzz forest it orders the full (extended) grid with the tuner's own
-:func:`~repro.autotune.search.search_order` and differential-checks the
-first K distinct candidates against the reference interpreter and Forest
-across the adversarial input corpus, with every structural verifier
-enabled.
+*best-first* under the static cost model — so the schedules a production
+deployment actually compiles are concentrated at the top of the ranking.
+This sweep closes that gap: for each seeded fuzz forest it ranks the full
+(extended) grid with the cost model and differential-checks the top-K
+candidates against the reference interpreter and Forest across the
+adversarial input corpus, with every structural verifier enabled.
 
-``SWEEP_CONFIG`` is the checked-in configuration of the campaign; the same
-parameters re-run via ``python -m repro.verify --tuner-first`` (or directly
-through :func:`run_tuner_first_sweep`). See DESIGN.md ("Fuzzing the
-tuner's favorites") for the recorded totals.
+``SWEEP_CONFIG`` is the checked-in configuration of the PR5 campaign; the
+same parameters re-run via ``python -m repro.verify --cost-ranked`` (or
+directly through :func:`run_cost_ranked_sweep`). The campaign this
+configuration describes ran clean — see DESIGN.md ("Fuzzing the tuner's
+favorites") for the recorded totals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autotune.search import search_order
+from repro.autotune.cost import rank_schedules
 from repro.autotune.space import default_space, schedule_grid
-from repro.config import Schedule
 from repro.errors import ReproError
 from repro.verify.fuzz import adversarial_batches, compare_case, random_fuzz_forest
 
-#: the sweep campaign: three seeds x three forest shapes x the first 12
-#: distinct schedules of the extended grid in the tuner's order x the full
-#: adversarial corpus
+#: the PR5 sweep campaign: three seeds x three forest shapes x the top 12
+#: cost-ranked schedules of the extended grid x the full adversarial corpus
 SWEEP_CONFIG = {
     "seeds": (0, 1, 2),
     "top_k": 12,
+    "batch_size": 64,
+    "extended_grid": True,
 }
 
 
@@ -47,25 +46,27 @@ def _sweep_forests(rng: np.random.Generator) -> list[tuple[str, object]]:
     ]
 
 
-def run_tuner_first_sweep(
+def run_cost_ranked_sweep(
     seeds: tuple[int, ...] = SWEEP_CONFIG["seeds"],
     top_k: int = SWEEP_CONFIG["top_k"],
+    batch_size: int = SWEEP_CONFIG["batch_size"],
+    extended_grid: bool = SWEEP_CONFIG["extended_grid"],
     log=None,
 ) -> tuple[int, int]:
-    """Differential-check the first ``top_k`` schedules the tuner measures.
+    """Differential-check the top-``top_k`` cost-ranked schedules.
 
     Returns ``(comparisons, failures)``. Each failure is logged via
     ``log`` (a ``print``-like callable) with enough context to rebuild the
     case deterministically from its seed.
     """
-    grid = schedule_grid(default_space(extended=True))
-    first = [s for s, repeat in search_order(grid, Schedule()) if not repeat][:top_k]
     comparisons = 0
     failures = 0
     for seed in seeds:
         rng = np.random.default_rng([seed, 0xC0])
         for name, forest in _sweep_forests(rng):
-            for schedule in first:
+            grid = list(schedule_grid(default_space(extended=extended_grid)))
+            ranked = rank_schedules(forest, grid, batch_size)
+            for _, schedule in ranked[:top_k]:
                 schedule = schedule.with_(verify=True)
                 for label, rows in adversarial_batches(
                     forest, rng, precision=schedule.precision
@@ -89,7 +90,7 @@ def run_tuner_first_sweep(
                             )
     if log:
         log(
-            f"tuner-first sweep: {comparisons} comparisons over "
+            f"cost-ranked sweep: {comparisons} comparisons over "
             f"{len(seeds)} seeds, {failures} failures"
         )
     return comparisons, failures

@@ -1,8 +1,7 @@
-"""Unit tests for the autotuner, its search order, persistence, timer, and
+"""Unit tests for the autotuner, cost model, persistence, timer, and
 machine profiles."""
 
 import gc
-import json
 import weakref
 
 import numpy as np
@@ -12,15 +11,17 @@ import repro.autotune.search as search_mod
 from conftest import KERNEL_BACKENDS
 from repro.autotune import (
     CacheEntry,
+    ForestProfile,
     ScheduleCache,
     autotune,
     default_space,
+    predict_cost,
+    rank_correlation,
+    rank_schedules,
     schedule_grid,
 )
 from repro.autotune.persist import CACHE_FORMAT_VERSION, machine_id
-from repro.autotune.search import search_order
 from repro.autotune.space import TuningSpace
-from repro.backend.jit import model_fingerprint
 from repro.config import Schedule
 from repro.errors import CompilerError, ModelError
 from repro.observe import events as flight
@@ -89,57 +90,100 @@ class TestAutotune:
         assert len(result.log) == 3
 
 
+class TestCostModel:
+    def test_predict_cost_positive_over_grid(self, trained_forest):
+        for schedule in schedule_grid(default_space()):
+            assert predict_cost(trained_forest, schedule, 64) > 0
+
+    def test_profile_from_forest(self, trained_forest):
+        profile = ForestProfile.from_forest(trained_forest)
+        assert profile.num_trees == trained_forest.num_trees
+        assert profile.total_nodes == trained_forest.total_nodes
+        assert 0.0 < profile.mean_depth <= profile.max_depth
+        assert 0.0 <= profile.balanced_fraction <= 1.0
+        # expected depth is a reweighting of leaf depths, so it stays in range
+        assert 0.0 < profile.expected_depth <= profile.max_depth
+
+    def test_profile_accepted_directly(self, trained_forest):
+        profile = ForestProfile.from_forest(trained_forest)
+        s = Schedule()
+        assert predict_cost(profile, s, 32) == predict_cost(trained_forest, s, 32)
+
+    def test_rank_schedules_sorted(self, trained_forest):
+        grid = list(schedule_grid(default_space()))
+        ranked = rank_schedules(trained_forest, grid, 64)
+        costs = [c for c, _ in ranked]
+        assert costs == sorted(costs)
+        assert len(ranked) == len(grid)
+
+    def test_interleave_amortizes_dispatch(self, trained_forest):
+        wide = predict_cost(trained_forest, Schedule(interleave=8), 64)
+        narrow = predict_cost(trained_forest, Schedule(interleave=1), 64)
+        assert wide < narrow
+
+    def test_one_row_order_penalized(self, trained_forest):
+        one_row = predict_cost(trained_forest, Schedule(loop_order="one-row"), 64)
+        one_tree = predict_cost(trained_forest, Schedule(loop_order="one-tree"), 64)
+        assert one_row > one_tree
+
+    def test_machine_profiles_disagree_on_gathers(self, trained_forest):
+        s = Schedule(tile_size=8)
+        intel = predict_cost(trained_forest, s, 64, INTEL_ROCKET_LAKE_LIKE)
+        amd = predict_cost(trained_forest, s, 64, AMD_RYZEN_LIKE)
+        assert intel != amd
+
+    def test_rank_correlation_perfect(self):
+        assert rank_correlation([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]) == pytest.approx(1.0)
+
+    def test_rank_correlation_reversed(self):
+        assert rank_correlation([1.0, 2.0, 3.0], [9.0, 5.0, 1.0]) == pytest.approx(-1.0)
+
+    def test_rank_correlation_too_few_pairs(self):
+        assert rank_correlation([1.0, 2.0], [1.0, 2.0]) is None
+
+    def test_rank_correlation_excludes_failed_compiles(self):
+        # Two of four measurements are inf (failed candidates): only two
+        # finite pairs remain, which is below the meaningful threshold.
+        inf = float("inf")
+        assert rank_correlation([1.0, 2.0, 3.0, 4.0], [1.0, inf, 3.0, inf]) is None
+
+    def test_rank_correlation_zero_variance(self):
+        assert rank_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+
+
 def _search_stats() -> dict:
     """The ``search`` span of the last recorded tune trace."""
     trace = observe_registry.snapshot()["traces"]["recent"][-1]
     return next(c for c in trace["children"] if c["name"] == "search")["stats"]
 
 
-class TestSearchOrder:
-    def test_base_first_then_by_distance_ties_in_grid_order(self):
-        base = Schedule()
-        grid = list(schedule_grid(default_space(), base))
-        order = [s for s, _ in search_order(grid, base)]
-        assert order[0] == base and sorted(order, key=grid.index) == grid
+def _constant_measure(per_row_us: float):
+    """A ``measure`` stand-in: every timing reads ``per_row_us``."""
+    return lambda fn, rows, **kwargs: _FakeMeasurement(per_row_us)
 
-        def distance(s):
-            return sum(
-                getattr(s, f) != getattr(base, f)
-                for f in ("tile_size", "tiling", "alpha", "pad_and_unroll",
-                          "interleave", "layout")
-            )
 
-        distances = [distance(s) for s in order]
-        assert distances == sorted(distances)
-        for d in set(distances):
-            ring = [s for s in order if distance(s) == d]
-            assert ring == sorted(ring, key=grid.index)
-
-    def test_numpy_jit_measures_every_grid_point(self):
+class TestDedupe:
+    def test_numpy_jit_builds_a_kernel_per_grid_point(self):
         base = Schedule(backend="numpy_jit")
         grid = list(schedule_grid(default_space(), base))
         assert len(grid) == 192
-        assert not any(repeat for _, repeat in search_order(grid, base))
+        assert len({search_mod._kernel(s, base) for s in grid}) == 192
 
     @pytest.mark.skipif("native" not in KERNEL_BACKENDS, reason="no C toolchain")
-    def test_native_measures_each_distinct_kernel_once(self):
+    def test_native_grid_holds_64_distinct_kernels(self):
         base = Schedule()
-        order = list(search_order(schedule_grid(default_space(), base), base))
-        first = [s for s, repeat in order if not repeat]
-        assert len(order) == 192 and len(first) == 64
-        ignored = ("interleave", "peel_walk", "loop_order")
-        kernels = {s.with_(**{f: getattr(base, f) for f in ignored}) for s in first}
-        assert len(kernels) == 64
-        # a kernel first appears with the base's value of every ignored field
-        assert all(s.interleave == base.interleave for s in first)
+        grid = list(schedule_grid(default_space(), base))
+        kernels = {search_mod._kernel(s, base) for s in grid}
+        assert len(grid) == 192 and len(kernels) == 64
+        assert {k.interleave for k in kernels} == {base.interleave}
 
     def test_resolving_candidates_records_no_fallback(self):
-        """int8 candidates fall back from ``auto`` to NumPy; ordering them
+        """int8 candidates fall back from ``auto`` to NumPy; resolving them
         must not log one fallback per candidate."""
         space = TuningSpace(precisions=("int8",))
         before = flight.recorder.snapshot()["recorded"]
-        order = list(search_order(schedule_grid(space), Schedule()))
-        assert len(order) == space.size()
+        kernels = [search_mod._kernel(s, Schedule()) for s in schedule_grid(space)]
+        assert {k.backend for k in kernels} == {"numpy_jit"}
         assert flight.recorder.snapshot()["recorded"] == before
 
     @pytest.mark.skipif("native" not in KERNEL_BACKENDS, reason="no C toolchain")
@@ -156,7 +200,6 @@ class TestSearchOrder:
         assert result.stopped_by is None
         stats = _search_stats()
         assert stats["deduped"] == 2 and stats["same_image"] == 0
-        assert stats["deduped_est_s"] > 0
 
     def test_autotune_measures_each_image_once(
         self, trained_forest, test_rows, monkeypatch
@@ -164,25 +207,37 @@ class TestSearchOrder:
         """Candidates the fields cannot tell apart but that compile to one
         image (source and buffers) are compiled and logged with the time
         their image already measured, not timed again."""
-        measured = []
-        real = search_mod.measure
-
-        def spy(fn, rows, **kwargs):
-            measured.append(fn)
-            return real(fn, rows, **kwargs)
-
-        monkeypatch.setattr(search_mod, "measure", spy)
+        costs = iter([1.0, 2.0])
+        monkeypatch.setattr(
+            search_mod, "measure",
+            lambda fn, rows, **kwargs: _FakeMeasurement(next(costs)),
+        )
         monkeypatch.setattr(search_mod, "_image_digest", lambda p: p.schedule.tile_size)
         result = autotune(
             trained_forest, test_rows[:16], space=SMALL_SPACE,
             repeats=1, min_time_s=0.0,
         )
-        assert len(measured) == 2 and result.explored == 4
-        assert [s.tile_size for s, _ in result.log] == [8, 1, 8, 1]
-        costs = [cost for _, cost in result.log]
-        assert costs[2:] == costs[:2]
+        assert result.explored == 4
+        by_tile = {}
+        for schedule, cost in result.log:
+            assert by_tile.setdefault(schedule.tile_size, cost) == cost
+        assert sorted(by_tile.values()) == [1.0, 2.0]
         stats = _search_stats()
         assert stats["same_image"] == 2 and stats["deduped"] == 0
+
+    def test_patience_counts_only_new_measurements(
+        self, trained_forest, test_rows, monkeypatch
+    ):
+        """A candidate whose image was already timed is neither a win nor a
+        stale step, so it cannot use up the patience."""
+        monkeypatch.setattr(search_mod, "measure", _constant_measure(1.0))
+        monkeypatch.setattr(search_mod, "_image_digest", lambda p: "one image")
+        result = autotune(
+            trained_forest, test_rows[:16], space=SMALL_SPACE,
+            repeats=1, min_time_s=0.0, patience=1,
+        )
+        assert result.explored == 4 and result.stopped_by is None
+        assert _search_stats()["same_image"] == 3
 
 
 class TestPersist:
@@ -192,6 +247,7 @@ class TestPersist:
             schedule=Schedule(tile_size=4, interleave=2),
             per_row_us=12.5,
             explored=7,
+            rank_correlation=0.9,
         )
         ScheduleCache(path).store("fp", "m", 64, entry)
         reloaded = ScheduleCache(path).lookup("fp", "m", 64)
@@ -199,6 +255,7 @@ class TestPersist:
         assert reloaded.schedule == entry.schedule
         assert reloaded.per_row_us == 12.5
         assert reloaded.explored == 7
+        assert reloaded.rank_correlation == 0.9
 
     def test_lookup_misses_are_none(self, tmp_path):
         cache = ScheduleCache(str(tmp_path / "s.json"))
@@ -291,27 +348,9 @@ class TestPersist:
         cache.store("fp", "m", 8, CacheEntry(Schedule(), 1.0))
         assert cache.lookup("fp", "m", 8) is not None
 
-    def test_entry_under_the_old_machine_key_loads_and_misses(
-        self, trained_forest, test_rows, tmp_path
-    ):
-        """An entry written when the machine key carried a cost-model profile
-        name, and the entry a ``rank_correlation``, loads; the tuner's lookup
-        misses it and searches."""
-        path = tmp_path / "s.json"
-        old = CacheEntry(Schedule(tile_size=4), 1.0).to_dict()
-        old["rank_correlation"] = 0.42
-        key = f"{model_fingerprint(trained_forest)}|{machine_id()}-intel-rocket-lake-like|16"
-        path.write_text(json.dumps(
-            {"version": CACHE_FORMAT_VERSION, "entries": {key: old}}
-        ))
-        cache = ScheduleCache(str(path))
-        assert cache.keys() == [key]
-        result = autotune(
-            trained_forest, test_rows[:16], space=SMALL_SPACE,
-            repeats=1, min_time_s=0.0, cache=cache,
-        )
-        assert not result.from_cache and result.explored == 4
-        assert len(cache) == 2
+    def test_machine_id_partitions_by_profile(self):
+        assert machine_id("intel") != machine_id("amd")
+        assert machine_id("intel").endswith("-intel")
 
 
 class _FakeMeasurement:
@@ -406,10 +445,13 @@ class TestBudget:
     def test_stale_cache_entry_invalidated_and_researched(
         self, trained_forest, test_rows, tmp_path, monkeypatch
     ):
+        from repro.autotune.persist import machine_id as mid
+        from repro.backend.jit import model_fingerprint
+
         cache = ScheduleCache(str(tmp_path / "s.json"))
         poisoned = Schedule(alpha=0.31)  # marker value, not in the grid
         fp = model_fingerprint(trained_forest)
-        machine = machine_id()
+        machine = mid(INTEL_ROCKET_LAKE_LIKE.name)
         cache.store(fp, machine, 16, CacheEntry(poisoned, 1.0))
 
         real = search_mod.compile_model

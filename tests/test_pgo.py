@@ -189,6 +189,16 @@ class TestAutotuneAxis:
         assert len(grid) == space.size()
         assert {s.pgo for s in grid} == {None, "auto", 2}
 
+    def test_cost_model_discounts_hot_steps(self, pgo_forest):
+        from repro.autotune.cost import predict_cost
+
+        base = Schedule(interleave=4)
+        plain = predict_cost(pgo_forest, base, 64)
+        split = predict_cost(pgo_forest, base.with_(pgo=3), 64)
+        assert np.isfinite(plain) and np.isfinite(split)
+        # Hot steps amortize dispatch over a wider jam: never costlier.
+        assert split <= plain
+
 
 # ----------------------------------------------------------------------
 # Serving integration

@@ -1210,6 +1210,7 @@ class TestSwapUnregisterRace:
             explored=1,
             grid_size=1,
             from_cache=False,
+            rank_correlation=None,
             stopped_by=None,
         )
         rows = np.random.default_rng(7).normal(size=(8, small_forest.num_features))
@@ -1247,6 +1248,7 @@ class TestSwapUnregisterRace:
             explored=1,
             grid_size=1,
             from_cache=False,
+            rank_correlation=None,
             stopped_by=None,
         )
         rows = np.random.default_rng(8).normal(size=(8, small_forest.num_features))

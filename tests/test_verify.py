@@ -390,13 +390,13 @@ class TestCLI:
         assert "grid:" in capsys.readouterr().out
 
 
-class TestTunerFirstSweep:
+class TestCostRankedSweep:
     def test_tiny_sweep_is_clean(self, capsys):
         """The schedules the budgeted tuner compiles first must verify and
-        match the references on the adversarial corpus."""
-        from repro.verify.sweep import run_tuner_first_sweep
+        match the references on the adversarial corpus (PR5 sweep config)."""
+        from repro.verify.sweep import run_cost_ranked_sweep
 
-        comparisons, failures = run_tuner_first_sweep(
+        comparisons, failures = run_cost_ranked_sweep(
             seeds=(0,), top_k=2, log=print
         )
         assert failures == 0
@@ -407,10 +407,10 @@ class TestTunerFirstSweep:
 
         rc = main(
             [
-                "--no-grid", "--tuner-first", "--smoke", "--cases", "1",
+                "--no-grid", "--cost-ranked", "--smoke", "--cases", "1",
                 "--seed", "0", "--out", str(tmp_path),
             ]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "tuner-first sweep:" in out
+        assert "cost-ranked sweep:" in out
