@@ -1,31 +1,41 @@
-"""The native backend: one generic C tile-walker, one foreign call per request.
+"""The native backend: one generic C tile-walker, one CPython call per request.
 
 Treebeard's last lowering step JITs the LIR walk to machine code; the NumPy
 backend substitutes ≈ 175 interpreter dispatches per 1-row request for it.
 This backend walks the same tiles in C. Three pieces live here:
 
-* :data:`WALKER_SOURCE` — one model-independent C file. ``static inline``
-  walkers for the sparse and array layouts, specialised by constant
-  propagation on the padded lane width {1, 2, 4, 8, 16} and the element
-  type {float64, float32}, behind one exported entry point
-  ``repro_walk(model, rows, num_rows, out)``. ``model`` is a packed group
-  table (per group: buffer pointers, extents, class ids, layout kind) plus
-  the LUT; it points into the arrays :func:`~repro.backend.codegen.
-  model_buffers` already builds — no second copy of the model exists.
+* :data:`WALKER_SOURCE` — one model-independent C file, built as a CPython
+  extension module. ``static inline`` walkers for the sparse and array
+  layouts, specialised by constant propagation on the padded lane width
+  {1, 2, 4, 8, 16} and the element type {float64, float32}, behind one
+  ``METH_FASTCALL`` entry point ``predict(model, rows, out, base,
+  validate)``. ``model`` is a capsule over a packed group table (per group:
+  buffer pointers, extents, class ids, layout kind) plus the LUT, made once
+  by the module's ``model(table, owner)``; it points into the arrays
+  :func:`~repro.backend.codegen.model_buffers` already builds — no second
+  copy of the model exists. The entry takes rows and output through the
+  buffer protocol, checks their element type, rank, width and layout,
+  refuses NaN rows when asked, fills the base score when asked and walks
+  with the GIL released; it returns a code, and a refused buffer or NaN
+  writes nothing.
 * :func:`load_library` — builds that file once per machine with
   ``gcc -O3 -march=native`` (never ``-ffast-math``: NaN and ±inf must compare
-  as IEEE says) into a per-user cache directory, keyed by
-  sha256(source, compiler version, flags, CPU model), via temp file + atomic
-  rename; every later process pays a ``dlopen``.
+  as IEEE says) against this interpreter's ``Python.h`` into a per-user
+  cache directory, keyed by sha256(source, compiler version, flags, CPU
+  model, ``EXT_SUFFIX``, include directory), via temp file + atomic rename;
+  every later process loads the module by path. Without a compiler or
+  without the headers, native is unavailable and says why.
 * :func:`emit_stub_source` / :func:`bind` — the backend still *emits Python
   source*: a stub whose module level binds the group table from its own
-  namespace and whose ``predict_block(rows, out, arena=None)`` is the
-  foreign call. The code cache and both stores of a model image (an AOT
+  namespace and whose ``predict_block(rows, out, arena=None)`` calls the
+  entry. The code cache and both stores of a model image (an AOT
   artifact's ``kernel.py``, the shared-memory manifest) therefore carry a
   native kernel unchanged, and every path that executes a stub — in-process
   build, ``load_artifact``, ``attach_shared``, all through
   :func:`~repro.backend.jit.bind_kernel` — runs the same bind-time
-  validation.
+  validation. An executor over such a stub
+  (:class:`~repro.backend.predictor.KernelExecutor`) calls the entry itself:
+  a request is ``np.empty`` plus one call.
 
 The walk is the paper's, in its two mechanisms. *Interleaving* (§IV-B):
 independent sparse walks advance in lock-step, so no tile step waits on
@@ -41,7 +51,7 @@ predicate* (§V-A): a tile's comparison bits come from one gather, one
 ordered less-than compare and one movemask per vector of lanes — AVX-512
 for 8 float64 or 16 float32 lanes, AVX2 for 4 float64 or 4/8 float32 lanes,
 chosen by the preprocessor under ``-march=native`` and named by the
-exported ``repro_isa()`` (the ``native_isa`` compile stat). Other widths
+module's ``isa()`` (the ``native_isa`` compile stat). Other widths
 and ISAs keep the scalar loop. ``_CMP_LT_OQ`` is C's ``<`` — false on NaN —
 so every path routes every row alike.
 
@@ -63,13 +73,15 @@ bitwise the same in any batch, under any ``threads=`` and on every ISA.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import shutil
 import stat
 import subprocess
+import sysconfig
 import tempfile
 import threading
 import time
@@ -92,16 +104,23 @@ BUILD_TIMEOUT_S = 120.0
 #: padded lane widths the walker is specialised for
 LANE_WIDTHS = (1, 2, 4, 8, 16)
 
-#: the walker's tile-compare paths, indexed by what ``repro_isa()`` returns
+#: the extension module's name: its init function is ``PyInit__repro_walker``
+MODULE_NAME = "_repro_walker"
+
+#: the walker's tile-compare paths, indexed by what the module's ``isa()`` returns
 ISA_PATHS = ("scalar", "avx2", "avx512")
 
 WALKER_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
 enum { SPARSE = 0, ARRAY = 1, CONSTANT = 2 };
+/* what predict() returns */
+enum { WALKED = 0, REFUSED_BUFFERS = 1, REFUSED_NAN = 2, REFUSED_MODEL = 3 };
 
 typedef struct {
     int64_t kind;
@@ -177,9 +196,6 @@ INLINE int64_t lt8_f32(const float *row, const int32_t *fi, const float *th) {
     return _mm256_movemask_ps(_mm256_cmp_ps(x, _mm256_loadu_ps(th), _CMP_LT_OQ));
 }
 #endif
-
-/* which compare the preprocessor kept: 2 AVX-512, 1 AVX2, 0 scalar */
-int repro_isa(void) { return REPRO_ISA; }
 
 /* W lanes in vectors of V: the lanes' bits, vector k's at bit k * V */
 #define LANES(V, LT)                                                           \
@@ -326,25 +342,185 @@ static int walk_##T(const repro_model *m, const ELEM *rows, int64_t n,         \
             case 4: group_##T(m, g, block, nb, acc, 4); break;                 \
             case 8: group_##T(m, g, block, nb, acc, 8); break;                 \
             case 16: group_##T(m, g, block, nb, acc, 16); break;               \
-            default: return 1;                                                 \
+            default: return REFUSED_MODEL;                                     \
             }                                                                  \
         }                                                                      \
     }                                                                          \
-    return 0;                                                                  \
+    return WALKED;                                                             \
 }
 
 DEFINE_WALKERS(f64, double, int64_t)
 DEFINE_WALKERS(f32, float, int32_t)
 
-/* out (num_rows, num_classes) float64, pre-filled with the base score, gains
-   every tree's leaf: groups in order, trees ascending. Returns 0, or 1 for a
-   model the walker is not specialised for (bind refuses those first). */
-int repro_walk(const repro_model *m, const void *rows, int64_t num_rows,
-               double *out) {
-    if (m->elem_size == 8) return walk_f64(m, (const double *)rows, num_rows, out);
-    if (m->elem_size == 4) return walk_f32(m, (const float *)rows, num_rows, out);
-    return 1;
+/* The whole request, without the GIL: refuse NaN when asked, fill out with
+   the base score when asked, then add every tree's leaf — groups in order,
+   trees ascending. */
+static int run(const repro_model *m, const void *rows, int64_t n, double *out,
+               int fill, double base, int validate) {
+    const int64_t cells = n * m->num_features;
+    if (validate) {
+        int nan = 0;
+        if (m->elem_size == 8) {
+            const double *x = rows;
+            for (int64_t i = 0; i < cells; i++) nan |= x[i] != x[i];
+        } else {
+            const float *x = rows;
+            for (int64_t i = 0; i < cells; i++) nan |= x[i] != x[i];
+        }
+        if (nan) return REFUSED_NAN;
+    }
+    if (fill)
+        for (int64_t i = 0; i < n * m->num_classes; i++) out[i] = base;
+    return m->elem_size == 8 ? walk_f64(m, (const double *)rows, n, out)
+                             : walk_f32(m, (const float *)rows, n, out);
 }
+
+/* a buffer of the native element type 'd' or 'f' ('<d', '>d' and '=d'
+   are refused alike); a format that starts so has items of at least that
+   size, so reading n * width elements stays inside the buffer */
+static int is_elem(const Py_buffer *v, char code) {
+    return v->format != NULL && v->format[0] == code;
+}
+
+/* predict(model, rows, out, base, validate) -> int
+
+   model is a capsule from model(); rows a C-contiguous (n, num_features)
+   buffer of the model's element type; out a writable C-contiguous float64
+   buffer of shape (n, num_classes), or (n,) when num_classes is 1. base is
+   a float to fill out with first, or None to add to what out holds.
+   validate refuses NaN rows. Returns WALKED or why the request was
+   refused: REFUSED_BUFFERS and REFUSED_NAN write nothing. */
+static PyObject *predict(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "predict() takes 5 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    const repro_model *m = PyCapsule_GetPointer(args[0], "repro_model");
+    if (m == NULL) return NULL;
+    const int fill = args[3] != Py_None;
+    const double base = fill ? PyFloat_AsDouble(args[3]) : 0.0;
+    if (fill && base == -1.0 && PyErr_Occurred()) return NULL;
+    const int validate = PyObject_IsTrue(args[4]);
+    if (validate < 0) return NULL;
+    Py_buffer rows, out;
+    if (PyObject_GetBuffer(args[1], &rows, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        return PyLong_FromLong(REFUSED_BUFFERS);
+    }
+    if (PyObject_GetBuffer(args[2], &out, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        PyBuffer_Release(&rows);
+        return PyLong_FromLong(REFUSED_BUFFERS);
+    }
+    int code = REFUSED_BUFFERS;
+    const Py_ssize_t n = rows.ndim == 2 ? rows.shape[0] : -1;
+    if (n >= 0 && rows.shape[1] == m->num_features
+        && is_elem(&rows, m->elem_size == 4 ? 'f' : 'd')
+        && PyBuffer_IsContiguous(&rows, 'C')
+        && !out.readonly && is_elem(&out, 'd') && PyBuffer_IsContiguous(&out, 'C')
+        && ((out.ndim == 2 && out.shape[0] == n && out.shape[1] == m->num_classes)
+            || (out.ndim == 1 && out.shape[0] == n && m->num_classes == 1))) {
+        Py_BEGIN_ALLOW_THREADS
+        code = run(m, rows.buf, n, (double *)out.buf, fill, base, validate);
+        Py_END_ALLOW_THREADS
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&rows);
+    return PyLong_FromLong(code);
+}
+
+/* A capsule's hold on the packed model: the table buffer and the object
+   that keeps the model buffers it points into alive. */
+typedef struct {
+    Py_buffer table;
+    PyObject *owner;
+} holder;
+
+static void release(PyObject *capsule) {
+    holder *h = PyCapsule_GetContext(capsule);
+    PyBuffer_Release(&h->table);
+    Py_DECREF(h->owner);
+    PyMem_Free(h);
+}
+
+/* model(table, owner) -> capsule
+
+   table is a writable C-contiguous int64 buffer: one repro_model of element
+   size 4 or 8, then its num_groups repro_groups; the model's groups pointer
+   is set here. The capsule keeps table and owner alive. */
+static PyObject *model(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "model() takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    holder *h = PyMem_Calloc(1, sizeof *h);
+    if (h == NULL) return PyErr_NoMemory();
+    if (PyObject_GetBuffer(args[0], &h->table, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0) {
+        PyMem_Free(h);
+        return NULL;
+    }
+    repro_model *m = h->table.buf;
+    /* the groups' bytes: a whole number of groups, never negative, before
+       the header is read */
+    const Py_ssize_t tail = h->table.len - (Py_ssize_t)sizeof *m;
+    if (h->table.itemsize != 8 || tail % (Py_ssize_t)sizeof(repro_group) != 0
+        || m->num_groups != tail / (Py_ssize_t)sizeof(repro_group)
+        || (m->elem_size != 4 && m->elem_size != 8)) {
+        PyBuffer_Release(&h->table);
+        PyMem_Free(h);
+        PyErr_SetString(PyExc_ValueError, "model() wants one repro_model and its groups, packed");
+        return NULL;
+    }
+    m->groups = (const repro_group *)(m + 1);
+    Py_INCREF(args[1]);
+    h->owner = args[1];
+    PyObject *capsule = PyCapsule_New(m, "repro_model", NULL);
+    if (capsule == NULL || PyCapsule_SetContext(capsule, h) < 0
+        || PyCapsule_SetDestructor(capsule, release) < 0) {
+        Py_XDECREF(capsule);
+        PyBuffer_Release(&h->table);
+        Py_DECREF(h->owner);
+        PyMem_Free(h);
+        return NULL;
+    }
+    return capsule;
+}
+
+/* which compare the preprocessor kept: 2 AVX-512, 1 AVX2, 0 scalar */
+static PyObject *isa(PyObject *module, PyObject *unused) {
+    return PyLong_FromLong(REPRO_ISA);
+}
+
+static int exec_module(PyObject *module) {
+    return PyModule_AddIntConstant(module, "WALKED", WALKED)
+        || PyModule_AddIntConstant(module, "REFUSED_BUFFERS", REFUSED_BUFFERS)
+        || PyModule_AddIntConstant(module, "REFUSED_NAN", REFUSED_NAN)
+        || PyModule_AddIntConstant(module, "REFUSED_MODEL", REFUSED_MODEL) ? -1 : 0;
+}
+
+static PyMethodDef methods[] = {
+    {"predict", (PyCFunction)(void (*)(void))predict, METH_FASTCALL,
+     "predict(model, rows, out, base, validate) -> int"},
+    {"model", (PyCFunction)(void (*)(void))model, METH_FASTCALL,
+     "model(table, owner) -> capsule"},
+    {"isa", isa, METH_NOARGS, "isa() -> 0 scalar, 1 AVX2, 2 AVX-512"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot slots[] = {
+    {Py_mod_exec, exec_module},
+    {0, NULL},
+};
+
+static struct PyModuleDef definition = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_repro_walker",
+    .m_doc = "The native tile walker.",
+    .m_methods = methods,
+    .m_slots = slots,
+};
+
+PyMODINIT_FUNC PyInit__repro_walker(void) { return PyModuleDef_Init(&definition); }
 """
 
 
@@ -353,21 +529,20 @@ int repro_walk(const repro_model *m, const void *rows, int64_t num_rows,
 # ----------------------------------------------------------------------
 
 class _Library:
-    """The loaded walker: its entry point, where it lives, what it cost."""
+    """The loaded walker module: where it lives, what it cost."""
 
     def __init__(self, path: Path, build_s: float) -> None:
         self.path = path
         #: seconds ``gcc`` ran in this process (0.0: the cached file loaded)
         self.build_s = build_s
-        self.handle = ctypes.CDLL(str(path))
-        self.walk = self.handle.repro_walk
-        self.walk.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-        ]
-        self.walk.restype = ctypes.c_int
-        self.handle.repro_isa.restype = ctypes.c_int
+        # loaded by path, never through sys.modules: the module's init is
+        # multi-phase, so after a reset() another build loads beside it
+        loader = importlib.machinery.ExtensionFileLoader(MODULE_NAME, str(path))
+        spec = importlib.util.spec_from_file_location(MODULE_NAME, path, loader=loader)
+        self.module = importlib.util.module_from_spec(spec)
+        loader.exec_module(self.module)
         #: the tile compare the preprocessor kept: "avx512", "avx2" or "scalar"
-        self.isa = ISA_PATHS[self.handle.repro_isa()]
+        self.isa = ISA_PATHS[self.module.isa()]
 
 
 _lock = threading.Lock()
@@ -428,6 +603,11 @@ def _cpu_model() -> str:
     )
 
 
+def _python_include() -> str:
+    """The directory holding this interpreter's ``Python.h``."""
+    return sysconfig.get_paths()["include"]
+
+
 def _compiler() -> tuple[str, str]:
     """``(path, version)`` of the C compiler; :class:`BackendError` without one."""
     gcc = shutil.which("gcc")
@@ -445,8 +625,9 @@ def _compiler() -> tuple[str, str]:
     return gcc, probe.stdout.strip()
 
 
-def _build(gcc: str, target: Path) -> float:
-    """Compile :data:`WALKER_SOURCE` to ``target``; returns gcc's seconds.
+def _build(gcc: str, include: str, target: Path) -> float:
+    """Compile :data:`WALKER_SOURCE` against the headers in ``include`` to
+    the extension module ``target``; returns gcc's seconds.
 
     The compiler writes a temporary file beside ``target`` and the finished
     object is renamed over it, so a concurrent builder or a crash leaves
@@ -459,7 +640,7 @@ def _build(gcc: str, target: Path) -> float:
     try:
         try:
             done = subprocess.run(
-                [gcc, *FLAGS, "-x", "c", "-", "-o", tmp],
+                [gcc, *FLAGS, f"-I{include}", "-x", "c", "-", "-o", tmp],
                 input=WALKER_SOURCE, capture_output=True, text=True,
                 timeout=BUILD_TIMEOUT_S,
             )
@@ -478,14 +659,14 @@ def _build(gcc: str, target: Path) -> float:
 
 
 def load_library(stats: dict | None = None) -> _Library:
-    """This process's walker library, built first if this machine has none.
+    """This process's walker module, built first if this machine has none.
 
     Raises :class:`~repro.errors.BackendError` — and remembers why, so the
-    next compile does not probe again — without a compiler, when the build
-    fails, or when the cache directory cannot be trusted. ``stats`` (a
-    compile-trace span's) receives ``native_build_s``, ``native_cache_hit``
-    and ``native_isa`` from the call that loads the library; the registry's
-    ``backends.native.isa`` keeps the last.
+    next compile does not probe again — without a compiler, without
+    ``Python.h``, when the build fails, or when the cache directory cannot be
+    trusted. ``stats`` (a compile-trace span's) receives ``native_build_s``,
+    ``native_cache_hit`` and ``native_isa`` from the call that loads the
+    module; the registry's ``backends.native.isa`` keeps the last.
     """
     global _library, _unavailable
     with _lock:
@@ -495,20 +676,27 @@ def load_library(stats: dict | None = None) -> _Library:
             raise BackendError(_unavailable)
         try:
             gcc, version = _compiler()
+            include = _python_include()
+            if not os.path.isfile(os.path.join(include, "Python.h")):
+                raise BackendError(
+                    f"no Python headers: {include}/Python.h is missing "
+                    "(install this interpreter's development headers)"
+                )
             directory = _checked_cache_dir()
-            key = hashlib.sha256(
-                "\0".join([WALKER_SOURCE, version, " ".join(FLAGS), _cpu_model()]).encode()
-            ).hexdigest()
-            target = directory / f"walker-{key[:32]}.so"
+            suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+            key = hashlib.sha256("\0".join([
+                WALKER_SOURCE, version, " ".join(FLAGS), _cpu_model(), suffix, include,
+            ]).encode()).hexdigest()
+            target = directory / f"walker-{key[:32]}{suffix}"
             build_s = 0.0
             if not target.exists():
-                build_s = _build(gcc, target)
+                build_s = _build(gcc, include, target)
             library = _Library(target, build_s)
         except BackendError as exc:
             _unavailable = str(exc)
             raise
-        except OSError as exc:  # dlopen refused the file
-            _unavailable = f"native walker library failed to load: {exc}"
+        except (ImportError, OSError) as exc:  # dlopen or the module's init refused it
+            _unavailable = f"native walker module failed to load: {exc}"
             raise BackendError(_unavailable) from exc
         _library = library
     observe_registry.record_backend_info("native", "isa", library.isa)
@@ -523,33 +711,17 @@ def load_library(stats: dict | None = None) -> _Library:
 # The emitted stub and what it binds
 # ----------------------------------------------------------------------
 
-_GROUP_EXTENTS = ("kind", "width", "arity", "num_trees", "tiles", "num_tiles", "num_leaves")
-_GROUP_POINTERS = (
+#: ``repro_model`` of :data:`WALKER_SOURCE`, field for field, as int64s;
+#: the module's ``model()`` sets the groups pointer
+_MODEL_FIELDS = (
+    "groups", "num_groups", "lut", "lut_len", "lut_cols", "elem_size",
+    "num_features", "num_classes",
+)
+#: ``repro_group`` likewise: extents, then pointers
+_GROUP_FIELDS = (
+    "kind", "width", "arity", "num_trees", "tiles", "num_tiles", "num_leaves",
     "th", "fi", "sid", "cb", "lv", "lane_tiles", "lane_leaves", "cls", "constant",
 )
-
-
-class _Group(ctypes.Structure):
-    """``repro_group`` of :data:`WALKER_SOURCE`, field for field."""
-
-    _fields_ = [(name, ctypes.c_int64) for name in _GROUP_EXTENTS] + [
-        (name, ctypes.c_void_p) for name in _GROUP_POINTERS
-    ]
-
-
-class _Model(ctypes.Structure):
-    """``repro_model`` of :data:`WALKER_SOURCE`, field for field."""
-
-    _fields_ = [
-        ("groups", ctypes.c_void_p),
-        ("num_groups", ctypes.c_int64),
-        ("lut", ctypes.c_void_p),
-        ("lut_len", ctypes.c_int64),
-        ("lut_cols", ctypes.c_int64),
-        ("elem_size", ctypes.c_int64),
-        ("num_features", ctypes.c_int64),
-        ("num_classes", ctypes.c_int64),
-    ]
 
 
 _KINDS = {"sparse": 0, "array": 1, "const": 2}
@@ -613,6 +785,10 @@ def _in_range(name: str, array: np.ndarray, lo: int, hi: int) -> None:
         )
 
 
+def _describe(x) -> str:
+    return f"{x.dtype}{x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+
+
 def bind(
     ns: dict, *, precision: str, num_features: int, num_classes: int, lut_cols: int, groups
 ):
@@ -621,11 +797,17 @@ def bind(
     Runs when a stub executes — once per in-process build, artifact load or
     shared-memory attach. Every index the model supplies is range-checked
     here, vectorised, so the walker only clamps what the input steers;
-    a violation is a :class:`~repro.errors.BackendError`. The returned
-    closure keeps the bound arrays and the table alive for as long as the
-    kernel that holds their addresses.
+    a violation is a :class:`~repro.errors.BackendError`. The table goes to
+    the walker module as a capsule that also holds the bound arrays, so the
+    addresses packed into it stay valid for as long as a kernel holds it.
+
+    ``walk(rows, out)`` is ``predict_block``'s contract: it adds every tree's
+    leaves into ``out``, which already holds the base score, and refuses
+    rows or an output of the wrong dtype, shape or layout. Its ``entry`` and
+    ``model`` attributes are the module's ``predict`` and the capsule, which
+    an executor calls directly: one call per request.
     """
-    library = load_library()
+    module = load_library().module
     info = PRECISION_TABLE.get(precision)
     _require(info is not None and not info.quantized,
              f"precision {precision!r} is not covered")
@@ -638,17 +820,22 @@ def bind(
 
     def address(array: np.ndarray) -> int:
         keep.append(array)
-        return array.ctypes.data
+        return array.__array_interface__["data"][0]
 
-    table = (_Group * max(1, len(groups)))()
-    for entry, (kind, gid, arity) in zip(table, groups):
+    header = dict(
+        num_groups=len(groups), lut=address(lut), lut_len=lut.size, lut_cols=lut_cols,
+        elem_size=elem.itemsize, num_features=num_features, num_classes=num_classes,
+    )
+    packed: list[dict] = []
+    for kind, gid, arity in groups:
         g = f"g{gid}"
         _require(kind in _KINDS, f"{g} has unknown layout {kind!r}")
-        entry.kind = _KINDS[kind]
+        group = dict(kind=_KINDS[kind])
+        packed.append(group)
         if kind == "const":
             constant = _buffer(ns, f"{g}_const", np.float64, 1)
             _require(constant.size == num_classes, f"{g}_const is not one value per class")
-            entry.constant = address(constant)
+            group["constant"] = address(constant)
             continue
         th = _buffer(ns, f"{g}_th", elem, 2)
         num_tiles, width = th.shape
@@ -681,45 +868,42 @@ def bind(
                      f"{g}_laneL is not the trees' leaf offsets")
             _in_range(f"{g}_sid", sid, 0, lut_rows)
             _in_range(f"{g}_cb", cb, -leaves, tiles)
-            entry.cb, entry.lane_leaves = address(cb), address(lane_leaves)
+            group.update(cb=address(cb), lane_leaves=address(lane_leaves))
         else:
             lv = _buffer(ns, f"{g}_lv", elem, 1)
             _require(lv.size == num_tiles, f"{g}_lv is not one value per slot")
             _require(arity >= 2, f"{g} has tile arity {arity}")
             # negative shape ids mark leaf and empty slots
             _in_range(f"{g}_sid", sid, -2, lut_rows)
-        entry.width, entry.arity, entry.num_trees = width, arity, num_trees
-        entry.tiles, entry.num_tiles, entry.num_leaves = tiles, num_tiles, lv.size
-        entry.th, entry.fi, entry.sid = address(th), address(fi), address(sid)
-        entry.lv, entry.lane_tiles = address(lv), address(lane_tiles)
-        entry.cls = address(classes)
+        group.update(
+            width=width, arity=arity, num_trees=num_trees, tiles=tiles,
+            num_tiles=num_tiles, num_leaves=lv.size, th=address(th), fi=address(fi),
+            sid=address(sid), lv=address(lv), lane_tiles=address(lane_tiles),
+            cls=address(classes),
+        )
 
-    model = _Model(
-        ctypes.addressof(table), len(groups), lut.ctypes.data, lut.size, lut_cols,
-        elem.itemsize, num_features, num_classes,
+    table = np.array(
+        [header.get(name, 0) for name in _MODEL_FIELDS]
+        + [group.get(name, 0) for group in packed for name in _GROUP_FIELDS],
+        dtype=np.int64,
     )
-    model_address = ctypes.addressof(model)
-    call, f64 = library.walk, np.dtype(np.float64)
+    # the capsule holds the table and, through ``keep``, every array it points into
+    entry, model = module.predict, module.model(table, tuple(keep))
+    refused_model = module.REFUSED_MODEL
 
     def walk(rows, out):
-        n = rows.shape[0]
-        if not (
-            rows.dtype == elem and rows.ndim == 2 and rows.shape[1] == num_features
-            and rows.flags.c_contiguous and out.dtype == f64
-            and out.shape == (n, num_classes) and out.flags.c_contiguous
-            and out.flags.writeable
-        ):
-            raise ExecutionError(
-                f"native kernel wants C-contiguous {elem} rows (n, {num_features}) and "
-                f"a float64 out (n, {num_classes}); got {rows.dtype}{rows.shape} and "
-                f"{out.dtype}{out.shape}"
-            )
-        if call(model_address, rows.ctypes.data, n, out.ctypes.data):
+        code = entry(model, rows, out, None, False)
+        if code == refused_model:
             raise ExecutionError("native walker refused the bound model")
+        if code:
+            raise ExecutionError(
+                f"native kernel wants C-contiguous {elem} rows (n, {num_features}) and a "
+                f"writable C-contiguous float64 out (n, {num_classes}); got "
+                f"{_describe(rows)} and {_describe(out)}"
+            )
         return out
 
-    # the addresses above stay valid while these live
-    walk.keepalive = (keep, table, model, library)
+    walk.entry, walk.model = entry, model
     return walk
 
 
@@ -741,12 +925,13 @@ def uncovered(schedule) -> str | None:
 
 
 class NativeBackend(Backend):
-    """Walk the tiles in C: one foreign call per ``predict_block``."""
+    """Walk the tiles in C: one CPython call per request."""
 
     name = "native"
-    #: the walker's loop nest and jams are fixed constants, so these shape
-    #: only the NumPy emission (pinned by ``test_native_ignored_fields``)
-    ignored_fields = ("interleave", "peel_walk", "loop_order")
+    #: the walker's loop nest, jams and row blocking (``ROW_BLOCK``) are
+    #: fixed constants and a request is one call, so these shape only the
+    #: NumPy emission and executor (pinned by ``test_native_ignored_fields``)
+    ignored_fields = ("interleave", "peel_walk", "loop_order", "row_block")
 
     def unavailable(self, schedule, stats: dict | None = None) -> str | None:
         reason = uncovered(schedule)

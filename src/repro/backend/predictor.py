@@ -5,7 +5,9 @@ Two layers live here:
 * :class:`KernelExecutor` — the runtime engine around one compiled
   ``predict_block`` kernel: input validation, output allocation, row
   blocking, parallel fan-out, per-thread scratch arenas, and the objective
-  transform. It needs only the kernel plus a handful of scalar facts
+  transform. A native kernel's executor hands all but the last two to the
+  walker module: one call per request (:meth:`KernelExecutor.raw_predict`).
+  It needs only the kernel plus a handful of scalar facts
   (feature/class counts, base score, dtypes, arena spec) — *not* the
   forest or the lowered module — which is what lets a model image, loaded
   from an AOT artifact or attached from shared memory
@@ -79,6 +81,11 @@ class KernelExecutor:
             np.float32 if schedule.precision == "float32" else np.float64
         )
         self.arena_spec = arena
+        # a native stub's bound walk carries the module's entry point and the
+        # model capsule (repro.backend.native.bind); a NumPy kernel has neither
+        walk = getattr(kernel, "__globals__", {}).get("_walk")
+        self._entry = getattr(walk, "entry", None)
+        self._model = getattr(walk, "model", None)
         self._tls = threading.local()
         self._arenas: "weakref.WeakSet[ScratchArena]" = weakref.WeakSet()
         self._arenas_lock = threading.Lock()
@@ -123,9 +130,19 @@ class KernelExecutor:
         the serving layer uses it to pick a fan-out per micro-batch without
         recompiling the kernel.
         """
+        threads = self.schedule.parallel if threads is None else max(1, int(threads))
+        if self._entry is not None:
+            if type(rows) is not np.ndarray or rows.ndim != 2:
+                rows = self._check(rows)
+            n, classes = rows.shape[0], self.num_classes
+            out = np.empty(n) if classes == 1 else np.empty((n, classes))
+            if threads > 1 and n > 1:
+                parallel_predict(self._native_walk, rows, out, threads)
+            else:
+                self._native_walk(rows, out)
+            return out
         rows = self._check(rows)
         out = self._alloc_out(rows.shape[0])
-        threads = self.schedule.parallel if threads is None else max(1, int(threads))
         if rows.shape[0] == 0:
             pass  # empty batch: correctly-shaped output, no kernel launch
         elif threads > 1:
@@ -133,6 +150,17 @@ class KernelExecutor:
         else:
             self._run_blocks(rows, out)
         return out[:, 0] if self.num_classes == 1 else out
+
+    def _native_walk(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Native executors: ``out`` becomes the base score plus every tree's
+        leaf, in one call that checks the rows, scans them for NaN and walks
+        without the GIL. Rows it refuses — another dtype or order, a wrong
+        width, NaN — go through :meth:`_check`, which coerces them or raises
+        the NumPy path's own error, and are offered once more."""
+        base, validate = self.base_score, self.validate_inputs
+        if self._entry(self._model, rows, out, base, validate):
+            if self._entry(self._model, self._check(rows), out, base, validate):
+                raise ExecutionError("native walker refused the bound model")
 
     def _run_blocks(self, rows: np.ndarray, out: np.ndarray) -> None:
         arena = self._arena()

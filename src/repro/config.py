@@ -129,8 +129,9 @@ class Schedule:
         Number of cores for the row-loop parallelization of Section IV-C;
         1 means serial.
     row_block:
-        Rows processed per kernel invocation; 0 processes the entire batch
-        at once. (Blocking matters for the cache behaviour studied in VI-E.)
+        Rows processed per NumPy kernel invocation; 0 processes the entire
+        batch at once. (Blocking matters for the cache behaviour studied in
+        VI-E.) The native walker blocks rows itself and ignores it.
     reorder:
         Group trees that can share traversal code (Section III-F).
     compact_walks:

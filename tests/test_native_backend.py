@@ -207,8 +207,8 @@ def test_native_ignored_fields(forest, multiclass, layout):
     image (stub source and every buffer), and a field the walker reads
     must not."""
     ignored = get_backend("native").ignored_fields
-    assert ignored == ("interleave", "peel_walk", "loop_order")
-    changed = {"interleave": 2, "peel_walk": False, "loop_order": "one-row"}
+    assert ignored == ("interleave", "peel_walk", "loop_order", "row_block")
+    changed = {"interleave": 2, "peel_walk": False, "loop_order": "one-row", "row_block": 7}
     for model in (forest, multiclass):
         base = Schedule(tile_size=4, layout=layout)
         image = _image(model, base)
